@@ -6,15 +6,15 @@ Layer map:
 
 * ``spectral``  exact trigonometric-polynomial calculus on T^d
 * ``structure`` the flow's structure maps (L, delta, delta-dagger, theta)
-* ``fock``      truncated symmetric Fock space over the noise space
+* ``fock``      time meshes and piecewise constant one-form noise paths
 * ``flow``      the quantum stochastic flow: matrix elements, Picard
-                iteration, time-ordered exponentials, Fock-side engine
+                iteration, time-ordered exponentials, and the pairing
+                engine for flow vectors in Fock space
 * ``trace``     heat traces, theta-function cross-checks, spectral action
 * ``cli``       the ``torusflow`` command line front end
 """
 
 from .errors import (
-    BasisDeficient,
     BasisMismatch,
     CapExceeded,
     ConfigInvalid,
@@ -27,7 +27,6 @@ from .errors import (
 )
 
 __all__ = [
-    "BasisDeficient",
     "BasisMismatch",
     "CapExceeded",
     "ConfigInvalid",

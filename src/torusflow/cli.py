@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,7 +46,6 @@ class RunConfig:
     suite: str = "all"
     out: Optional[str] = None
     fmt: str = "csv"
-    workers: Optional[int] = None
     theta_times: Tuple[float, ...] = (0.05, 0.1, 0.5, 1.0)
     flow_times: Tuple[float, ...] = (0.25, 1.0)
     lambdas: Tuple[float, ...] = ()
@@ -73,8 +71,6 @@ class RunConfig:
             raise ConfigInvalid(f"suite: unknown suite {self.suite!r}")
         if self.fmt not in ("csv", "json"):
             raise ConfigInvalid(f"format: must be csv or json, got {self.fmt!r}")
-        if self.workers is not None and self.workers < 1:
-            raise ConfigInvalid(f"workers: must be >= 1, got {self.workers}")
         for name, tol in self.tols.items():
             if name not in suites.SUITE_ORDER:
                 raise ConfigInvalid(f"tol: unknown suite {name!r}")
@@ -95,7 +91,6 @@ class RunConfig:
             "seed": self.seed,
             "suite": self.suite,
             "format": self.fmt,
-            "workers": self.workers,
             "theta_times": list(self.theta_times),
             "flow_times": list(self.flow_times),
             "lambdas": list(self.lambdas),
@@ -161,8 +156,6 @@ def config_from_pairs(pairs: Dict[str, str],
             updates["out"] = value
         elif key == "format":
             updates["fmt"] = value
-        elif key == "workers":
-            updates["workers"] = _parse_int(value, key)
         elif key == "theta_times":
             updates["theta_times"] = _parse_floats(value, key)
         elif key == "flow_times":
@@ -194,8 +187,7 @@ def _suite_records(name: str, config: RunConfig) -> List[Record]:
                                    config.seed)
         if name == "trace":
             return suites.run_trace(config.dim, config.cap, config.z, tol,
-                                    config.theta_times, config.flow_times,
-                                    config.workers)
+                                    config.theta_times, config.flow_times)
         if name == "action":
             return suites.run_action(config.dim, tol, config.lambdas)
         raise ConfigInvalid(f"suite: unknown suite {name!r}")
@@ -207,18 +199,12 @@ def _suite_records(name: str, config: RunConfig) -> List[Record]:
 
 def run(config: RunConfig) -> Report:
     """Execute the selected suites and write the report if an output
-    path is configured.  Suites run concurrently; records assemble in
-    fixed suite order so reports are deterministic."""
+    path is configured.  Suites run one after another in fixed suite
+    order, so reports are deterministic."""
     config.validate()
     started = time.monotonic()
     names = list(suites.SUITE_ORDER) if config.suite == "all" else [config.suite]
-    if len(names) > 1:
-        with ThreadPoolExecutor(max_workers=len(names)) as pool:
-            futures = [pool.submit(_suite_records, n, config) for n in names]
-            chunks = [f.result() for f in futures]
-    else:
-        chunks = [_suite_records(n, config) for n in names]
-    records = [r for chunk in chunks for r in chunk]
+    records = [r for n in names for r in _suite_records(n, config)]
     report = Report(records, {
         "config": config.echo(),
         "wall_time_s": time.monotonic() - started,

@@ -23,11 +23,8 @@ class RankMismatch(TorusFlowError):
 
 
 class BasisMismatch(TorusFlowError):
-    """Fock vectors built over different noise bases were combined."""
-
-
-class BasisDeficient(TorusFlowError):
-    """A noise path does not expand in the noise basis within tolerance."""
+    """Flow vectors on different mode spaces, time meshes or depths were
+    paired (``flow.flow_inner``)."""
 
 
 class DepthExceeded(TorusFlowError):

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -54,7 +54,6 @@ __all__ = [
     "flow_inner",
     "FactorizationReport",
     "factorization_check",
-    "factorization_residual",
     "PositivityReport",
     "positivity_probe",
 ]
@@ -95,10 +94,6 @@ class ModeSpace:
 
     def partial_matrix(self, axis: int) -> np.ndarray:
         return np.diag(np.array([1j * k[axis] for k in self.modes], dtype=complex))
-
-    def generator_diag(self) -> np.ndarray:
-        return np.diag(np.array([-0.5 * sum(v * v for v in k)
-                                 for k in self.modes], dtype=complex))
 
     def mult_matrix(self, h: TrigPoly) -> np.ndarray:
         """Compression of multiplication by h; escaping modes are dropped."""
@@ -219,8 +214,6 @@ class PicardSeries:
     terms: List[complex]
     s_const: float
     prefactor: float
-    psi_norms: List[float]
-    noise_coupling: float
     block_norms: List[float]
 
     def partial_sum(self, n_max: Optional[int] = None) -> complex:
@@ -250,16 +243,10 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
     graded = [np.eye(space.size, dtype=complex)]
     graded += [np.zeros((space.size, space.size), dtype=complex)
                for _ in range(n_max)]
-    psi_norms = []
     s_const = 0.0
-    coupling = 0.0
-    lmat = space.generator_diag()
     for dt, fc, gc in cells:
         psi = space.psi_matrix(fc, gc)
-        nrm = float(np.linalg.norm(psi, 2))
-        psi_norms.append(nrm)
-        s_const += dt * nrm
-        coupling = max(coupling, float(np.linalg.norm(psi - lmat, 2)))
+        s_const += dt * float(np.linalg.norm(psi, 2))
         blocks = [np.eye(space.size, dtype=complex)]
         for k in range(1, n_max + 1):
             blocks.append(blocks[-1] @ (dt * psi) / k)
@@ -275,8 +262,7 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
     prefactor = (abs(coh) * p.u.l2_norm() * p.v.l2_norm()
                  * math.sqrt(space.size) * float(np.linalg.norm(xv)))
     block_norms = [float(np.linalg.norm(a, 2)) for a in graded]
-    return PicardSeries(terms, s_const, prefactor, psi_norms, coupling,
-                        block_norms)
+    return PicardSeries(terms, s_const, prefactor, block_norms)
 
 
 def vacuum_expectation(x: TrigPoly, u: TrigPoly, v: TrigPoly, t: float) -> complex:
@@ -439,22 +425,27 @@ def _build_vector(p: FlowProblem, n_max: Optional[int], depth: int,
     return FlowFockVector(p, n_max, depth, space, cells, leg_loss)
 
 
-def fock_picard_apply(p: FlowProblem, n_max: Optional[int], depth: int,
-                      loss_tol: float = 1e-6) -> FlowFockVector:
-    """Build the truncated flow vector for later pairings.
-
-    Small scales only: mode cap <= 4 and at most 4 mesh intervals keep
-    every pairing a handful of dense exponentials.  n_max = None keeps
-    the full series (legs included, whatever the depth); DepthExceeded
-    fires when a finite order budget clips creation content past
-    ``depth`` legs by more than ``loss_tol``.
-    """
-    if p.cap > 4:
-        raise CapExceeded("the explicit engine is limited to mode cap <= 4")
+def _check_engine_budget(p: FlowProblem, depth: int) -> None:
+    """At most 4 mesh intervals and 3 creation legs per pairing."""
     if p.mesh().num_cells > 4:
         raise GeometryMismatch("the explicit engine is limited to 4 mesh cells")
     if depth > 3:
         raise DepthExceeded("the explicit engine is limited to depth <= 3")
+
+
+def fock_picard_apply(p: FlowProblem, n_max: Optional[int], depth: int,
+                      loss_tol: float = 1e-6) -> FlowFockVector:
+    """Build the truncated flow vector for later pairings.
+
+    Small scales only: mode cap <= 4 on top of the engine's mesh and
+    depth budget keeps every pairing a handful of dense exponentials.
+    n_max = None keeps the full series (legs included, whatever the
+    depth); DepthExceeded fires when a finite order budget clips
+    creation content past ``depth`` legs by more than ``loss_tol``.
+    """
+    if p.cap > 4:
+        raise CapExceeded("the explicit engine is limited to mode cap <= 4")
+    _check_engine_budget(p, depth)
     return _build_vector(p, n_max, depth, loss_tol)
 
 
@@ -563,43 +554,6 @@ def flow_inner(v1: FlowFockVector, v2: FlowFockVector) -> complex:
     return coh * total
 
 
-def _pairing_tail_apriori(v1: FlowFockVector, v2: FlowFockVector) -> float:
-    """Factorial envelope on everything the graded pairing drops."""
-    space = v1.space
-    d_norms = sum(float(np.linalg.norm(space.partial_matrix(i), 2)) ** 2
-                  for i in range(space.dim))
-    beta = 0.0
-    for c1, c2 in zip(v1.cells, v2.cells):
-        rate = (2 * max(float(np.linalg.norm(c1.phi, 2)),
-                        float(np.linalg.norm(c2.phi, 2)))
-                + d_norms)
-        for i in range(space.dim):
-            for comp in (c1.form.comps[i], c2.form.comps[i]):
-                if not comp.is_zero():
-                    rate += float(np.linalg.norm(
-                        space.mult_matrix(comp.conjugate())
-                        @ space.partial_matrix(i), 2))
-        beta += c1.dt * rate
-    pref = (float(np.linalg.norm(v1.x_vec)) * float(np.linalg.norm(v2.x_vec))
-            * float(np.linalg.norm(
-                space.gram_matrix(v1.problem.v, v2.problem.v), 2))
-            * abs(np.exp(noise_inner(v1.problem.f, v2.problem.f))))
-    caps = [v.n_max for v in (v1, v2) if v.n_max is not None]
-    caps.append(v1.depth)
-    q_min = min(caps) + 1
-    tail = 0.0
-    fact = math.factorial(q_min)
-    q = q_min
-    for _ in range(120):
-        inc = beta ** q / fact
-        tail += inc
-        if inc < 1e-18 * max(tail, 1.0):
-            break
-        q += 1
-        fact *= q
-    return pref * tail
-
-
 @dataclass
 class FactorizationReport:
     """Cross-check of the flow pairing against the transported product."""
@@ -610,7 +564,6 @@ class FactorizationReport:
     bound: float
     truncation_deficit: float
     cap_sensitivity: float
-    tail_apriori: float
 
 
 def factorization_check(a1: TrigPoly, a2: TrigPoly,
@@ -624,20 +577,25 @@ def factorization_check(a1: TrigPoly, a2: TrigPoly,
     pairing from its full-series value, the measured sensitivity of both
     routes to raising the mode cap by two (scaled by ``safety``), and a
     float slop; the identity itself is exact for the uncompressed flow.
+    The engine's mesh and depth budget is checked before any pairing;
+    its cap limit is not, since the cap + 2 pass runs past it anyway.
     """
     if not (a1.is_selfadjoint() and a2.is_selfadjoint()):
         raise ValueError("the factorization identity is checked for "
                          "self-adjoint arguments")
     if t < 0:
         raise GeometryMismatch("horizon must be nonnegative")
+    zero = SimpleNoisePath.zero(a1.dim, max(t, 1.0))
+    _check_engine_budget(FlowProblem(a1, f1, zero, v1, v1, t), depth)
+    _check_engine_budget(FlowProblem(a2, f2, zero, v2, v2, t), depth)
 
     def lhs_at(cap: int, n_max_, depth_) -> complex:
         xa = a1.with_cap(cap) if a1.cap != cap else a1
         xb = a2.with_cap(cap) if a2.cap != cap else a2
         va = v1.with_cap(cap) if v1.cap != cap else v1
         vb = v2.with_cap(cap) if v2.cap != cap else v2
-        pa = FlowProblem(xa, f1, SimpleNoisePath.zero(a1.dim, max(t, 1.0)), va, va, t)
-        pb = FlowProblem(xb, f2, SimpleNoisePath.zero(a1.dim, max(t, 1.0)), vb, vb, t)
+        pa = FlowProblem(xa, f1, zero, va, va, t)
+        pb = FlowProblem(xb, f2, zero, vb, vb, t)
         wa = _build_vector(pa, n_max_, depth_)
         wb = _build_vector(pb, n_max_, depth_)
         return flow_inner(wa, wb)
@@ -657,23 +615,9 @@ def factorization_check(a1: TrigPoly, a2: TrigPoly,
     rhs_hi = rhs_at(cap + 2)
     cap_sens = abs(lhs_hi - lhs_full) + abs(rhs_hi - rhs)
     scale = max(1.0, abs(lhs), abs(rhs))
-    pa = FlowProblem(a1, f1, SimpleNoisePath.zero(a1.dim, max(t, 1.0)), v1, v1, t)
-    pb = FlowProblem(a2, f2, SimpleNoisePath.zero(a1.dim, max(t, 1.0)), v2, v2, t)
-    tail = _pairing_tail_apriori(fock_picard_apply(pa, n_max, depth),
-                                 fock_picard_apply(pb, n_max, depth))
     residual = abs(lhs - rhs)
     bound = trunc + safety * cap_sens + 1e-9 * scale
-    return FactorizationReport(lhs, rhs, residual, bound, trunc,
-                               cap_sens, tail)
-
-
-def factorization_residual(a1: TrigPoly, a2: TrigPoly,
-                           f1: SimpleNoisePath, f2: SimpleNoisePath,
-                           v1: TrigPoly, v2: TrigPoly, t: float,
-                           n_max: Optional[int] = 3,
-                           depth: int = 3) -> float:
-    return factorization_check(a1, a2, f1, f2, v1, v2, t,
-                               n_max=n_max, depth=depth).residual
+    return FactorizationReport(lhs, rhs, residual, bound, trunc, cap_sens)
 
 
 @dataclass

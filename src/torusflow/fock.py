@@ -1,39 +1,25 @@
-"""Truncated symmetric Fock space over discretized one-form noise.
+"""Discretized one-form noise: time meshes, simple paths, and their pairing.
 
-The one-particle space is L2(R+, k0) restricted to a finite time mesh
-and a finite orthonormalized family of one-forms: span{ chi_i (x) w_j }
-with chi_i the L2-normalized indicator of the i-th mesh cell.  Vectors
-are stored by occupation number over that basis, so all symmetric
-multiplicity bookkeeping reduces to sqrt(n+1) ladder factors.
-
-Truncation is never silent: exponential vectors report an exact series
-tail bound and creation past the depth accumulates the dropped norm on
-the result.
+The flow is driven by piecewise constant paths in L2(R+, k0): one
+one-form per cell of a finite time mesh, vanishing past the last
+breakpoint.  ``noise_inner`` is the exact one-particle pairing of two
+such paths, the exponent of the coherent-vector overlap
+<E(f), E(g)> = exp(<f, g>) that the flow's pairing calculus multiplies
+in globally.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .errors import BasisDeficient, BasisMismatch, GeometryMismatch
-from .spectral import OneForm, TrigPoly
+from .errors import GeometryMismatch
+from .spectral import OneForm
 
 __all__ = [
     "TimeMesh",
     "SimpleNoisePath",
     "noise_inner",
-    "NoiseBasis",
-    "FockVector",
-    "exponential_vector",
-    "creation_apply",
-    "annihilation_apply",
-    "fock_inner",
 ]
-
-Occupation = Tuple[int, ...]
 
 
 class TimeMesh:
@@ -145,17 +131,6 @@ class SimpleNoisePath:
         vals = [self.value_at(a) for a, _ in mesh.cells()]
         return SimpleNoisePath(mesh, vals, dim=self.dim)
 
-    def range_forms(self) -> List[OneForm]:
-        """Distinct nonzero values (the finite Range of the path)."""
-        out: List[OneForm] = []
-        for w in self.values:
-            if w.is_zero():
-                continue
-            if all((w - seen).k0_norm() > 1e-14 for seen in out
-                   if seen.dim == w.dim):
-                out.append(w)
-        return out
-
     def is_zero(self) -> bool:
         return all(w.is_zero() for w in self.values)
 
@@ -183,313 +158,4 @@ def noise_inner(f: SimpleNoisePath, g: SimpleNoisePath) -> complex:
         if fa.is_zero() or ga.is_zero():
             continue
         acc += (b - a) * fa.k0_inner(ga)
-    return acc
-
-
-# ----------------------------------------------------------------------
-# noise basis
-
-
-class NoiseBasis:
-    """Orthonormal one-particle basis chi_i (x) w_j for the run at hand.
-
-    The form family is Gram-Schmidt orthonormalized from the finitely
-    many one-forms the run actually touches; dependent inputs are
-    dropped.  Construction fails loudly if the resulting Gram matrix is
-    not the identity to 1e-12.
-    """
-
-    GRAM_TOL = 1e-12
-
-    __slots__ = ("mesh", "forms", "dim")
-
-    def __init__(self, mesh: TimeMesh, raw_forms: Sequence[OneForm]):
-        if not raw_forms:
-            raise GeometryMismatch("a noise basis needs at least one seed form")
-        dim = raw_forms[0].dim
-        forms: List[OneForm] = []
-        for w in raw_forms:
-            if w.dim != dim:
-                raise GeometryMismatch("basis seed forms live on different tori")
-            cand = w
-            for _ in range(2):  # twice for numerical orthogonality
-                for e in forms:
-                    cand = cand - e.scale(e.k0_inner(cand))
-            nrm = cand.k0_norm()
-            if nrm <= 1e-10 * max(1.0, w.k0_norm()):
-                continue
-            forms.append(cand.scale(1.0 / nrm))
-        if not forms:
-            raise BasisDeficient("all seed forms were numerically dependent or zero")
-        for i, a in enumerate(forms):
-            for j, b in enumerate(forms):
-                expect = 1.0 if i == j else 0.0
-                if abs(a.k0_inner(b) - expect) > self.GRAM_TOL:
-                    raise BasisMismatch(
-                        f"orthonormalization failed: Gram[{i},{j}] off by more than {self.GRAM_TOL}"
-                    )
-        self.mesh = mesh
-        self.forms = tuple(forms)
-        self.dim = dim
-
-    @classmethod
-    def for_run(cls, paths: Sequence[SimpleNoisePath],
-                extra_forms: Sequence[OneForm] = ()) -> "NoiseBasis":
-        """Coarsest common mesh refinement plus the forms the run touches."""
-        if not paths:
-            raise GeometryMismatch("for_run needs at least one path")
-        mesh = paths[0].mesh
-        for p in paths[1:]:
-            mesh = mesh.merged(p.mesh)
-        seeds: List[OneForm] = []
-        for p in paths:
-            seeds.extend(p.range_forms())
-        seeds.extend(extra_forms)
-        if not seeds:
-            seeds = [OneForm.zero(paths[0].dim, 0)]
-            # a zero seed alone is deficient; callers with all-zero paths
-            # still need a one-dimensional slot to express the vacuum
-            d = paths[0].dim
-            comps = [TrigPoly.zero(d, 0)] * d
-            comps[0] = TrigPoly.one(d, 0)
-            seeds = [OneForm(comps)]
-        return cls(mesh, seeds)
-
-    @property
-    def num_forms(self) -> int:
-        return len(self.forms)
-
-    @property
-    def one_particle_dim(self) -> int:
-        return self.mesh.num_cells * len(self.forms)
-
-    def slot(self, cell: int, form_idx: int) -> int:
-        return cell * len(self.forms) + form_idx
-
-    def expand_form(self, w: OneForm) -> Tuple[np.ndarray, float]:
-        """Coefficients of w over the form family plus the L2 residual.
-
-        The residual is the norm of the explicitly assembled remainder
-        form; the squared-norm difference would lose half the digits to
-        cancellation for members of the span.
-        """
-        coeffs = np.array([e.k0_inner(w) for e in self.forms], dtype=complex)
-        rem = w
-        for c, e in zip(coeffs, self.forms):
-            rem = rem - e.scale(c)
-        return coeffs, rem.k0_norm()
-
-    def path_coords(self, f: SimpleNoisePath) -> Tuple[np.ndarray, float]:
-        """One-particle coordinates of a path over chi_i (x) w_j.
-
-        Returns (coords, residual); residual is the k-norm of the part
-        of f outside the basis span.
-        """
-        if f.dim != self.dim:
-            raise BasisMismatch("path and basis live on different tori")
-        if f.support_end() > self.mesh.horizon + 1e-12:
-            raise BasisMismatch("path support extends past the basis mesh")
-        coords = np.zeros(self.one_particle_dim, dtype=complex)
-        resid_sq = 0.0
-        for i, (a, b) in enumerate(self.mesh.cells()):
-            w = f.value_at(a)
-            # the basis mesh must refine the path's: constant on the cell
-            for p in f.mesh.points:
-                if a < p < b:
-                    raise BasisMismatch("basis mesh does not refine the path mesh")
-            if w.is_zero():
-                continue
-            c, r = self.expand_form(w)
-            coords[self.slot(i, 0):self.slot(i, 0) + self.num_forms] = \
-                math.sqrt(b - a) * c
-            resid_sq += (b - a) * r * r
-        return coords, math.sqrt(resid_sq)
-
-
-# ----------------------------------------------------------------------
-# vectors
-
-
-class FockVector:
-    """Occupation-number amplitudes up to a particle-number depth.
-
-    levels[n] maps a sorted occupation tuple (basis slots with
-    repetition) to its amplitude in the orthonormal occupation basis, so
-    the norm is the plain l2 norm of the amplitudes.  dropped_norm
-    accumulates an upper bound on everything truncation has discarded.
-    """
-
-    __slots__ = ("basis", "depth", "levels", "dropped_norm", "truncation_bound")
-
-    def __init__(self, basis: NoiseBasis, depth: int,
-                 levels: Sequence[Dict[Occupation, complex]] | None = None,
-                 dropped_norm: float = 0.0,
-                 truncation_bound: float = 0.0):
-        if depth < 0:
-            raise GeometryMismatch("depth must be nonnegative")
-        if levels is None:
-            levels = [dict() for _ in range(depth + 1)]
-        levels = [dict(lv) for lv in levels]
-        if len(levels) != depth + 1:
-            raise GeometryMismatch("level table does not match depth")
-        self.basis = basis
-        self.depth = depth
-        self.levels = levels
-        self.dropped_norm = dropped_norm
-        self.truncation_bound = truncation_bound
-
-    @classmethod
-    def vacuum(cls, basis: NoiseBasis, depth: int) -> "FockVector":
-        v = cls(basis, depth)
-        v.levels[0][()] = 1.0 + 0.0j
-        return v
-
-    def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for lv in self.levels for a in lv.values())
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def scale(self, z: complex) -> "FockVector":
-        out = FockVector(self.basis, self.depth, self.levels,
-                         self.dropped_norm, self.truncation_bound)
-        for lv in out.levels:
-            for k in lv:
-                lv[k] *= z
-        return out
-
-    def add(self, other: "FockVector") -> "FockVector":
-        _check_compatible(self, other)
-        out = FockVector(self.basis, self.depth, self.levels,
-                         self.dropped_norm + other.dropped_norm,
-                         self.truncation_bound + other.truncation_bound)
-        for lv_out, lv_other in zip(out.levels, other.levels):
-            for k, a in lv_other.items():
-                s = lv_out.get(k, 0.0) + a
-                if s == 0:
-                    lv_out.pop(k, None)
-                else:
-                    lv_out[k] = s
-        return out
-
-    def __repr__(self):
-        occ = sum(len(lv) for lv in self.levels)
-        return (f"FockVector(depth={self.depth}, occupied={occ}, "
-                f"norm={self.norm():.6g}, dropped={self.dropped_norm:.3g})")
-
-
-def _check_compatible(v: FockVector, w: FockVector) -> None:
-    if v.basis is not w.basis:
-        same = (v.basis.mesh == w.basis.mesh
-                and v.basis.num_forms == w.basis.num_forms
-                and all((a - b).k0_norm() < 1e-12
-                        for a, b in zip(v.basis.forms, w.basis.forms)))
-        if not same:
-            raise BasisMismatch("vectors live over different noise bases")
-    if v.depth != w.depth:
-        raise BasisMismatch(f"depth mismatch: {v.depth} vs {w.depth}")
-
-
-def exponential_vector(f: SimpleNoisePath, basis: NoiseBasis, depth: int) -> FockVector:
-    """Truncated E(f) = sum_n f^{(x)n} / sqrt(n!) over the noise basis.
-
-    Raises BasisDeficient when f is not representable in the basis
-    (residual above 1e-10).  The reported truncation_bound is the exact
-    squared-norm series tail e^{|f|^2} - sum_{n<=N} |f|^{2n}/n!, which
-    is bounded by the Lagrange form |f|^{2(N+1)} e^{|f|^2} / (N+1)!.
-    """
-    coords, resid = basis.path_coords(f)
-    if resid > 1e-10:
-        raise BasisDeficient(
-            f"path lies outside the noise basis span (residual {resid:.3e})"
-        )
-    out = FockVector.vacuum(basis, depth)
-    nz = [(p, c) for p, c in enumerate(coords) if c != 0]
-    level: Dict[Occupation, complex] = {(): 1.0 + 0.0j}
-    for n in range(1, depth + 1):
-        nxt: Dict[Occupation, complex] = {}
-        for occ, amp in level.items():
-            for p, c in nz:
-                if occ and p < occ[-1]:
-                    continue  # build nondecreasing tuples once each
-                new = occ + (p,)
-                mult = new.count(p)
-                nxt[new] = nxt.get(new, 0.0) + amp * c / math.sqrt(mult)
-        level = nxt
-        out.levels[n] = dict(level)
-    norm_sq = float(np.sum(np.abs(coords) ** 2))
-    head = sum(norm_sq ** n / math.factorial(n) for n in range(depth + 1))
-    out.truncation_bound = max(math.exp(norm_sq) - head, 0.0)
-    return out
-
-
-def creation_apply(u_coords: np.ndarray, v: FockVector) -> FockVector:
-    """a^dagger(u) with sqrt(n+1) ladder weights; overflow is recorded.
-
-    Amplitudes pushed past the depth are accumulated exactly and their
-    l2 norm is added to dropped_norm on the result.
-    """
-    u = np.asarray(u_coords, dtype=complex)
-    if u.shape != (v.basis.one_particle_dim,):
-        raise BasisMismatch("one-particle coordinate length does not match basis")
-    out = FockVector(v.basis, v.depth, None, v.dropped_norm, v.truncation_bound)
-    lost: Dict[Occupation, complex] = {}
-    for n, lv in enumerate(v.levels):
-        for occ, amp in lv.items():
-            for p in np.nonzero(u)[0]:
-                new = tuple(sorted(occ + (int(p),)))
-                weight = math.sqrt(new.count(int(p)))
-                contrib = amp * u[p] * weight
-                if n + 1 <= v.depth:
-                    tgt = out.levels[n + 1]
-                    s = tgt.get(new, 0.0) + contrib
-                    if s == 0:
-                        tgt.pop(new, None)
-                    else:
-                        tgt[new] = s
-                else:
-                    lost[new] = lost.get(new, 0.0) + contrib
-    if lost:
-        out.dropped_norm += math.sqrt(sum(abs(a) ** 2 for a in lost.values()))
-    return out
-
-
-def annihilation_apply(u_coords: np.ndarray, v: FockVector) -> FockVector:
-    """a(u), the adjoint ladder: conjugate-linear in u, no truncation loss."""
-    u = np.asarray(u_coords, dtype=complex)
-    if u.shape != (v.basis.one_particle_dim,):
-        raise BasisMismatch("one-particle coordinate length does not match basis")
-    out = FockVector(v.basis, v.depth, None, v.dropped_norm, v.truncation_bound)
-    for n, lv in enumerate(v.levels):
-        if n == 0:
-            continue
-        for occ, amp in lv.items():
-            seen = set()
-            for p in occ:
-                if p in seen or u[p] == 0:
-                    continue
-                seen.add(p)
-                k = occ.count(p)
-                idx = occ.index(p)
-                new = occ[:idx] + occ[idx + 1:]
-                tgt = out.levels[n - 1]
-                s = tgt.get(new, 0.0) + amp * u[p].conjugate() * math.sqrt(k)
-                if s == 0:
-                    tgt.pop(new, None)
-                else:
-                    tgt[new] = s
-    return out
-
-
-def fock_inner(v: FockVector, w: FockVector) -> complex:
-    """Levelwise pairing, conjugate-linear in the first argument."""
-    _check_compatible(v, w)
-    acc = 0.0 + 0.0j
-    for lv, lw in zip(v.levels, w.levels):
-        small, big, flip = (lv, lw, False) if len(lv) <= len(lw) else (lw, lv, True)
-        for occ, a in small.items():
-            b = big.get(occ)
-            if b is None:
-                continue
-            acc += (a.conjugate() * b) if not flip else (b.conjugate() * a)
     return acc

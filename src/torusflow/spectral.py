@@ -18,9 +18,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -45,26 +44,6 @@ def _check_mode(k, dim: int) -> ModeKey:
     if len(k) != dim:
         raise GeometryMismatch(f"mode {k} has length {len(k)}, expected {dim}")
     return k
-
-
-@dataclass(frozen=True)
-class TorusGeometry:
-    """The flat torus T^d with circumference 2*pi in every coordinate."""
-
-    dim: int
-
-    def __post_init__(self):
-        if not (1 <= self.dim):
-            raise GeometryMismatch(f"dimension must be >= 1, got {self.dim}")
-
-    @property
-    def volume(self) -> float:
-        return TWO_PI ** self.dim
-
-    def modes_in_cap(self, cap: int) -> Iterator[ModeKey]:
-        """All lattice modes with |k|_inf <= cap, lexicographic order."""
-        rng = range(-cap, cap + 1)
-        yield from iter_product(rng, repeat=self.dim)
 
 
 class TrigPoly:
@@ -164,17 +143,8 @@ class TrigPoly:
             return 0
         return max(max(abs(v) for v in k) if k else 0 for k in self._c)
 
-    def max_eigenvalue(self) -> float:
-        """Largest |k|^2 over modes present; the top Laplacian eigenvalue."""
-        if not self._c:
-            return 0.0
-        return float(max(sum(v * v for v in k) for k in self._c))
-
     def coeff_l1(self) -> float:
         return float(sum(abs(c) for c in self._c.values()))
-
-    def coeff_l2(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self._c.values()))
 
     # ------------------------------------------------------------------
     # ring structure
@@ -331,17 +301,6 @@ class TrigPoly:
                 break
         return best
 
-    def evaluate(self, x) -> complex:
-        """Point evaluation; x is a length-d sequence of floats."""
-        x = tuple(float(v) for v in x)
-        if len(x) != self.dim:
-            raise GeometryMismatch(f"point has length {len(x)}, expected {self.dim}")
-        acc = 0.0 + 0.0j
-        for k, c in self._c.items():
-            acc += c * complex(math.cos(sum(a * b for a, b in zip(k, x))),
-                               math.sin(sum(a * b for a, b in zip(k, x))))
-        return acc
-
     def __repr__(self):
         terms = ", ".join(f"{k}: {c:.6g}" for k, c in sorted(self._c.items()))
         return f"TrigPoly(dim={self.dim}, cap={self.cap}, {{{terms}}})"
@@ -392,10 +351,6 @@ def _convolve(a: TrigPoly, b: TrigPoly, cap: int) -> TrigPoly:
 
 def laplacian(f: TrigPoly) -> TrigPoly:
     return f.laplacian()
-
-
-def heat_semigroup_apply(t: float, f: TrigPoly, halved: bool = False) -> TrigPoly:
-    return f.heat(t, halved=halved)
 
 
 def l2_inner(f: TrigPoly, g: TrigPoly) -> complex:
@@ -537,18 +492,6 @@ class OneForm:
 
     def k0_norm(self) -> float:
         return math.sqrt(max(self.k0_inner(self).real, 0.0))
-
-    def length_sq(self) -> TrigPoly:
-        """Pointwise squared length sum_i |w_i|^2 as a TrigPoly."""
-        return form_inner(self, self)
-
-    def is_exact(self, tol: float = 1e-12) -> bool:
-        """Closedness check d(omega) = 0, i.e. d_j w_i = d_i w_j."""
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if not (self.comps[i].partial(j) - self.comps[j].partial(i)).is_zero(tol):
-                    return False
-        return True
 
     def __repr__(self):
         return f"OneForm({', '.join(repr(c) for c in self.comps)})"

@@ -22,7 +22,7 @@ The augmented vector norm puts the diagonal module norm on the form leg:
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import GeometryMismatch
 from .spectral import (
@@ -48,7 +48,6 @@ __all__ = [
     "sobolev_w2inf_norm",
     "AugmentedVector",
     "theta_apply",
-    "StructureMatrix",
     "NestedPhiGrowth",
     "nested_phi_growth",
 ]
@@ -258,36 +257,6 @@ def theta_apply(a: TrigPoly, v: AugmentedVector) -> AugmentedVector:
     cap = max(t1.cap, t2.cap)
     scalar_out = t1.with_cap(cap) + t2.with_cap(cap)
     return AugmentedVector(scalar_out, v.scalar_part, da)
-
-
-class StructureMatrix:
-    """The Theta bundle: generator, derivation, adjoint, conservation.
-
-    Stateless; exists so the flow can be handed the structure as one
-    object and so the block invariants have a single home.
-    """
-
-    @staticmethod
-    def generator(x: TrigPoly) -> TrigPoly:
-        return generator_L(x)
-
-    @staticmethod
-    def derivation(x: TrigPoly) -> OneForm:
-        return delta(x)
-
-    @staticmethod
-    def derivation_adjoint(x: TrigPoly, omega: OneForm) -> TrigPoly:
-        """<dx, omega> with unit algebra leg."""
-        return form_inner(exterior_derivative(x), omega)
-
-    @staticmethod
-    def conservation(x: TrigPoly) -> TrigPoly:
-        """sigma = 0: the flow has no gauge block."""
-        return TrigPoly.zero(x.dim, x.cap)
-
-    @staticmethod
-    def theta(a: TrigPoly, v: AugmentedVector) -> AugmentedVector:
-        return theta_apply(a, v)
 
 
 # ----------------------------------------------------------------------

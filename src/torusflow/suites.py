@@ -9,19 +9,17 @@ suites emit plot-ready data rows alongside their assertions.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from . import sampling
-from .errors import GeometryMismatch
 from .flow import (FlowProblem, factorization_check, picard_terms,
                    positivity_probe, texp_matrix_element)
 from .fock import SimpleNoisePath
 from .report import Record
-from .spectral import (OneForm, TrigPoly, covariant_derivative,
-                       exterior_derivative, form_inner, mul_free,
-                       pointwise_length_sq)
+from .spectral import (TrigPoly, covariant_derivative, exterior_derivative,
+                       form_inner, mul_free, pointwise_length_sq)
 from .structure import (AugmentedVector, delta, delta_squared, generator_L,
                         kernel_eval, nested_phi_growth, sobolev_w2inf_norm,
                         theta_apply)
@@ -261,8 +259,7 @@ def run_flow(dim: int, cap: int, depth: int, tol: float,
 
 def run_trace(dim: int, cap: int, z: float, tol: float,
               theta_times: Sequence[float] = (0.05, 0.1, 0.5, 1.0),
-              flow_times: Sequence[float] = (0.25, 1.0),
-              workers: Optional[int] = None) -> List[Record]:
+              flow_times: Sequence[float] = (0.25, 1.0)) -> List[Record]:
     out = []
     for t in theta_times:
         zt = float(z_for_tail(t, dim))
@@ -276,7 +273,7 @@ def run_trace(dim: int, cap: int, z: float, tol: float,
                            "abs_err": err}))
     for t in flow_times:
         direct = heat_trace_direct(t, z, dim)
-        flow_val = heat_trace_via_flow(t, z, dim, cap=cap, workers=workers)
+        flow_val = heat_trace_via_flow(t, z, dim, cap=cap)
         theta = theta_reference(t, dim)
         err = abs(flow_val - direct)
         out.append(Record("trace", f"flow_point[t={t}]", err <= tol,

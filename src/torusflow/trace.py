@@ -15,13 +15,12 @@ since flat tori carry no curvature corrections.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import GeometryMismatch, RankMismatch
+from .errors import GeometryMismatch
 from .flow import vacuum_expectation
 from .spectral import TrigPoly
 
@@ -35,9 +34,6 @@ __all__ = [
     "spectral_action",
     "WeylFit",
     "weyl_fit",
-    "MatrixFunction",
-    "endomorphism_laplacian",
-    "parallel_trace_extract",
 ]
 
 
@@ -129,8 +125,7 @@ def z_for_tail(t: float, dim: int, tol: float = 1e-12) -> int:
 
 
 def heat_trace_via_flow(t: float, z: float, dim: int,
-                        cap: Optional[int] = None,
-                        workers: Optional[int] = None) -> float:
+                        cap: Optional[int] = None) -> float:
     """Trace recovered mode by mode through the flow's vacuum state.
 
     The flow transports x by e^{tL} = e^{-t Laplacian / 2}, so the heat
@@ -152,9 +147,6 @@ def heat_trace_via_flow(t: float, z: float, dim: int,
             raise GeometryMismatch(f"trace term for mode {k} is not real: {val}")
         return val.real / vol
 
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return float(sum(pool.map(per_mode, slc.modes)))
     return float(sum(per_mode(k) for k in slc.modes))
 
 
@@ -180,9 +172,6 @@ class WeylFit:
     prefactor: float
     rows: List[Tuple[float, float]]
 
-    def expected_slope(self, dim: int) -> float:
-        return float(dim)
-
     @staticmethod
     def expected_prefactor(dim: int) -> float:
         return spinor_rank(dim) * (2 * math.pi) ** dim / (4 * math.pi) ** (dim / 2.0)
@@ -204,94 +193,3 @@ def weyl_fit(lams: Sequence[float], dim: int, tol: float = 1e-13) -> WeylFit:
     logs = np.log(np.array([[l, s] for l, s in rows]))
     slope, intercept = np.polyfit(logs[:, 0], logs[:, 1], 1)
     return WeylFit(float(slope), float(math.exp(intercept)), rows)
-
-
-# ----------------------------------------------------------------------
-# endomorphism bundle (trivial rank-r, flat connection)
-
-
-class MatrixFunction:
-    """r x r matrix of functions: a section of End of the trivial bundle."""
-
-    __slots__ = ("entries", "rank", "dim")
-
-    def __init__(self, entries: Sequence[Sequence[TrigPoly]]):
-        entries = tuple(tuple(row) for row in entries)
-        r = len(entries)
-        if r == 0 or any(len(row) != r for row in entries):
-            raise RankMismatch("entries must form a square matrix")
-        dim = entries[0][0].dim
-        for row in entries:
-            for e in row:
-                if e.dim != dim:
-                    raise GeometryMismatch("entries live on different tori")
-        self.entries = entries
-        self.rank = r
-        self.dim = dim
-
-    @classmethod
-    def identity(cls, rank: int, dim: int, cap: int) -> "MatrixFunction":
-        return cls([[TrigPoly.one(dim, cap) if i == j else TrigPoly.zero(dim, cap)
-                     for j in range(rank)] for i in range(rank)])
-
-    @classmethod
-    def scalar(cls, f: TrigPoly, rank: int) -> "MatrixFunction":
-        return cls([[f if i == j else TrigPoly.zero(f.dim, f.cap)
-                     for j in range(rank)] for i in range(rank)])
-
-    def map_entries(self, fn) -> "MatrixFunction":
-        return MatrixFunction([[fn(e) for e in row] for row in self.entries])
-
-    def __sub__(self, other: "MatrixFunction") -> "MatrixFunction":
-        if self.rank != other.rank:
-            raise RankMismatch("rank mismatch in matrix difference")
-        return MatrixFunction([[a - b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.entries, other.entries)])
-
-    def hs_inner(self, other: "MatrixFunction") -> complex:
-        """Entrywise L2 pairing (Hilbert-Schmidt over the fiber)."""
-        if self.rank != other.rank:
-            raise RankMismatch("rank mismatch in matrix pairing")
-        acc = 0.0 + 0.0j
-        for r1, r2 in zip(self.entries, other.entries):
-            for a, b in zip(r1, r2):
-                acc += a.l2_inner(b)
-        return acc
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(e.is_zero(tol) for row in self.entries for e in row)
-
-
-def endomorphism_laplacian(m: MatrixFunction) -> MatrixFunction:
-    """The flat trivial connection has no cross terms, so the bundle
-    Laplacian acts entrywise by the scalar one."""
-    return m.map_entries(lambda e: e.laplacian())
-
-
-def parallel_trace_extract(t: float, r: int, z: float, dim: int,
-                           cap: Optional[int] = None) -> float:
-    """Scalar heat trace read from the endomorphism semigroup.
-
-    Each scalar mode is planted on the constant unit section (the (0,0)
-    corner), transported by the entrywise heat semigroup, and paired
-    back; the other r^2 - 1 entries never activate, so the result equals
-    heat_trace_direct(t, z) for every rank.
-    """
-    if t <= 0:
-        raise GeometryMismatch("heat trace needs t > 0")
-    if r < 1:
-        raise RankMismatch("rank must be at least 1")
-    slc = SpectrumSlice.build(dim, z)
-    if cap is None:
-        cap = int(math.floor(z))
-    acc = 0.0
-    for k in slc.modes:
-        phi = TrigPoly.mode(k, dim, cap)
-        planted = MatrixFunction([[phi if i == 0 and j == 0
-                                   else TrigPoly.zero(dim, cap)
-                                   for j in range(r)] for i in range(r)])
-        heated = planted.map_entries(lambda e: e.heat(t))
-        num = planted.hs_inner(heated)
-        den = planted.hs_inner(planted)
-        acc += (num / den).real
-    return acc

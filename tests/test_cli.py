@@ -88,7 +88,6 @@ def test_config_validation_failures():
         RunConfig(depth=7),
         RunConfig(suite="bogus"),
         RunConfig(fmt="xml"),
-        RunConfig(workers=0),
         RunConfig(tols={"bogus": 1e-9}),
         RunConfig(tols={"flow": 0.0}),
         RunConfig(theta_times=(0.1, -0.5)),
@@ -108,13 +107,13 @@ def test_tolerance_lookup_and_override():
 def test_config_from_pairs_parsing():
     cfg = config_from_pairs({
         "dim": "2", "cap": "5", "z": "3.5", "depth": "2", "seed": "11",
-        "suite": "trace", "format": "json", "workers": "3",
+        "suite": "trace", "format": "json",
         "theta_times": "0.1, 0.5", "lambdas": "5,10,20",
         "tol.flow": "1e-8",
     })
     assert cfg.dim == 2 and cfg.cap == 5 and cfg.z == 3.5
     assert cfg.depth == 2 and cfg.seed == 11
-    assert cfg.suite == "trace" and cfg.fmt == "json" and cfg.workers == 3
+    assert cfg.suite == "trace" and cfg.fmt == "json"
     assert cfg.theta_times == (0.1, 0.5)
     assert cfg.lambdas == (5.0, 10.0, 20.0)
     assert cfg.tols == {"flow": 1e-8}
@@ -131,6 +130,8 @@ def test_config_from_pairs_rejects_garbage():
         config_from_pairs({"theta_times": "0.1,fast"})
     with pytest.raises(ConfigInvalid):
         config_from_pairs({"tol.flow": "tight"})
+    with pytest.raises(ConfigInvalid, match="workers"):
+        config_from_pairs({"workers": "2"})
 
 
 def test_load_config_file(tmp_path):

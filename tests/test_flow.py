@@ -8,8 +8,7 @@ import pytest
 from torusflow import (CapExceeded, DepthExceeded, GeometryMismatch,
                        NotPositive)
 from torusflow.flow import (FlowProblem, factorization_check,
-                            factorization_residual, fock_picard_apply,
-                            picard_terms, positivity_probe,
+                            fock_picard_apply, picard_terms, positivity_probe,
                             texp_matrix_element, vacuum_expectation)
 from torusflow.fock import SimpleNoisePath, TimeMesh, noise_inner
 from torusflow.sampling import noise_path, poly, rng_for
@@ -281,6 +280,10 @@ def test_engine_gates():
         fock_picard_apply(
             FlowProblem(one, zero_path(1, 1.0), zero_path(1, 1.0), one,
                         one, 1.0), None, 4)
+    # the factorization check shares the mesh and depth budget
+    f = SimpleNoisePath.indicator(dform(cos1(2)), 0.0, 0.25)
+    with pytest.raises(DepthExceeded):
+        factorization_check(one, one, f, f, one, one, 0.25, depth=4)
 
 
 def test_engine_depth_budget_loss():
@@ -311,14 +314,16 @@ def test_factorization_zero_horizon_exact():
 
 
 def test_factorization_cos_quarter():
-    one = TrigPoly.one(1, 2)
-    c = cos1(2)
-    f = SimpleNoisePath.indicator(dform(c), 0.0, 0.25)
-    rep = factorization_check(c, c, f, f, one, one, 0.25)
-    assert rep.residual <= rep.bound
-    assert rep.bound < 1.0  # the certificate is not vacuous
-    assert rep.residual == pytest.approx(abs(rep.lhs - rep.rhs))
-    assert factorization_residual(c, c, f, f, one, one, 0.25) == rep.residual
+    # cap 5 is past the engine's cap-4 vector limit, which the check
+    # does not apply: its own cap + 2 pass already runs beyond it
+    for cap in (2, 5):
+        one = TrigPoly.one(1, cap)
+        c = cos1(cap)
+        f = SimpleNoisePath.indicator(dform(c), 0.0, 0.25)
+        rep = factorization_check(c, c, f, f, one, one, 0.25)
+        assert rep.residual <= rep.bound
+        assert rep.bound < 1.0  # the certificate is not vacuous
+        assert rep.residual == pytest.approx(abs(rep.lhs - rep.rhs))
 
 
 def test_factorization_requires_selfadjoint():

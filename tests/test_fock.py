@@ -1,16 +1,12 @@
-"""Noise paths, the orthonormal basis, and truncated Fock vectors."""
+"""Time meshes, simple noise paths, and their pairing."""
 
 import math
 
-import numpy as np
 import pytest
 
-from torusflow import BasisDeficient, BasisMismatch, GeometryMismatch
-from torusflow.fock import (FockVector, NoiseBasis, SimpleNoisePath, TimeMesh,
-                            annihilation_apply, creation_apply,
-                            exponential_vector, fock_inner, noise_inner)
-from torusflow.sampling import noise_path, rng_for
-from torusflow.spectral import OneForm, TrigPoly, exterior_derivative
+from torusflow import GeometryMismatch
+from torusflow.fock import SimpleNoisePath, TimeMesh, noise_inner
+from torusflow.spectral import TrigPoly, exterior_derivative
 
 
 def dcos(dim=1, cap=2):
@@ -104,191 +100,3 @@ def test_noise_inner_conjugates_first_argument():
     g = SimpleNoisePath.indicator(w, 0.0, 1.0)
     assert noise_inner(f, g) == pytest.approx(-1j * math.pi)
     assert noise_inner(g, f) == pytest.approx(1j * math.pi)
-
-
-# ------------------------------------------------------------------- basis
-
-def test_basis_orthonormalizes_seeds():
-    w = dcos()
-    ws = exterior_derivative(TrigPoly.sine((1,), 1, 2))
-    basis = NoiseBasis(TimeMesh([0.0, 1.0]), [w, w.scale(2.0), ws])
-    assert basis.num_forms == 2  # the scaled copy is dependent
-    for i, a in enumerate(basis.forms):
-        for j, b in enumerate(basis.forms):
-            expect = 1.0 if i == j else 0.0
-            assert a.k0_inner(b) == pytest.approx(expect, abs=1e-12)
-
-
-def test_basis_rejects_all_zero_seeds():
-    with pytest.raises(BasisDeficient):
-        NoiseBasis(TimeMesh([0.0, 1.0]), [OneForm.zero(1, 0)])
-
-
-def test_path_coords_roundtrip():
-    w = dcos()
-    f = SimpleNoisePath.indicator(w, 0.0, 1.0)
-    basis = NoiseBasis.for_run([f])
-    coords, resid = basis.path_coords(f)
-    assert resid <= 1e-12
-    assert np.sum(np.abs(coords) ** 2) == pytest.approx(noise_inner(f, f).real)
-
-
-def test_path_coords_requires_refinement():
-    w = dcos()
-    f = SimpleNoisePath.indicator(w, 0.0, 1.0)
-    coarse = NoiseBasis(TimeMesh([0.0, 2.0]), [w])
-    fine_path = f.on_mesh(TimeMesh([0.0, 0.5, 1.0, 2.0]))
-    with pytest.raises(BasisMismatch):
-        coarse.path_coords(fine_path)
-    long_path = SimpleNoisePath.indicator(w, 0.0, 3.0)
-    with pytest.raises(BasisMismatch):
-        coarse.path_coords(long_path)
-
-
-# ----------------------------------------------------------------- vectors
-
-def test_vacuum_is_unit():
-    basis = NoiseBasis.for_run([SimpleNoisePath.indicator(dcos(), 0.0, 1.0)])
-    vac = FockVector.vacuum(basis, 4)
-    assert fock_inner(vac, vac) == pytest.approx(1.0)
-    assert vac.norm() == pytest.approx(1.0)
-
-
-def test_exponential_of_zero_is_vacuum():
-    zero = SimpleNoisePath.zero(1, horizon=1.0)
-    basis = NoiseBasis.for_run([zero])
-    e0 = exponential_vector(zero, basis, 5)
-    vac = FockVector.vacuum(basis, 5)
-    assert fock_inner(e0.add(vac.scale(-1.0)), e0.add(vac.scale(-1.0))) == 0
-    assert e0.truncation_bound == 0.0
-
-
-def test_exponential_depth_zero_tail():
-    f = SimpleNoisePath.indicator(dcos(), 0.0, 1.0)
-    basis = NoiseBasis.for_run([f])
-    e = exponential_vector(f, basis, 0)
-    nsq = noise_inner(f, f).real
-    assert e.norm() == pytest.approx(1.0)  # just the vacuum term
-    assert e.truncation_bound == pytest.approx(math.exp(nsq) - 1.0)
-    # Lagrange envelope dominates the exact tail
-    assert e.truncation_bound <= nsq * math.exp(nsq) + 1e-12
-
-
-def test_exponential_pairing_matches_kernel():
-    rng = rng_for(3)
-    depth = 6
-    for _ in range(5):
-        f = noise_path(rng, 1, 3, 2, horizon=1.0, max_mode=2, scale=0.4)
-        g = noise_path(rng, 1, 3, 2, horizon=1.0, max_mode=2, scale=0.4)
-        basis = NoiseBasis.for_run([f, g])
-        ef = exponential_vector(f, basis, depth)
-        eg = exponential_vector(g, basis, depth)
-        got = fock_inner(ef, eg)
-        want = np.exp(noise_inner(f, g))
-        bound = math.sqrt(ef.truncation_bound * eg.truncation_bound)
-        assert abs(got - want) <= bound + 1e-12
-
-
-def test_exponential_self_pairing():
-    f = SimpleNoisePath.indicator(dcos().scale(0.5), 0.0, 1.0)
-    basis = NoiseBasis.for_run([f])
-    ef = exponential_vector(f, basis, 8)
-    nsq = noise_inner(f, f).real
-    assert abs(fock_inner(ef, ef) - math.exp(nsq)) <= ef.truncation_bound + 1e-14
-
-
-def test_exponential_rejects_off_basis_path():
-    w = dcos()
-    f = SimpleNoisePath.indicator(w, 0.0, 1.0)
-    basis = NoiseBasis.for_run([f])
-    stranger = SimpleNoisePath.indicator(
-        exterior_derivative(TrigPoly.sine((1,), 1, 2)), 0.0, 1.0)
-    with pytest.raises(BasisDeficient):
-        exponential_vector(stranger, basis, 3)
-
-
-# ----------------------------------------------------------------- ladders
-
-def _unit_coords(basis, slot=0):
-    u = np.zeros(basis.one_particle_dim, dtype=complex)
-    u[slot] = 1.0
-    return u
-
-
-def test_ladder_actions_on_vacuum():
-    basis = NoiseBasis.for_run([SimpleNoisePath.indicator(dcos(), 0.0, 1.0)])
-    vac = FockVector.vacuum(basis, 3)
-    u = _unit_coords(basis)
-    assert annihilation_apply(u, vac).norm() == 0
-    up = creation_apply(u, vac)
-    assert up.levels[1] == {(0,): 1.0 + 0.0j}
-    assert up.norm() == pytest.approx(1.0)
-    # [a(u), a+(u)] vacuum = <u, u> vacuum
-    back = annihilation_apply(u, up)
-    assert fock_inner(back, vac) == pytest.approx(1.0)
-
-
-def test_ccr_below_depth():
-    rng = rng_for(9)
-    f = noise_path(rng, 1, 3, 2, horizon=1.0, max_mode=2, scale=0.4)
-    basis = NoiseBasis.for_run([f])
-    depth = 5
-    v = exponential_vector(f, basis, depth)
-    # zero out the top level so creation does not overflow
-    v.levels[depth] = {}
-    n = basis.one_particle_dim
-    u = (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    w = (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    lhs = annihilation_apply(u, creation_apply(w, v))
-    rhs = creation_apply(w, annihilation_apply(u, v))
-    expect = np.vdot(u, w)  # <u, w> with u conjugated
-    diff = lhs.add(rhs.scale(-1.0)).add(v.scale(-expect))
-    assert diff.norm() <= 1e-10 * max(1.0, v.norm())
-
-
-def test_ladder_adjointness():
-    rng = rng_for(10)
-    f = noise_path(rng, 1, 3, 2, horizon=1.0, max_mode=2, scale=0.4)
-    basis = NoiseBasis.for_run([f])
-    depth = 4
-    v = exponential_vector(f, basis, depth)
-    v.levels[depth] = {}
-    w = exponential_vector(f, basis, depth)
-    n = basis.one_particle_dim
-    u = (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    lhs = fock_inner(creation_apply(u, v), w)
-    rhs = fock_inner(v, annihilation_apply(u, w))
-    assert lhs == pytest.approx(rhs, abs=1e-11)
-
-
-def test_reproducing_eigenrelation():
-    # a(u) E(f) = <u, f> E(f) on levels below the cut
-    rng = rng_for(11)
-    f = noise_path(rng, 1, 3, 2, horizon=1.0, max_mode=2, scale=0.4)
-    basis = NoiseBasis.for_run([f])
-    depth = 6
-    ef = exponential_vector(f, basis, depth)
-    coords, _ = basis.path_coords(f)
-    n = basis.one_particle_dim
-    u = (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    got = annihilation_apply(u, ef)
-    lam = np.vdot(u, coords)
-    want = ef.scale(lam)
-    for lvl in range(depth):  # top level of the scaled copy is stale
-        for occ in set(got.levels[lvl]) | set(want.levels[lvl]):
-            assert got.levels[lvl].get(occ, 0.0) == pytest.approx(
-                want.levels[lvl].get(occ, 0.0), abs=1e-12)
-
-
-def test_creation_overflow_is_recorded():
-    basis = NoiseBasis.for_run([SimpleNoisePath.indicator(dcos(), 0.0, 1.0)])
-    vac = FockVector.vacuum(basis, 0)
-    up = creation_apply(_unit_coords(basis), vac)
-    assert up.norm() == 0
-    assert up.dropped_norm == pytest.approx(1.0)
-
-
-def test_fock_inner_depth_mismatch():
-    basis = NoiseBasis.for_run([SimpleNoisePath.indicator(dcos(), 0.0, 1.0)])
-    with pytest.raises(BasisMismatch):
-        fock_inner(FockVector.vacuum(basis, 2), FockVector.vacuum(basis, 3))

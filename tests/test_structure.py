@@ -8,11 +8,10 @@ from torusflow import GeometryMismatch
 from torusflow.sampling import one_form, poly, rng_for
 from torusflow.spectral import (OneForm, TrigPoly, exterior_derivative,
                                 form_inner, mul_free)
-from torusflow.structure import (AugmentedVector, StructureMatrix, delta,
-                                 delta_dagger, delta_squared, generator_L,
-                                 kernel_eval, nested_phi_growth, phi_map,
-                                 phi_prime_map, psi_map, sobolev_w2inf_norm,
-                                 theta_apply)
+from torusflow.structure import (AugmentedVector, delta, delta_dagger,
+                                 delta_squared, generator_L, kernel_eval,
+                                 nested_phi_growth, phi_map, phi_prime_map,
+                                 psi_map, sobolev_w2inf_norm, theta_apply)
 
 
 def cos1(dim=1, cap=4):
@@ -231,16 +230,6 @@ def test_augmented_vector_geometry_check():
     with pytest.raises(GeometryMismatch):
         AugmentedVector(TrigPoly.one(1, 2), TrigPoly.one(2, 2),
                         OneForm.zero(2, 2))
-
-
-def test_structure_matrix_wrappers():
-    x = cos1()
-    assert (StructureMatrix.generator(x) - generator_L(x)).is_zero()
-    assert StructureMatrix.conservation(x).is_zero()
-    w = exterior_derivative(sin1())
-    lhs = StructureMatrix.derivation_adjoint(x, w)
-    rhs = delta_dagger(x, TrigPoly.one(1, lhs.cap), w)
-    assert (lhs - rhs.with_cap(lhs.cap)).is_zero(1e-14)
 
 
 # ------------------------------------------------------------- nested phi

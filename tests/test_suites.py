@@ -70,7 +70,7 @@ def test_full_run_record_count():
     assert len(rep.records) == 148
     assert rep.all_passed
     suites_seen = [r.suite for r in rep.records]
-    # records assemble in fixed suite order regardless of thread timing
+    # suites run one after another in fixed suite order
     assert suites_seen == sorted(suites_seen, key=SUITE_ORDER.index)
     # every record the suites can produce must survive both emitters
     json.loads(render_json(rep))

@@ -1,16 +1,14 @@
-"""Heat traces, theta references, Weyl asymptotics, bundle transport."""
+"""Heat traces, theta references, Weyl asymptotics."""
 
 import math
 
 import pytest
 
-from torusflow import GeometryMismatch, RankMismatch
-from torusflow.spectral import TrigPoly, laplacian
-from torusflow.trace import (MatrixFunction, SpectrumSlice, WeylFit,
-                             endomorphism_laplacian, heat_trace_direct,
-                             heat_trace_via_flow, parallel_trace_extract,
-                             spectral_action, spinor_rank, theta_reference,
-                             weyl_fit, z_for_tail)
+from torusflow import GeometryMismatch
+from torusflow.trace import (SpectrumSlice, WeylFit, heat_trace_direct,
+                             heat_trace_via_flow, spectral_action,
+                             spinor_rank, theta_reference, weyl_fit,
+                             z_for_tail)
 
 # frozen sums, computed once from the defining series
 TRACE_T1_CIRCLE = 1.7726372048266523      # sum over Z of e^{-n^2}
@@ -94,12 +92,6 @@ def test_flow_trace_matches_direct():
             assert abs(got - want) <= 1e-9
 
 
-def test_flow_trace_worker_pool_agrees():
-    serial = heat_trace_via_flow(0.5, 6.0, 1)
-    pooled = heat_trace_via_flow(0.5, 6.0, 1, workers=4)
-    assert pooled == pytest.approx(serial, abs=1e-12)
-
-
 def test_flow_trace_needs_positive_time():
     with pytest.raises(GeometryMismatch):
         heat_trace_via_flow(0.0, 4.0, 1)
@@ -142,43 +134,3 @@ def test_weyl_expected_prefactors():
 def test_weyl_fit_needs_two_scales():
     with pytest.raises(GeometryMismatch):
         weyl_fit([10.0], 1)
-
-
-# ------------------------------------------------------------------ bundle
-
-def test_matrix_function_shape_checks():
-    one = TrigPoly.one(1, 2)
-    with pytest.raises(RankMismatch):
-        MatrixFunction([[one, one]])
-    with pytest.raises(RankMismatch):
-        MatrixFunction.identity(2, 1, 2) - MatrixFunction.identity(3, 1, 2)
-
-
-def test_endomorphism_laplacian_is_entrywise():
-    f = TrigPoly.mode((2,), 1, 3)
-    m = MatrixFunction.scalar(f, 3)
-    lap = endomorphism_laplacian(m)
-    want = MatrixFunction.scalar(laplacian(f), 3)
-    assert (lap - want).is_zero(1e-14)
-    # off-diagonal zeros stay zero
-    assert lap.entries[0][1].is_zero()
-
-
-def test_matrix_identity_hs_norm():
-    ident = MatrixFunction.identity(3, 1, 2)
-    # 3 diagonal ones, each of squared norm (2 pi)
-    assert ident.hs_inner(ident) == pytest.approx(3 * 2 * math.pi)
-
-
-def test_parallel_trace_is_rank_independent():
-    base = heat_trace_direct(0.5, 4.0, 1)
-    for r in (1, 2, 3):
-        got = parallel_trace_extract(0.5, r, 4.0, 1)
-        assert got == pytest.approx(base, abs=1e-12)
-
-
-def test_parallel_trace_guards():
-    with pytest.raises(RankMismatch):
-        parallel_trace_extract(0.5, 0, 4.0, 1)
-    with pytest.raises(GeometryMismatch):
-        parallel_trace_extract(0.0, 1, 4.0, 1)
