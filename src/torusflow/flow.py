@@ -3,9 +3,9 @@
 Three mutually checking evaluation routes for the flow j_t driven by
 piecewise constant one-form noise:
 
-* ``texp_matrix_element``: coherent matrix elements via per-interval
-  matrix exponentials of the compressed generator (earliest interval
-  outermost).
+* ``texp_matrix_element``: coherent matrix elements by applying each
+  interval's propagator exp(dt Psi) to the argument vector, latest
+  interval first (so the earliest sits outermost).
 * ``picard_terms``: the same quantity as an iterated-integral series;
   on constant intervals the simplex integrals are exact Taylor blocks,
   combined across intervals by graded convolution, with a factorial
@@ -14,7 +14,8 @@ piecewise constant one-form noise:
   J_t(x (x) E(f)) v itself.  Creation increments entangle the function
   leg with the one-form leg, so the vector is represented through its
   pairing calculus: inner products of two flow vectors evolve a
-  bilinear kernel by one superoperator exponential per interval.  The
+  bilinear kernel by one sparse superoperator exponential per interval,
+  applied to the kernel without forming the exponential.  The
   mechanisms are the two one-sided generators, the matched
   creation-creation channel (paired coordinate partials), and creation
   against the opposite coherent datum (multiplication by the conjugated
@@ -23,7 +24,12 @@ piecewise constant one-form noise:
   exp(<f1, f2>).
 
 Everything is Galerkin-compressed onto the modes |k|_inf <= cap; both
-sides of every cross-check share that compression.
+sides of every cross-check share that compression.  On that mode space
+the generator has the closed form Psi(xi, eta) = L + sum_i
+M(xi_i + conj eta_i) D_i (``ModeSpace.psi_matrix``), stored sparse:
+zero-noise propagators are diagonal and exponentiate entrywise, noisy
+ones act on vectors through ``expm_multiply`` (Al-Mohy & Higham, SIAM
+J. Sci. Comput. 33(2), 2011).
 """
 
 from __future__ import annotations
@@ -34,16 +40,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import expm
+from scipy import sparse
 
 from .errors import (BasisMismatch, CapExceeded, DepthExceeded,
                      GeometryMismatch, NotPositive)
 from .fock import SimpleNoisePath, TimeMesh, noise_inner
-from .spectral import OneForm, TrigPoly, exterior_derivative, mul_free
-from .structure import psi_map
+from .spectral import (TWO_PI, OneForm, TrigPoly, exterior_derivative,
+                       mul_free)
 
 __all__ = [
     "ModeSpace",
+    "diagonal_entries",
     "FlowProblem",
     "texp_matrix_element",
     "PicardSeries",
@@ -58,11 +65,19 @@ __all__ = [
     "positivity_probe",
 ]
 
+#: hard budget on the entries of the dense mode-space arrays one call
+#: allocates (Picard blocks, pairing kernels, Gram matrices)
+_DENSE_BUDGET = 1 << 24
+
 
 class ModeSpace:
-    """Lexicographically ordered lattice modes |k|_inf <= cap."""
+    """Lexicographically ordered lattice modes |k|_inf <= cap.
 
-    __slots__ = ("dim", "cap", "modes", "index", "_mult_cache")
+    The order is the C-order ravel of the (2 cap + 1)^d mode grid, so
+    operators are built by index arithmetic and stored as sparse CSR.
+    """
+
+    __slots__ = ("dim", "cap", "modes", "index", "_k", "_mult_cache")
 
     def __init__(self, dim: int, cap: int):
         if dim < 1 or cap < 0:
@@ -71,11 +86,21 @@ class ModeSpace:
         self.cap = cap
         self.modes = list(itertools.product(range(-cap, cap + 1), repeat=dim))
         self.index = {k: i for i, k in enumerate(self.modes)}
-        self._mult_cache: Dict[Tuple, np.ndarray] = {}
+        self._k = np.array(self.modes, dtype=np.int64).reshape(-1, dim)
+        self._mult_cache: Dict[Tuple, sparse.csr_array] = {}
 
     @property
     def size(self) -> int:
         return len(self.modes)
+
+    def check_dense(self, blocks: int, what: str) -> None:
+        """Refuse ``blocks`` dense size x size arrays past the budget."""
+        entries = blocks * self.size ** 2
+        if entries > _DENSE_BUDGET:
+            raise CapExceeded(
+                f"{what} needs {entries} dense entries at cap {self.cap}, "
+                f"dim {self.dim} (budget {_DENSE_BUDGET}); lower the cap"
+            )
 
     def to_vec(self, p: TrigPoly) -> np.ndarray:
         if p.dim != self.dim:
@@ -92,47 +117,84 @@ class ModeSpace:
         coeffs = {k: v[i] for i, k in enumerate(self.modes) if v[i] != 0}
         return TrigPoly(self.dim, self.cap, coeffs)
 
-    def partial_matrix(self, axis: int) -> np.ndarray:
-        return np.diag(np.array([1j * k[axis] for k in self.modes], dtype=complex))
+    def partial_matrix(self, axis: int) -> sparse.csr_array:
+        return sparse.diags_array(1j * self._k[:, axis]).tocsr()
 
-    def mult_matrix(self, h: TrigPoly) -> np.ndarray:
+    def _shift_matrix(self, h: TrigPoly, out_cap: int) -> sparse.csr_array:
+        """Column k holds e_k h on the modes |m|_inf <= out_cap; modes
+        escaping out_cap are dropped."""
+        width = 2 * out_cap + 1
+        rows, cols, vals = [], [], []
+        for mu, c in h.items():
+            tgt = self._k + np.asarray(mu, dtype=np.int64)
+            keep = np.all(np.abs(tgt) <= out_cap, axis=1)
+            rows.append(np.ravel_multi_index(tuple((tgt[keep] + out_cap).T),
+                                             (width,) * self.dim))
+            cols.append(np.flatnonzero(keep))
+            vals.append(np.full(cols[-1].size, c, dtype=complex))
+        shape = (width ** self.dim, self.size)
+        if not rows:
+            return sparse.csr_array(shape, dtype=complex)
+        return sparse.csr_array(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=shape)
+
+    def mult_matrix(self, h: TrigPoly) -> sparse.csr_array:
         """Compression of multiplication by h; escaping modes are dropped."""
         key = tuple(sorted(h.items()))
         hit = self._mult_cache.get(key)
-        if hit is not None:
-            return hit
-        m = np.zeros((self.size, self.size), dtype=complex)
-        for k in self.modes:
-            col = self.index[k]
-            for mu, c in h.items():
-                tgt = tuple(a + b for a, b in zip(k, mu))
-                row = self.index.get(tgt)
-                if row is not None:
-                    m[row, col] += c
-        self._mult_cache[key] = m
-        return m
+        if hit is None:
+            hit = self._mult_cache[key] = self._shift_matrix(h, self.cap)
+        return hit
 
-    def psi_matrix(self, xi: OneForm, eta: OneForm) -> np.ndarray:
-        """Column-by-column compression of psi_map(., xi, eta)."""
-        m = np.zeros((self.size, self.size), dtype=complex)
-        eta_zero = OneForm.zero(self.dim, 0) if eta is None else eta
-        for col, k in enumerate(self.modes):
-            e_k = TrigPoly.mode(k, self.dim, self.cap)
-            out = psi_map(e_k, xi, eta_zero)
-            kept, _ = out.project(self.cap)
-            for mu, c in kept.items():
-                m[self.index[mu], col] += c
-        return m
+    def psi_matrix(self, xi: OneForm, eta: Optional[OneForm]) -> sparse.csr_array:
+        """Compression of psi(., xi, eta) = L + sum_i M(xi_i + conj eta_i) D_i.
+
+        <d(x*), xi> = sum_i xi_i d_i x and <eta, dx> = sum_i conj(eta_i) d_i x,
+        so only the multiplier of each partial depends on the noise; with
+        xi = eta = 0 the generator is the diagonal L = -Delta/2.
+        """
+        if eta is None:
+            eta = OneForm.zero(self.dim, 0)
+        if xi.dim != self.dim or eta.dim != self.dim:
+            raise GeometryMismatch("noise lives on a different torus")
+        out = sparse.diags_array(-0.5 * np.sum(self._k ** 2, axis=1)
+                                 .astype(complex)).tocsr()
+        lift = max(xi.cap, eta.cap)
+        for i in range(self.dim):
+            h = xi.comps[i].with_cap(lift) + eta.comps[i].conjugate().with_cap(lift)
+            if not h.is_zero():
+                out = out + self.mult_matrix(h) @ self.partial_matrix(i)
+        return out
 
     def gram_matrix(self, v1: TrigPoly, v2: TrigPoly) -> np.ndarray:
         """G[k,l] = <e_k v1, e_l v2> in L2; products taken uncapped."""
-        g = np.zeros((self.size, self.size), dtype=complex)
-        for i, k in enumerate(self.modes):
-            pk = mul_free(TrigPoly.mode(k, self.dim, self.cap), v1)
-            for j, l in enumerate(self.modes):
-                ql = mul_free(TrigPoly.mode(l, self.dim, self.cap), v2)
-                g[i, j] = pk.l2_inner(ql)
-        return g
+        self.check_dense(1, "gram matrix")
+        lift = self.cap + max(v1.max_abs_mode(), v2.max_abs_mode())
+        a = self._shift_matrix(v1, lift)
+        b = self._shift_matrix(v2, lift)
+        return TWO_PI ** self.dim * (a.conj().T @ b).toarray()
+
+
+def diagonal_entries(gen: sparse.csr_array) -> Optional[np.ndarray]:
+    """The diagonal of a sparse generator, or None if any off-diagonal
+    entry is nonzero."""
+    coo = gen.tocoo()
+    if np.any((coo.row != coo.col) & (coo.data != 0)):
+        return None
+    return gen.diagonal()
+
+
+def _propagate(gen: sparse.csr_array, dt: float, y: np.ndarray) -> np.ndarray:
+    """exp(dt gen) y: elementwise for a diagonal generator, otherwise the
+    action of the exponential (Al-Mohy & Higham 2011) without forming it."""
+    diag = diagonal_entries(gen)
+    if diag is not None:
+        return np.exp(dt * diag) * y
+    # imported on first use: scipy.sparse.linalg pulls in scipy.linalg,
+    # about 0.1 s of every CLI start, and only noisy generators need it
+    from scipy.sparse.linalg import expm_multiply
+    return expm_multiply(dt * gen, y)
 
 
 @dataclass(frozen=True)
@@ -186,15 +248,15 @@ class FlowProblem:
 def texp_matrix_element(p: FlowProblem) -> complex:
     """exp(<g,f>) <u, (E_1 ... E_m)(x) v> with E_j = exp(dt_j Psi_j).
 
-    The earliest interval sits outermost, so the latest generator hits x
+    The earliest interval sits outermost, so the latest propagator hits x
     first.  The final multiplication by v and the pairing against u are
     taken uncapped; only the evolution itself is compressed.
     """
     space = ModeSpace(p.dim, p.cap)
-    acc = np.eye(space.size, dtype=complex)
-    for dt, fc, gc in p.cells():
-        acc = acc @ expm(dt * space.psi_matrix(fc, gc))
-    y = space.from_vec(acc @ space.to_vec(p.x))
+    y = space.to_vec(p.x)
+    for dt, fc, gc in reversed(p.cells()):
+        y = _propagate(space.psi_matrix(fc, gc), dt, y)
+    y = space.from_vec(y)
     return np.exp(noise_inner(p.g, p.f)) * p.u.l2_inner(mul_free(y, p.v))
 
 
@@ -239,13 +301,14 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
     if n_max < 0:
         raise GeometryMismatch("n_max must be nonnegative")
     space = ModeSpace(p.dim, p.cap)
+    space.check_dense(n_max + 1, "picard graded blocks")
     cells = p.cells()
     graded = [np.eye(space.size, dtype=complex)]
     graded += [np.zeros((space.size, space.size), dtype=complex)
                for _ in range(n_max)]
     s_const = 0.0
     for dt, fc, gc in cells:
-        psi = space.psi_matrix(fc, gc)
+        psi = space.psi_matrix(fc, gc).toarray()
         s_const += dt * float(np.linalg.norm(psi, 2))
         blocks = [np.eye(space.size, dtype=complex)]
         for k in range(1, n_max + 1):
@@ -334,12 +397,12 @@ class FlowFockVector:
             for cell, (a, _) in zip(self.cells[::-1],
                                     self.problem.mesh().cells()[::-1]):
                 gc = g.value_at(a)
-                gen = cell.phi.copy()
+                gen = cell.phi
                 for i in range(space.dim):
                     if not gc.comps[i].is_zero():
-                        gen += (space.mult_matrix(gc.comps[i].conjugate())
-                                @ space.partial_matrix(i))
-                y = expm(cell.dt * gen) @ y
+                        gen = gen + (space.mult_matrix(gc.comps[i].conjugate())
+                                     @ space.partial_matrix(i))
+                y = _propagate(gen, cell.dt, y)
             poly = space.from_vec(y)
         else:
             state: Dict[Tuple[int, int], np.ndarray] = {
@@ -390,22 +453,22 @@ def _acc(table: Dict, key, value: np.ndarray) -> None:
 def _build_vector(p: FlowProblem, n_max: Optional[int], depth: int,
                   loss_tol: float = 1e-6) -> FlowFockVector:
     space = ModeSpace(p.dim, p.cap)
-    zero = OneForm.zero(p.dim, 0)
     cells = []
     for dt, fc, _ in p.cells():
-        cells.append(_EngineCell(dt, fc, space.psi_matrix(fc, zero)))
+        cells.append(_EngineCell(dt, fc, space.psi_matrix(fc, None)))
     leg_loss = 0.0
     if n_max is not None and n_max > depth:
         # order budget allows more creation increments than the leg
         # budget keeps, so the vector genuinely drops content: bound
         # the clipped sectors by a factorial envelope
-        d_norms = sum(float(np.linalg.norm(space.partial_matrix(i), 2)) ** 2
-                      for i in range(space.dim))
+        gram = space.gram_matrix(p.v, p.v)
+        # ||D_i|| = cap: the partials are diagonal with entries i k_i
+        d_norms = float(space.dim * space.cap ** 2)
         beta_legs = sum(c.dt * d_norms for c in cells)
-        beta_all = sum(c.dt * 2 * float(np.linalg.norm(c.phi, 2))
+        beta_all = sum(c.dt * 2 * float(np.linalg.norm(c.phi.toarray(), 2))
                        for c in cells) + beta_legs
         pref = float(np.linalg.norm(space.to_vec(p.x))) ** 2 * \
-            float(np.linalg.norm(space.gram_matrix(p.v, p.v), 2))
+            float(np.linalg.norm(gram, 2))
         tail = 0.0
         q = depth + 1
         fact = math.factorial(q)
@@ -438,7 +501,7 @@ def fock_picard_apply(p: FlowProblem, n_max: Optional[int], depth: int,
     """Build the truncated flow vector for later pairings.
 
     Small scales only: mode cap <= 4 on top of the engine's mesh and
-    depth budget keeps every pairing a handful of dense exponentials.
+    depth budget keeps every pairing a handful of small propagations.
     n_max = None keeps the full series (legs included, whatever the
     depth); DepthExceeded fires when a finite order budget clips
     creation content past ``depth`` legs by more than ``loss_tol``.
@@ -449,13 +512,14 @@ def fock_picard_apply(p: FlowProblem, n_max: Optional[int], depth: int,
     return _build_vector(p, n_max, depth, loss_tol)
 
 
-def _superop(a_left: Optional[np.ndarray], b_right: Optional[np.ndarray],
-             size: int) -> np.ndarray:
-    """Row-major matrix for W -> A W B (A or B may be the identity)."""
-    eye = np.eye(size, dtype=complex)
+def _superop(a_left: Optional[sparse.csr_array],
+             b_right: Optional[sparse.csr_array],
+             size: int) -> sparse.csr_array:
+    """Row-major sparse matrix for W -> A W B (A or B may be the identity)."""
+    eye = sparse.eye_array(size, dtype=complex, format="csr")
     a = eye if a_left is None else a_left
     b = eye if b_right is None else b_right
-    return np.kron(a, b.T)
+    return sparse.kron(a, b.T, format="csr")
 
 
 def flow_inner(v1: FlowFockVector, v2: FlowFockVector) -> complex:
@@ -503,7 +567,7 @@ def flow_inner(v1: FlowFockVector, v2: FlowFockVector) -> complex:
                 if not f1i.is_zero():
                     ins = space.mult_matrix(f1i.conjugate()) @ d_i
                     t_op += _superop(None, ins, size)
-            w = expm(c1.dt * t_op) @ w
+            w = _propagate(t_op, c1.dt, w)
         wmat = w.reshape(size, size)
         return coh * complex(np.vdot(x1, wmat @ x2))
 

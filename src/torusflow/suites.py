@@ -67,8 +67,8 @@ EXPLANATIONS: Dict[str, List[str]] = {
     "trace": [
         "theta_point: direct eigenvalue sum at a tail-safe cutoff matches the"
         " resummed theta series to 1e-10",
-        "flow_point: mode-by-mode trace recovery through the flow matches the"
-        " direct sum at the same cutoff",
+        "flow_point: the trace read off the diagonal of the flow's zero-noise"
+        " propagator matches the direct sum at the same cutoff",
     ],
     "action": [
         "action_point: spectral action value at one scale (data row)",

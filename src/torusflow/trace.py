@@ -2,9 +2,10 @@
 
 Three routes to Tr e^{-t Laplacian} keep each other honest: the direct
 lattice sum over eigenvalues, the Poisson-resummed theta series (exact
-for every t, not just asymptotically), and mode-by-mode recovery
-through the vacuum expectation of the flow, which transports functions
-by e^{tL} with L = -Laplacian/2 and therefore runs at flow time 2t.
+for every t, not just asymptotically), and the vacuum flow: the diagonal
+of the flow's zero-noise propagator e^{2t L} on the mode space, summed
+over the spectrum slice.  The flow transports functions by e^{tL} with
+L = -Laplacian/2 and therefore runs at flow time 2t.
 
 The spectral action with the Gaussian weight is the same trace at
 t = Lambda^{-2} scaled by the spinor rank; its large-Lambda growth is
@@ -20,9 +21,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import GeometryMismatch
-from .flow import vacuum_expectation
-from .spectral import TrigPoly
+from .errors import CapExceeded, GeometryMismatch
+from .flow import ModeSpace, diagonal_entries
+from .spectral import OneForm
 
 __all__ = [
     "SpectrumSlice",
@@ -126,28 +127,34 @@ def z_for_tail(t: float, dim: int, tol: float = 1e-12) -> int:
 
 def heat_trace_via_flow(t: float, z: float, dim: int,
                         cap: Optional[int] = None) -> float:
-    """Trace recovered mode by mode through the flow's vacuum state.
+    """Trace read off the flow's zero-noise propagator.
 
     The flow transports x by e^{tL} = e^{-t Laplacian / 2}, so the heat
-    trace at time t is read off at flow time 2t:
-    sum over |k| <= z of <phi_k, j_{2t}(phi_k) 1> / ||phi_k||^2.
+    trace at time t is read off at flow time 2t: the sum over |k| <= z of
+    the diagonal entries <phi_k, j_{2t}(phi_k) 1> / ||phi_k||^2 of the
+    propagator exp(2t Psi(0, 0)) on the modes |k|_inf <= cap.  That
+    generator is diagonal, so its exponential is taken entrywise.
     """
     if t <= 0:
         raise GeometryMismatch("heat trace needs t > 0")
     slc = SpectrumSlice.build(dim, z)
     if cap is None:
         cap = int(math.floor(z))
-    one = TrigPoly.one(dim, cap)
-    vol = (2.0 * math.pi) ** dim
-
-    def per_mode(k) -> float:
-        phi = TrigPoly.mode(k, dim, cap)
-        val = vacuum_expectation(phi, phi, one, 2.0 * t)
+    space = ModeSpace(dim, cap)
+    diag = diagonal_entries(space.psi_matrix(OneForm.zero(dim, 0), None))
+    if diag is None:
+        raise GeometryMismatch("the zero-noise generator is not diagonal")
+    prop = np.exp(2.0 * t * diag)
+    total = 0.0
+    for k in slc.modes:
+        i = space.index.get(k)
+        if i is None:
+            raise CapExceeded(f"mode {k} exceeds the working cap {cap}")
+        val = prop[i]
         if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
             raise GeometryMismatch(f"trace term for mode {k} is not real: {val}")
-        return val.real / vol
-
-    return float(sum(per_mode(k) for k in slc.modes))
+        total += val.real
+    return float(total)
 
 
 def spinor_rank(dim: int) -> int:

@@ -1,17 +1,18 @@
 """Time-ordered evolution, Picard expansion, and the Fock engine."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from torusflow import (CapExceeded, DepthExceeded, GeometryMismatch,
                        NotPositive)
-from torusflow.flow import (FlowProblem, factorization_check,
+from torusflow.flow import (FlowProblem, ModeSpace, factorization_check,
                             fock_picard_apply, picard_terms, positivity_probe,
                             texp_matrix_element, vacuum_expectation)
 from torusflow.fock import SimpleNoisePath, TimeMesh, noise_inner
-from torusflow.sampling import noise_path, poly, rng_for
+from torusflow.sampling import noise_path, one_form, poly, rng_for
 from torusflow.spectral import (OneForm, TrigPoly, exterior_derivative,
                                 l2_inner, mul_free)
 from torusflow.structure import psi_map
@@ -30,6 +31,86 @@ def dform(poly_):
 
 def zero_path(dim=1, t=1.0):
     return SimpleNoisePath.zero(dim, horizon=max(t, 1.0))
+
+
+# ------------------------------------------------------------- mode space
+# The loops below are the column-by-column reference builds that the
+# closed-form sparse operators replace.
+
+def _psi_columns(space, xi, eta):
+    m = np.zeros((space.size, space.size), dtype=complex)
+    for col, k in enumerate(space.modes):
+        out = psi_map(TrigPoly.mode(k, space.dim, space.cap), xi, eta)
+        kept, _ = out.project(space.cap)
+        for mu, c in kept.items():
+            m[space.index[mu], col] += c
+    return m
+
+
+def _mult_loop(space, h):
+    m = np.zeros((space.size, space.size), dtype=complex)
+    for col, k in enumerate(space.modes):
+        for mu, c in h.items():
+            row = space.index.get(tuple(a + b for a, b in zip(k, mu)))
+            if row is not None:
+                m[row, col] += c
+    return m
+
+
+def _gram_loop(space, v1, v2):
+    g = np.zeros((space.size, space.size), dtype=complex)
+    qs = [mul_free(TrigPoly.mode(l, space.dim, space.cap), v2)
+          for l in space.modes]
+    for i, k in enumerate(space.modes):
+        pk = mul_free(TrigPoly.mode(k, space.dim, space.cap), v1)
+        for j, ql in enumerate(qs):
+            g[i, j] = pk.l2_inner(ql)
+    return g
+
+
+def _rel_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("dim,cap", [(1, 4), (2, 3), (3, 2)])
+def test_mode_space_operators_match_column_builds(dim, cap):
+    rng = rng_for(100 + dim)
+    space = ModeSpace(dim, cap)
+    xi = one_form(rng, dim, cap, 1, scale=0.4)
+    eta = one_form(rng, dim, cap, 1, scale=0.4)
+    zero = OneForm.zero(dim, 0)
+    for e in (eta, zero):
+        got = space.psi_matrix(xi, e).toarray()
+        assert _rel_gap(got, _psi_columns(space, xi, e)) <= 1e-13
+    # noise reaching past the cap: escaping modes are dropped
+    h = poly(rng, dim, 2 * cap, cap + 1)
+    got = space.mult_matrix(h).toarray()
+    assert np.array_equal(got, _mult_loop(space, h))
+    v1 = poly(rng, dim, cap, 1)
+    v2 = poly(rng, dim, cap, 2)
+    assert _rel_gap(space.gram_matrix(v1, v2),
+                    _gram_loop(space, v1, v2)) <= 1e-13
+
+
+def test_zero_noise_generator_is_the_diagonal_laplacian():
+    space = ModeSpace(2, 3)
+    zero = OneForm.zero(2, 0)
+    gen = space.psi_matrix(zero, zero)
+    assert gen.count_nonzero() == sum(1 for k in space.modes if k != (0, 0))
+    want = [-0.5 * (a * a + b * b) for a, b in space.modes]
+    assert np.array_equal(gen.diagonal(), np.array(want, dtype=complex))
+
+
+def test_dense_budget_refuses_before_allocating():
+    x = TrigPoly.one(3, 8)
+    zero = SimpleNoisePath.zero(3, horizon=1.0)
+    p = FlowProblem(x, zero, zero, x, x, 1.0)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=r"cap 8, dim 3"):
+        picard_terms(p, 8)
+    with pytest.raises(CapExceeded, match=r"dense entries"):
+        ModeSpace(3, 8).gram_matrix(x, x)
+    assert time.perf_counter() - start < 1.0
 
 
 # ------------------------------------------------------------------- texp

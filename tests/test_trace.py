@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from torusflow import GeometryMismatch
+from torusflow import CapExceeded, GeometryMismatch, cli
 from torusflow.trace import (SpectrumSlice, WeylFit, heat_trace_direct,
                              heat_trace_via_flow, spectral_action,
                              spinor_rank, theta_reference, weyl_fit,
@@ -90,6 +90,25 @@ def test_flow_trace_matches_direct():
             got = heat_trace_via_flow(t, z, dim)
             want = heat_trace_direct(t, z, dim)
             assert abs(got - want) <= 1e-9
+
+
+def test_flow_trace_dim3_at_default_cap(tmp_path, capsys):
+    for t in (0.25, 1.0):
+        got = heat_trace_via_flow(t, 6.0, 3, cap=8)
+        assert abs(got - heat_trace_direct(t, 6.0, 3)) <= 1e-9
+    out = tmp_path / "trace.csv"
+    code = cli.main(["run", "--suite", "trace", "--dim", "3",
+                     "--format", "csv", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 6
+    assert all(row.split(",")[2] == "true" for row in rows)
+
+
+def test_flow_trace_cap_below_cutoff():
+    with pytest.raises(CapExceeded):
+        heat_trace_via_flow(1.0, 3.0, 2, cap=2)
 
 
 def test_flow_trace_needs_positive_time():
