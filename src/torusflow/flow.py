@@ -34,7 +34,6 @@ J. Sci. Comput. 33(2), 2011).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -46,7 +45,7 @@ from .errors import (BasisMismatch, CapExceeded, DepthExceeded,
                      GeometryMismatch, NotPositive)
 from .fock import SimpleNoisePath, TimeMesh, noise_inner
 from .spectral import (TWO_PI, OneForm, TrigPoly, exterior_derivative,
-                       mul_free)
+                       flat_index, lifted_sum, mode_grid, mul_free)
 
 __all__ = [
     "ModeSpace",
@@ -71,27 +70,26 @@ _DENSE_BUDGET = 1 << 24
 
 
 class ModeSpace:
-    """Lexicographically ordered lattice modes |k|_inf <= cap.
+    """The lattice modes |k|_inf <= cap as a vector space.
 
-    The order is the C-order ravel of the (2 cap + 1)^d mode grid, so
+    A vector is the C-order ravel of a ``TrigPoly`` coefficient array at
+    this cap (``spectral.mode_grid`` lists the modes in that order), so
     operators are built by index arithmetic and stored as sparse CSR.
     """
 
-    __slots__ = ("dim", "cap", "modes", "index", "_k", "_mult_cache")
+    __slots__ = ("dim", "cap", "_k", "_mult_cache")
 
     def __init__(self, dim: int, cap: int):
         if dim < 1 or cap < 0:
             raise GeometryMismatch("mode space needs dim >= 1 and cap >= 0")
         self.dim = dim
         self.cap = cap
-        self.modes = list(itertools.product(range(-cap, cap + 1), repeat=dim))
-        self.index = {k: i for i, k in enumerate(self.modes)}
-        self._k = np.array(self.modes, dtype=np.int64).reshape(-1, dim)
+        self._k = mode_grid(dim, cap)
         self._mult_cache: Dict[Tuple, sparse.csr_array] = {}
 
     @property
     def size(self) -> int:
-        return len(self.modes)
+        return self._k.shape[0]
 
     def check_dense(self, blocks: int, what: str) -> None:
         """Refuse ``blocks`` dense size x size arrays past the budget."""
@@ -105,17 +103,11 @@ class ModeSpace:
     def to_vec(self, p: TrigPoly) -> np.ndarray:
         if p.dim != self.dim:
             raise GeometryMismatch("polynomial lives on a different torus")
-        v = np.zeros(self.size, dtype=complex)
-        for k, c in p.items():
-            i = self.index.get(k)
-            if i is None:
-                raise CapExceeded(f"mode {k} exceeds the working cap {self.cap}")
-            v[i] = c
-        return v
+        return p.with_cap(self.cap).coeffs.flatten()
 
     def from_vec(self, v: np.ndarray) -> TrigPoly:
-        coeffs = {k: v[i] for i, k in enumerate(self.modes) if v[i] != 0}
-        return TrigPoly(self.dim, self.cap, coeffs)
+        shape = (2 * self.cap + 1,) * self.dim
+        return TrigPoly(self.dim, self.cap, np.array(v, dtype=complex).reshape(shape))
 
     def partial_matrix(self, axis: int) -> sparse.csr_array:
         return sparse.diags_array(1j * self._k[:, axis]).tocsr()
@@ -123,16 +115,14 @@ class ModeSpace:
     def _shift_matrix(self, h: TrigPoly, out_cap: int) -> sparse.csr_array:
         """Column k holds e_k h on the modes |m|_inf <= out_cap; modes
         escaping out_cap are dropped."""
-        width = 2 * out_cap + 1
         rows, cols, vals = [], [], []
         for mu, c in h.items():
             tgt = self._k + np.asarray(mu, dtype=np.int64)
             keep = np.all(np.abs(tgt) <= out_cap, axis=1)
-            rows.append(np.ravel_multi_index(tuple((tgt[keep] + out_cap).T),
-                                             (width,) * self.dim))
+            rows.append(flat_index(tgt[keep], out_cap))
             cols.append(np.flatnonzero(keep))
             vals.append(np.full(cols[-1].size, c, dtype=complex))
-        shape = (width ** self.dim, self.size)
+        shape = ((2 * out_cap + 1) ** self.dim, self.size)
         if not rows:
             return sparse.csr_array(shape, dtype=complex)
         return sparse.csr_array(
@@ -141,7 +131,7 @@ class ModeSpace:
 
     def mult_matrix(self, h: TrigPoly) -> sparse.csr_array:
         """Compression of multiplication by h; escaping modes are dropped."""
-        key = tuple(sorted(h.items()))
+        key = (h.cap, (h.coeffs + 0.0).tobytes())  # + 0.0 maps -0.0 to 0.0
         hit = self._mult_cache.get(key)
         if hit is None:
             hit = self._mult_cache[key] = self._shift_matrix(h, self.cap)
@@ -160,9 +150,8 @@ class ModeSpace:
             raise GeometryMismatch("noise lives on a different torus")
         out = sparse.diags_array(-0.5 * np.sum(self._k ** 2, axis=1)
                                  .astype(complex)).tocsr()
-        lift = max(xi.cap, eta.cap)
         for i in range(self.dim):
-            h = xi.comps[i].with_cap(lift) + eta.comps[i].conjugate().with_cap(lift)
+            h = lifted_sum(xi.comps[i], eta.comps[i].conjugate())
             if not h.is_zero():
                 out = out + self.mult_matrix(h) @ self.partial_matrix(i)
         return out
@@ -654,21 +643,16 @@ def factorization_check(a1: TrigPoly, a2: TrigPoly,
     _check_engine_budget(FlowProblem(a2, f2, zero, v2, v2, t), depth)
 
     def lhs_at(cap: int, n_max_, depth_) -> complex:
-        xa = a1.with_cap(cap) if a1.cap != cap else a1
-        xb = a2.with_cap(cap) if a2.cap != cap else a2
-        va = v1.with_cap(cap) if v1.cap != cap else v1
-        vb = v2.with_cap(cap) if v2.cap != cap else v2
-        pa = FlowProblem(xa, f1, zero, va, va, t)
-        pb = FlowProblem(xb, f2, zero, vb, vb, t)
-        wa = _build_vector(pa, n_max_, depth_)
-        wb = _build_vector(pb, n_max_, depth_)
-        return flow_inner(wa, wb)
+        va, vb = v1.with_cap(cap), v2.with_cap(cap)
+        pa = FlowProblem(a1.with_cap(cap), f1, zero, va, va, t)
+        pb = FlowProblem(a2.with_cap(cap), f2, zero, vb, vb, t)
+        return flow_inner(_build_vector(pa, n_max_, depth_),
+                          _build_vector(pb, n_max_, depth_))
 
     def rhs_at(cap: int) -> complex:
         prod = mul_free(a1.conjugate(), a2).with_cap(cap)
-        va = v1.with_cap(cap) if v1.cap != cap else v1
-        vb = v2.with_cap(cap) if v2.cap != cap else v2
-        return texp_matrix_element(FlowProblem(prod, f2, f1, va, vb, t))
+        return texp_matrix_element(FlowProblem(prod, f2, f1, v1.with_cap(cap),
+                                               v2.with_cap(cap), t))
 
     cap = a1.cap
     lhs = lhs_at(cap, n_max, depth)

@@ -1,10 +1,14 @@
 """Exact spectral calculus on the flat torus T^d = R^d / (2*pi*Z)^d.
 
 The function algebra is the space of finite trigonometric polynomials
-f(x) = sum_k c_k e^{i k.x}, stored as a sparse map from integer mode
-vectors to complex coefficients.  Every value carries a hard mode cap:
-an operation whose exact result needs a mode with |k|_inf above the cap
-raises CapExceeded rather than aliasing or projecting.
+f(x) = sum_k c_k e^{i k.x} on the modes |k|_inf <= cap.  A polynomial
+stores its coefficients as one dense complex array of shape
+(2 cap + 1,)^d, with the coefficient of mode k at index k + cap; the
+C-order ravel of that array is the mode-space vector layout of
+``flow.ModeSpace`` (see ``mode_grid``), so this module alone decides the
+layout.  Every value carries a hard mode cap: an operation whose exact
+result needs a mode with |k|_inf above the cap raises CapExceeded rather
+than aliasing or projecting.
 
 Conventions used throughout the package:
 
@@ -18,8 +22,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import product as iter_product
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,9 +34,6 @@ ModeKey = Tuple[int, ...]
 
 TWO_PI = 2.0 * math.pi
 
-#: coefficients with modulus at or below this are dropped as exact zeros
-_COEFF_PRUNE = 0.0
-
 #: relative tolerance of the sup-norm grid refinement loop
 SUP_NORM_TOL = 1e-12
 
@@ -39,41 +41,105 @@ SUP_NORM_TOL = 1e-12
 _SUP_GRID_BUDGET = 1 << 22
 
 
-def _check_mode(k, dim: int) -> ModeKey:
-    k = tuple(int(v) for v in k)
-    if len(k) != dim:
-        raise GeometryMismatch(f"mode {k} has length {len(k)}, expected {dim}")
-    return k
+# ----------------------------------------------------------------------
+# the coefficient layout (cached grids are shared, so they are read-only)
+
+
+@lru_cache(maxsize=None)
+def _axis_modes(dim: int, cap: int) -> Tuple[np.ndarray, ...]:
+    """Per-axis mode numbers k_i, shaped to broadcast over the array."""
+    grids = tuple(np.ogrid[(slice(-cap, cap + 1),) * dim])
+    for k in grids:
+        k.flags.writeable = False
+    return grids
+
+
+@lru_cache(maxsize=None)
+def _mode_sq(dim: int, cap: int) -> np.ndarray:
+    """|k|^2 over the coefficient array."""
+    out = sum(k * k for k in _axis_modes(dim, cap)).astype(float)
+    out.flags.writeable = False
+    return out
+
+
+def mode_grid(dim: int, cap: int) -> np.ndarray:
+    """The modes |k|_inf <= cap as rows of an (N, dim) array, in the
+    C-order ravel of the coefficient array (lexicographic order)."""
+    return np.indices((2 * cap + 1,) * dim).reshape(dim, -1).T - cap
+
+
+def flat_index(modes, cap: int) -> np.ndarray:
+    """Positions of the rows of ``modes`` in the C-order ravel of a cap
+    ``cap`` coefficient array; a mode past the cap raises CapExceeded."""
+    modes = np.asarray(modes, dtype=np.int64)
+    over = np.flatnonzero(np.abs(modes).max(axis=1) > cap)
+    if over.size:
+        k = tuple(modes[over[0]].tolist())
+        raise CapExceeded(f"mode {k} exceeds the working cap {cap}")
+    shape = (2 * cap + 1,) * modes.shape[1]
+    return np.ravel_multi_index(tuple((modes + cap).T), shape)
+
+
+def _box(dim: int, cap: int, inner: int) -> Tuple[slice, ...]:
+    """The modes |k|_inf <= inner inside a cap ``cap`` array."""
+    return (slice(cap - inner, cap + inner + 1),) * dim
+
+
+def _radius(arr: np.ndarray, cap: int) -> int:
+    """Largest |k|_inf of a nonzero entry (0 if there is none)."""
+    return int(np.abs(np.array(np.nonzero(arr)) - cap).max(initial=0))
+
+
+def _recap(arr: np.ndarray, cap: int, new_cap: int) -> np.ndarray:
+    """The same modes in a cap ``new_cap`` array: zero padding, or a crop
+    that the caller has checked drops only zeros."""
+    if new_cap <= cap:
+        return arr[_box(arr.ndim, cap, new_cap)]
+    out = np.zeros((2 * new_cap + 1,) * arr.ndim, dtype=complex)
+    out[_box(arr.ndim, new_cap, cap)] = arr
+    return out
 
 
 class TrigPoly:
     """A finite trigonometric polynomial with a hard mode cap.
 
-    Instances are immutable by convention; all arithmetic returns new
-    objects.  Binary operations require both operands to share dimension
-    and cap (the cap is part of the truncation contract of a computation).
+    ``TrigPoly(dim, cap, {mode: coeff})`` places the given coefficients;
+    a dense complex array of shape (2 cap + 1,)^d is adopted as the
+    coefficient array itself (and made read-only).  Instances are
+    immutable; all arithmetic returns new objects.  Binary operations
+    require both operands to share dimension and cap (the cap is part of
+    the truncation contract of a computation).
     """
 
-    __slots__ = ("dim", "cap", "_c")
+    __slots__ = ("dim", "cap", "_a")
 
-    def __init__(self, dim: int, cap: int, coeffs: Dict[ModeKey, complex] | None = None):
+    def __init__(self, dim: int, cap: int,
+                 coeffs: Union[Mapping[ModeKey, complex], np.ndarray, None] = None):
         if dim < 1:
             raise GeometryMismatch(f"dimension must be >= 1, got {dim}")
         if cap < 0:
             raise GeometryMismatch(f"cap must be >= 0, got {cap}")
         self.dim = int(dim)
         self.cap = int(cap)
-        clean: Dict[ModeKey, complex] = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                k = _check_mode(k, dim)
-                c = complex(c)
-                if abs(c) <= _COEFF_PRUNE:
+        shape = (2 * self.cap + 1,) * self.dim
+        if isinstance(coeffs, np.ndarray):
+            arr = coeffs.astype(complex, copy=False)
+            if arr.shape != shape:
+                raise GeometryMismatch(
+                    f"coefficient array of shape {arr.shape}, expected {shape}")
+        else:
+            arr = np.zeros(shape, dtype=complex)
+            for k, c in (coeffs or {}).items():
+                if len(k) != dim:
+                    raise GeometryMismatch(
+                        f"mode {tuple(k)} has length {len(k)}, expected {dim}")
+                if complex(c) == 0:
                     continue
-                if max(abs(v) for v in k) > cap:
-                    raise CapExceeded(f"mode {k} exceeds cap {cap}")
-                clean[k] = c
-        self._c = clean
+                if max(abs(int(v)) for v in k) > cap:
+                    raise CapExceeded(f"mode {tuple(k)} exceeds cap {cap}")
+                arr[tuple(int(v) + cap for v in k)] = c
+        arr.flags.writeable = False
+        self._a = arr
 
     # ------------------------------------------------------------------
     # constructors
@@ -93,58 +159,57 @@ class TrigPoly:
     @classmethod
     def mode(cls, k, dim: int, cap: int, amplitude: complex = 1.0) -> "TrigPoly":
         """The pure oscillation amplitude * e^{i k.x}."""
-        return cls(dim, cap, {_check_mode(k, dim): complex(amplitude)})
+        return cls(dim, cap, {tuple(k): complex(amplitude)})
 
     @classmethod
     def cosine(cls, k, dim: int, cap: int) -> "TrigPoly":
-        k = _check_mode(k, dim)
-        mk = tuple(-v for v in k)
-        if k == mk:
-            return cls.constant(1.0, dim, cap)
-        return cls(dim, cap, {k: 0.5, mk: 0.5})
+        return cls.mode(k, dim, cap, 0.5) + cls.mode([-v for v in k], dim, cap, 0.5)
 
     @classmethod
     def sine(cls, k, dim: int, cap: int) -> "TrigPoly":
-        k = _check_mode(k, dim)
-        mk = tuple(-v for v in k)
-        if k == mk:
-            return cls.zero(dim, cap)
-        return cls(dim, cap, {k: -0.5j, mk: 0.5j})
+        return cls.mode(k, dim, cap, -0.5j) + cls.mode([-v for v in k], dim, cap, 0.5j)
 
     # ------------------------------------------------------------------
     # inspection
 
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The read-only coefficient array; mode k sits at index k + cap."""
+        return self._a
+
     def coeff(self, k) -> complex:
-        return self._c.get(_check_mode(k, self.dim), 0.0 + 0.0j)
+        k = tuple(int(v) for v in k)
+        if len(k) != self.dim:
+            raise GeometryMismatch(f"mode {k} has length {len(k)}, expected {self.dim}")
+        if max(abs(v) for v in k) > self.cap:
+            return 0.0 + 0.0j
+        return complex(self._a[tuple(v + self.cap for v in k)])
 
-    def items(self):
-        return self._c.items()
+    def items(self) -> List[Tuple[ModeKey, complex]]:
+        """(mode, coefficient) for every nonzero coefficient, in C order."""
+        nz = np.nonzero(self._a)
+        modes = (np.stack(nz, axis=1) - self.cap).tolist()
+        return list(zip(map(tuple, modes), self._a[nz].tolist()))
 
-    def modes(self):
-        return self._c.keys()
+    def modes(self) -> List[ModeKey]:
+        return [k for k, _ in self.items()]
 
     def __len__(self) -> int:
-        return len(self._c)
+        return int(np.count_nonzero(self._a))
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self._c.values())
+        return not (self._a.any() if tol == 0 else (np.abs(self._a) > tol).any())
 
     def is_selfadjoint(self, tol: float = 1e-12) -> bool:
         """f = f* as a function, i.e. coeff(-k) = conj(coeff(k))."""
-        for k, c in self._c.items():
-            mk = tuple(-v for v in k)
-            if abs(self._c.get(mk, 0.0) - c.conjugate()) > tol:
-                return False
-        return True
+        return not np.any(np.abs(np.flip(self._a) - self._a.conj()) > tol)
 
     def max_abs_mode(self) -> int:
         """Largest |k|_inf actually present (0 for the zero polynomial)."""
-        if not self._c:
-            return 0
-        return max(max(abs(v) for v in k) if k else 0 for k in self._c)
+        return _radius(self._a, self.cap)
 
     def coeff_l1(self) -> float:
-        return float(sum(abs(c) for c in self._c.values()))
+        return float(np.abs(self._a).sum())
 
     # ------------------------------------------------------------------
     # ring structure
@@ -158,27 +223,21 @@ class TrigPoly:
                 f" vs (dim={other.dim}, cap={other.cap})"
             )
 
+    def _new(self, arr: np.ndarray) -> "TrigPoly":
+        return TrigPoly(self.dim, self.cap, arr)
+
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
             other = TrigPoly.constant(other, self.dim, self.cap)
         self._compat(other)
-        out = dict(self._c)
-        for k, c in other._c.items():
-            s = out.get(k, 0.0) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return TrigPoly(self.dim, self.cap, out)
+        return self._new(self._a + other._a)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TrigPoly(self.dim, self.cap, {k: -c for k, c in self._c.items()})
+        return self._new(-self._a)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = TrigPoly.constant(other, self.dim, self.cap)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -186,8 +245,7 @@ class TrigPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            z = complex(other)
-            return TrigPoly(self.dim, self.cap, {k: z * c for k, c in self._c.items()})
+            return self._new(complex(other) * self._a)
         return multiply(self, other)
 
     def __rmul__(self, other):
@@ -197,27 +255,21 @@ class TrigPoly:
 
     def conjugate(self) -> "TrigPoly":
         """Complex conjugate as a function: coeff(k) -> conj(coeff(-k))."""
-        return TrigPoly(
-            self.dim, self.cap,
-            {tuple(-v for v in k): c.conjugate() for k, c in self._c.items()},
-        )
-
-    adjoint = conjugate
+        return self._new(np.flip(self._a).conj())
 
     def with_cap(self, cap: int) -> "TrigPoly":
         """Same polynomial under a different truncation budget."""
-        return TrigPoly(self.dim, cap, self._c)
+        if cap < self.cap and self.max_abs_mode() > cap:
+            raise CapExceeded(
+                f"mode radius {self.max_abs_mode()} exceeds cap {cap}")
+        return TrigPoly(self.dim, cap, _recap(self._a, self.cap, cap))
 
     def project(self, cap: int) -> Tuple["TrigPoly", float]:
         """Drop modes above ``cap``; returns (projection, l2 norm dropped)."""
-        kept: Dict[ModeKey, complex] = {}
-        dropped = 0.0
-        for k, c in self._c.items():
-            if (max(abs(v) for v in k) if k else 0) <= cap:
-                kept[k] = c
-            else:
-                dropped += abs(c) ** 2
-        return TrigPoly(self.dim, cap, kept), math.sqrt(dropped) * TWO_PI ** (self.dim / 2)
+        kept = _recap(self._a, self.cap, cap)
+        dropped = float(np.sum(np.abs(self._a - _recap(kept, cap, self.cap)) ** 2))
+        norm = math.sqrt(dropped) * TWO_PI ** (self.dim / 2)
+        return TrigPoly(self.dim, cap, kept), norm
 
     # ------------------------------------------------------------------
     # analysis
@@ -226,42 +278,30 @@ class TrigPoly:
         """Coordinate partial derivative d/dx_axis (mode caps unchanged)."""
         if not (0 <= axis < self.dim):
             raise GeometryMismatch(f"axis {axis} out of range for dim {self.dim}")
-        return TrigPoly(
-            self.dim, self.cap,
-            {k: (1j * k[axis]) * c for k, c in self._c.items() if k[axis] != 0},
-        )
+        return self._new(self._a * (1j * _axis_modes(self.dim, self.cap)[axis]))
 
     def laplacian(self) -> "TrigPoly":
         """Nonnegative Laplacian: coeff(k) -> |k|^2 coeff(k)."""
-        return TrigPoly(
-            self.dim, self.cap,
-            {k: sum(v * v for v in k) * c for k, c in self._c.items()},
-        )
+        return self._new(self._a * _mode_sq(self.dim, self.cap))
 
     def heat(self, t: float, halved: bool = False) -> "TrigPoly":
-        """Heat semigroup e^{-t Delta} (or e^{-t Delta / 2} if halved)."""
+        """Heat semigroup e^{-t Delta} (or e^{-t Delta / 2} if halved).
+
+        The factor is a complex exponential, the same one the flow's
+        zero-noise propagator takes, so the two agree bitwise.
+        """
         if t < 0:
             raise ValueError(f"heat semigroup needs t >= 0, got {t}")
-        denom = 2.0 if halved else 1.0
-        return TrigPoly(
-            self.dim, self.cap,
-            {k: math.exp(-t * sum(v * v for v in k) / denom) * c
-             for k, c in self._c.items()},
-        )
+        rate = -t / (2.0 if halved else 1.0)
+        return self._new(self._a * np.exp(rate * _mode_sq(self.dim, self.cap) + 0j))
 
     def l2_inner(self, other: "TrigPoly") -> complex:
         """(2*pi)^d sum_k conj(a_k) b_k; conjugate linear in self."""
         if self.dim != other.dim:
             raise GeometryMismatch("l2 pairing across different dimensions")
-        small, big = (self._c, other._c) if len(self._c) <= len(other._c) else (other._c, self._c)
-        acc = 0.0 + 0.0j
-        if small is self._c:
-            for k, c in small.items():
-                acc += c.conjugate() * big.get(k, 0.0)
-        else:
-            for k, c in small.items():
-                acc += big.get(k, 0.0).conjugate() * c
-        return acc * TWO_PI ** self.dim
+        cap = min(self.cap, other.cap)
+        dot = np.vdot(_recap(self._a, self.cap, cap), _recap(other._a, other.cap, cap))
+        return complex(dot) * TWO_PI ** self.dim
 
     def l2_norm(self) -> float:
         return math.sqrt(max(self.l2_inner(self).real, 0.0))
@@ -272,11 +312,12 @@ class TrigPoly:
         Requires n > 2 * max_abs_mode so distinct modes land in distinct
         FFT bins; this makes the inverse FFT an exact evaluation.
         """
-        if n <= 2 * self.max_abs_mode():
-            raise ValueError(f"grid size {n} too small for modes up to {self.max_abs_mode()}")
+        r = self.max_abs_mode()
+        if n <= 2 * r:
+            raise ValueError(f"grid size {n} too small for modes up to {r}")
+        bins = np.arange(-r, r + 1) % n
         arr = np.zeros((n,) * self.dim, dtype=complex)
-        for k, c in self._c.items():
-            arr[tuple(v % n for v in k)] += c
+        arr[np.ix_(*([bins] * self.dim))] = _recap(self._a, self.cap, r)
         return np.fft.ifftn(arr) * (n ** self.dim)
 
     def sup_norm(self, tol: float = SUP_NORM_TOL) -> float:
@@ -286,7 +327,7 @@ class TrigPoly:
         true sup from below; refinement stops once doubling the grid
         moves the value by a relative amount below ``tol``.
         """
-        if not self._c:
+        if self.is_zero():
             return 0.0
         n = 8
         while n <= 2 * self.max_abs_mode():
@@ -302,7 +343,7 @@ class TrigPoly:
         return best
 
     def __repr__(self):
-        terms = ", ".join(f"{k}: {c:.6g}" for k, c in sorted(self._c.items()))
+        terms = ", ".join(f"{k}: {c:.6g}" for k, c in self.items())
         return f"TrigPoly(dim={self.dim}, cap={self.cap}, {{{terms}}})"
 
 
@@ -328,25 +369,41 @@ def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
     """
     if a.dim != b.dim:
         raise GeometryMismatch("operands live on tori of different dimension")
-    return _convolve(a, b, a.max_abs_mode() + b.max_abs_mode())
+    return _convolve(a, b)
 
 
-def _convolve(a: TrigPoly, b: TrigPoly, cap: int) -> TrigPoly:
-    out: Dict[ModeKey, complex] = {}
-    for ka, ca in a._c.items():
-        for kb, cb in b._c.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            s = out.get(k, 0.0) + ca * cb
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-    for k in out:
-        if (max(abs(v) for v in k) if k else 0) > cap:
-            raise CapExceeded(
-                f"product mode {k} exceeds cap {cap}; enlarge the cap or rescale the problem"
-            )
-    return TrigPoly(a.dim, cap, out)
+def _convolve(a: TrigPoly, b: TrigPoly, cap: Optional[int] = None) -> TrigPoly:
+    """Product at ``cap`` (None: the sum of the support radii).  Each
+    nonzero coefficient of the sparser support box adds its multiple of
+    the other box into a shifted slice, so unreached modes stay exact 0."""
+    ra, rb = a.max_abs_mode(), b.max_abs_mode()
+    small = _recap(a._a, a.cap, ra)
+    big = _recap(b._a, b.cap, rb)
+    if np.count_nonzero(small) > np.count_nonzero(big):
+        small, big = big, small
+    width = big.shape[0]
+    r = ra + rb
+    cap = r if cap is None else cap
+    out = np.zeros((2 * r + 1,) * a.dim, dtype=complex)
+    for idx in zip(*np.nonzero(small)):
+        out[tuple(slice(i, i + width) for i in idx)] += small[idx] * big
+    if r > cap and _radius(out, r) > cap:
+        raise CapExceeded(
+            f"product reaches mode radius {_radius(out, r)} past cap {cap}; "
+            "enlarge the cap or rescale the problem")
+    return TrigPoly(a.dim, cap, _recap(out, r, cap))
+
+
+def lifted_sum(*terms: TrigPoly) -> TrigPoly:
+    """Sum of polynomials on one torus, taken at the largest of their caps."""
+    dim = terms[0].dim
+    if any(t.dim != dim for t in terms):
+        raise GeometryMismatch("summands live on tori of different dimension")
+    cap = max(t.cap for t in terms)
+    out = np.zeros((2 * cap + 1,) * dim, dtype=complex)
+    for t in terms:
+        out[_box(dim, cap, t.cap)] += t._a
+    return TrigPoly(dim, cap, out)
 
 
 def laplacian(f: TrigPoly) -> TrigPoly:
@@ -385,14 +442,9 @@ class CovariantTensor:
         return self.comps.get(tuple(idx)) or TrigPoly.zero(self.dim, self.cap)
 
     def is_symmetric(self, tol: float = 0.0) -> bool:
-        for idx, poly in self.comps.items():
-            s = tuple(sorted(idx))
-            ref = self.comps.get(s)
-            if ref is None:
-                return poly.is_zero(tol)
-            if not (poly - ref).is_zero(tol):
-                return False
-        return True
+        # a missing component is zero, which is what component() returns
+        return all((poly - self.component(tuple(sorted(idx)))).is_zero(tol)
+                   for idx, poly in self.comps.items())
 
 
 def covariant_derivative(f: TrigPoly, order: int) -> CovariantTensor:
@@ -419,18 +471,8 @@ def tensor_inner(s: CovariantTensor, t: CovariantTensor) -> TrigPoly:
         raise RankMismatch(f"cannot contract rank {s.rank} against rank {t.rank}")
     if s.dim != t.dim:
         raise GeometryMismatch("tensors live on tori of different dimension")
-    lifted_cap = 0
-    acc: Dict[ModeKey, complex] = {}
-    for idx in iter_product(range(s.dim), repeat=s.rank):
-        term = mul_free(s.component(idx).conjugate(), t.component(idx))
-        lifted_cap = max(lifted_cap, term.cap)
-        for k, c in term.items():
-            v = acc.get(k, 0.0) + c
-            if v == 0:
-                acc.pop(k, None)
-            else:
-                acc[k] = v
-    return TrigPoly(s.dim, lifted_cap, acc)
+    return lifted_sum(*(mul_free(s.component(idx).conjugate(), t.component(idx))
+                        for idx in iter_product(range(s.dim), repeat=s.rank)))
 
 
 def pointwise_length_sq(s: CovariantTensor) -> TrigPoly:
@@ -490,9 +532,6 @@ class OneForm:
             raise GeometryMismatch("pairing one-forms of different dimension")
         return sum(a.l2_inner(b) for a, b in zip(self.comps, other.comps))
 
-    def k0_norm(self) -> float:
-        return math.sqrt(max(self.k0_inner(self).real, 0.0))
-
     def __repr__(self):
         return f"OneForm({', '.join(repr(c) for c in self.comps)})"
 
@@ -510,15 +549,5 @@ def form_inner(w: OneForm, e: OneForm) -> TrigPoly:
     """
     if w.dim != e.dim:
         raise GeometryMismatch("pairing one-forms of different dimension")
-    acc: Dict[ModeKey, complex] = {}
-    lifted = 0
-    for a, b in zip(w.comps, e.comps):
-        term = mul_free(a.conjugate(), b)
-        lifted = max(lifted, term.cap)
-        for k, c in term.items():
-            v = acc.get(k, 0.0) + c
-            if v == 0:
-                acc.pop(k, None)
-            else:
-                acc[k] = v
-    return TrigPoly(w.dim, lifted, acc)
+    return lifted_sum(*(mul_free(a.conjugate(), b)
+                        for a, b in zip(w.comps, e.comps)))

@@ -32,6 +32,7 @@ from .spectral import (
     covariant_derivative,
     exterior_derivative,
     form_inner,
+    lifted_sum,
     mul_free,
     pointwise_length_sq,
 )
@@ -123,9 +124,7 @@ def kernel_eval(a1: TrigPoly, a2: TrigPoly, b1: TrigPoly, b2: TrigPoly,
     working_cap = max(caps)
     if route == "closed":
         out = form_inner(exterior_derivative(a1.conjugate()), exterior_derivative(b1))
-        out = mul_free(out, a2)
-        out = mul_free(out, b2)
-        return out.with_cap(working_cap)
+        return mul_free(mul_free(out, a2), b2).with_cap(working_cap)
     if route == "oracle":
         f1s = a1.conjugate()
         f2s = a2.conjugate()
@@ -133,10 +132,7 @@ def kernel_eval(a1: TrigPoly, a2: TrigPoly, b1: TrigPoly, b2: TrigPoly,
         t2 = mul_free(f1s, mul_free(generator_L(mul_free(f2s, b2)), b1))
         t3 = mul_free(generator_L(mul_free(mul_free(f1s, f2s), b2)), b1)
         t4 = mul_free(f1s, generator_L(mul_free(f2s, mul_free(b2, b1))))
-        lifted = max(t1.cap, t2.cap, t3.cap, t4.cap)
-        out = (t1.with_cap(lifted) + t2.with_cap(lifted)
-               - t3.with_cap(lifted) - t4.with_cap(lifted))
-        return out.with_cap(working_cap)
+        return lifted_sum(t1, t2, -t3, -t4).with_cap(working_cap)
     raise ValueError(f"unknown kernel route {route!r}")
 
 
@@ -159,11 +155,7 @@ def psi_map(x: TrigPoly, xi: OneForm, eta: OneForm) -> TrigPoly:
         terms.append(form_inner(delta(x.conjugate()), xi))
     if not eta.is_zero():
         terms.append(form_inner(eta, delta(x)))
-    cap = max(t.cap for t in terms)
-    out = TrigPoly.zero(x.dim, cap)
-    for t in terms:
-        out = out + t.with_cap(cap)
-    return out
+    return lifted_sum(*terms)
 
 
 def phi_map(x: TrigPoly, xi: OneForm) -> TrigPoly:
@@ -254,9 +246,7 @@ def theta_apply(a: TrigPoly, v: AugmentedVector) -> AugmentedVector:
     da = exterior_derivative(a)
     t1 = mul_free(v.scalar_part, generator_L(a))
     t2 = mul_free(v.form_psi, form_inner(v.form_omega, da))
-    cap = max(t1.cap, t2.cap)
-    scalar_out = t1.with_cap(cap) + t2.with_cap(cap)
-    return AugmentedVector(scalar_out, v.scalar_part, da)
+    return AugmentedVector(lifted_sum(t1, t2), v.scalar_part, da)
 
 
 # ----------------------------------------------------------------------

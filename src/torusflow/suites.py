@@ -19,7 +19,8 @@ from .flow import (FlowProblem, factorization_check, picard_terms,
 from .fock import SimpleNoisePath
 from .report import Record
 from .spectral import (TrigPoly, covariant_derivative, exterior_derivative,
-                       form_inner, mul_free, pointwise_length_sq)
+                       form_inner, lifted_sum, mul_free,
+                       pointwise_length_sq)
 from .structure import (AugmentedVector, delta, delta_squared, generator_L,
                         kernel_eval, nested_phi_growth, sobolev_w2inf_norm,
                         theta_apply)
@@ -83,8 +84,7 @@ def _rel(residual: float, scale: float) -> float:
 
 
 def _lifted_diff(a: TrigPoly, b: TrigPoly) -> float:
-    cap = max(a.cap, b.cap)
-    return (a.with_cap(cap) - b.with_cap(cap)).l2_norm()
+    return lifted_sum(a, -b).l2_norm()
 
 
 def run_identities(dim: int, cap: int, tol: float, seed: int,

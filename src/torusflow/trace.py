@@ -21,9 +21,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CapExceeded, GeometryMismatch
+from .errors import GeometryMismatch
 from .flow import ModeSpace, diagonal_entries
-from .spectral import OneForm
+from .spectral import OneForm, flat_index, mode_grid
 
 __all__ = [
     "SpectrumSlice",
@@ -52,17 +52,9 @@ class SpectrumSlice:
             raise GeometryMismatch("dimension must be at least 1")
         if z < 0:
             raise GeometryMismatch("cutoff must be nonnegative")
-        m = int(math.floor(z))
-        axes = range(-m, m + 1)
-        out = []
-        stack = [()]
-        for _ in range(dim):
-            stack = [k + (a,) for k in stack for a in axes]
-        for k in stack:
-            if sum(v * v for v in k) <= z * z + 1e-12:
-                out.append(k)
-        out.sort()
-        return cls(z, dim, tuple(out))
+        grid = mode_grid(dim, int(math.floor(z)))
+        keep = np.sum(grid * grid, axis=1) <= z * z + 1e-12
+        return cls(z, dim, tuple(map(tuple, grid[keep].tolist())))
 
     @property
     def count(self) -> int:
@@ -146,10 +138,7 @@ def heat_trace_via_flow(t: float, z: float, dim: int,
         raise GeometryMismatch("the zero-noise generator is not diagonal")
     prop = np.exp(2.0 * t * diag)
     total = 0.0
-    for k in slc.modes:
-        i = space.index.get(k)
-        if i is None:
-            raise CapExceeded(f"mode {k} exceeds the working cap {cap}")
+    for k, i in zip(slc.modes, flat_index(slc.modes, cap)):
         val = prop[i]
         if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
             raise GeometryMismatch(f"trace term for mode {k} is not real: {val}")

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,3 +239,16 @@ def test_main_reports_bad_tol_syntax(capsys):
     assert main(["run", "--tol", "flowtight"]) == 2
     err = capsys.readouterr().err
     assert "SUITE=VALUE" in err
+
+
+def test_cli_import_loads_no_heavy_scipy_module():
+    # each of these adds a large share of the CLI start-up time
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                         if p]
+    code = ("import sys, torusflow.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.linalg') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                         check=True)
+    assert out.stdout.strip() == "[]"

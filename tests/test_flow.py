@@ -14,7 +14,7 @@ from torusflow.flow import (FlowProblem, ModeSpace, factorization_check,
 from torusflow.fock import SimpleNoisePath, TimeMesh, noise_inner
 from torusflow.sampling import noise_path, one_form, poly, rng_for
 from torusflow.spectral import (OneForm, TrigPoly, exterior_derivative,
-                                l2_inner, mul_free)
+                                l2_inner, mode_grid, mul_free)
 from torusflow.structure import psi_map
 
 E_HALF_PI = 1.9054722647301798    # e^{-1/2} pi
@@ -37,21 +37,27 @@ def zero_path(dim=1, t=1.0):
 # The loops below are the column-by-column reference builds that the
 # closed-form sparse operators replace.
 
+def _modes(space):
+    return [tuple(k) for k in mode_grid(space.dim, space.cap).tolist()]
+
+
 def _psi_columns(space, xi, eta):
     m = np.zeros((space.size, space.size), dtype=complex)
-    for col, k in enumerate(space.modes):
+    index = {k: i for i, k in enumerate(_modes(space))}
+    for col, k in enumerate(_modes(space)):
         out = psi_map(TrigPoly.mode(k, space.dim, space.cap), xi, eta)
         kept, _ = out.project(space.cap)
         for mu, c in kept.items():
-            m[space.index[mu], col] += c
+            m[index[mu], col] += c
     return m
 
 
 def _mult_loop(space, h):
     m = np.zeros((space.size, space.size), dtype=complex)
-    for col, k in enumerate(space.modes):
+    index = {k: i for i, k in enumerate(_modes(space))}
+    for col, k in enumerate(_modes(space)):
         for mu, c in h.items():
-            row = space.index.get(tuple(a + b for a, b in zip(k, mu)))
+            row = index.get(tuple(a + b for a, b in zip(k, mu)))
             if row is not None:
                 m[row, col] += c
     return m
@@ -60,8 +66,8 @@ def _mult_loop(space, h):
 def _gram_loop(space, v1, v2):
     g = np.zeros((space.size, space.size), dtype=complex)
     qs = [mul_free(TrigPoly.mode(l, space.dim, space.cap), v2)
-          for l in space.modes]
-    for i, k in enumerate(space.modes):
+          for l in _modes(space)]
+    for i, k in enumerate(_modes(space)):
         pk = mul_free(TrigPoly.mode(k, space.dim, space.cap), v1)
         for j, ql in enumerate(qs):
             g[i, j] = pk.l2_inner(ql)
@@ -96,8 +102,8 @@ def test_zero_noise_generator_is_the_diagonal_laplacian():
     space = ModeSpace(2, 3)
     zero = OneForm.zero(2, 0)
     gen = space.psi_matrix(zero, zero)
-    assert gen.count_nonzero() == sum(1 for k in space.modes if k != (0, 0))
-    want = [-0.5 * (a * a + b * b) for a, b in space.modes]
+    assert gen.count_nonzero() == sum(1 for k in _modes(space) if k != (0, 0))
+    want = [-0.5 * (a * a + b * b) for a, b in _modes(space)]
     assert np.array_equal(gen.diagonal(), np.array(want, dtype=complex))
 
 

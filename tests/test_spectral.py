@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusflow import CapExceeded, GeometryMismatch, RankMismatch
+from torusflow.flow import ModeSpace
 from torusflow.spectral import (CovariantTensor, OneForm, TrigPoly,
                                 covariant_derivative, exterior_derivative,
-                                form_inner, l2_inner, laplacian, mul_free,
-                                multiply, pointwise_length_sq, sup_norm,
-                                tensor_inner)
+                                flat_index, form_inner, l2_inner, laplacian,
+                                mul_free, multiply, pointwise_length_sq,
+                                sup_norm, tensor_inner)
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,6 +72,78 @@ def test_geometry_validation():
         multiply(TrigPoly.one(1, 2), TrigPoly.one(2, 2))
 
 
+def _pairwise_product(a, b):
+    """The product as the sum over all coefficient pairs, mode by mode."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            out[k] = out.get(k, 0.0) + ca * cb
+    return out
+
+
+def _scattered_poly(rng, dim, cap, count):
+    """A few random modes inside the cap, so products have gaps."""
+    modes = rng.integers(-cap, cap + 1, size=(count, dim)).tolist()
+    return TrigPoly(dim, cap, {tuple(k): complex(*rng.standard_normal(2))
+                               for k in modes})
+
+
+def _assert_matches(p, ref):
+    scale = max(abs(c) for c in ref.values())
+    for k, c in ref.items():
+        assert abs(p.coeff(k) - c) <= 1e-13 * scale
+    # every mode no pair reaches is an exact zero
+    for k, c in p.items():
+        assert k in ref, f"mode {k} outside the product support holds {c}"
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_products_match_pairwise_reference(dim):
+    rng = np.random.default_rng(40 + dim)
+    cap = 3
+    pairs = [(random_poly(rng, dim, cap, 1), random_poly(rng, dim, cap, 2)),
+             (_scattered_poly(rng, dim, cap, 3), random_poly(rng, dim, cap, 1)),
+             (_scattered_poly(rng, dim, cap, 4), _scattered_poly(rng, dim, cap, 5)),
+             (TrigPoly.zero(dim, cap), random_poly(rng, dim, cap, 2))]
+    for a, b in pairs:
+        ref = {k: c for k, c in _pairwise_product(a, b).items() if c != 0}
+        p = mul_free(a, b)
+        assert p.cap == a.max_abs_mode() + b.max_abs_mode()
+        if not ref:
+            assert p.is_zero()
+            continue
+        _assert_matches(p, ref)
+        reach = max(max(abs(v) for v in k) for k in ref)
+        for c in range(max(a.max_abs_mode(), b.max_abs_mode()), reach + 2):
+            if c < reach:
+                with pytest.raises(CapExceeded):
+                    multiply(a.with_cap(c), b.with_cap(c))
+            else:
+                q = multiply(a.with_cap(c), b.with_cap(c))
+                assert q.cap == c
+                _assert_matches(q, ref)
+
+
+def test_mode_space_vectors_round_trip():
+    rng = np.random.default_rng(9)
+    for dim in (1, 2, 3):
+        space = ModeSpace(dim, 3)
+        p = random_poly(rng, dim, 3, 2)
+        v = space.to_vec(p)
+        assert v.shape == (space.size,)
+        for k, c in p.items():
+            assert v[flat_index([k], 3)[0]] == c
+        back = space.from_vec(v)
+        assert back.cap == 3 and np.array_equal(back.coeffs, p.coeffs)
+        # a polynomial at a smaller cap is padded into the space
+        q = random_poly(rng, dim, 1, 1)
+        back = space.from_vec(space.to_vec(q))
+        assert back.cap == 3 and (back - q.with_cap(3)).is_zero()
+        with pytest.raises(CapExceeded):
+            space.to_vec(TrigPoly.mode((4,) + (0,) * (dim - 1), dim, 4))
+
+
 # -------------------------------------------------------------- laplacian
 
 def test_laplacian_examples():
@@ -124,6 +197,17 @@ def test_hessian_symmetry(seed):
     rng = np.random.default_rng(seed)
     f = random_poly(rng, 2, 3, 2)
     assert covariant_derivative(f, 2).is_symmetric(1e-12)
+
+
+def test_is_symmetric_checks_every_component():
+    p = TrigPoly.cosine((1, 0, 0), 3, 2)
+    zero = TrigPoly.zero(3, 2)
+    # (1,0) has no sorted partner but is zero; (2,1) and (1,2) disagree
+    bad = CovariantTensor(3, 2, 2, {(1, 0): zero, (2, 1): p, (1, 2): 2.0 * p})
+    assert not bad.is_symmetric()
+    good = CovariantTensor(3, 2, 2, {(1, 0): zero, (2, 1): p, (1, 2): p})
+    assert good.is_symmetric()
+    assert not CovariantTensor(3, 2, 2, {(1, 0): p}).is_symmetric()
 
 
 def test_tensor_inner_examples():

@@ -26,6 +26,12 @@ def test_identities_records():
     assert kinds == {"cocycle", "theta_one", "delta_squared", "kernel"}
 
 
+def test_identities_records_dim3_default_cap():
+    recs = run_identities(3, 8, DEFAULT_TOLS["identities"], seed=0)
+    assert len(recs) == 48
+    assert all(r.passed for r in recs)
+
+
 def test_growth_records():
     recs = run_growth(1, 4, DEFAULT_TOLS["growth"], seed=0)
     assert len(recs) == 72  # 12 samples x 6 assertions
