@@ -24,7 +24,9 @@ class RankMismatch(TorusFlowError):
 
 class BasisMismatch(TorusFlowError):
     """Flow vectors on different mode spaces, time meshes or depths were
-    paired (``flow.flow_inner``)."""
+    paired (``flow.flow_inner``), or a full-series vector was paired with
+    a truncated one: the full side has no order budget to cut it at, and
+    any cut chosen for it would pass a surrogate off as the full series."""
 
 
 class DepthExceeded(TorusFlowError):

@@ -7,21 +7,28 @@ piecewise constant one-form noise:
   interval's propagator exp(dt Psi) to the argument vector, latest
   interval first (so the earliest sits outermost).
 * ``picard_terms``: the same quantity as an iterated-integral series;
-  on constant intervals the simplex integrals are exact Taylor blocks,
-  combined across intervals by graded convolution, with a factorial
-  tail bound.
+  on constant intervals the simplex integrals are exact Taylor terms,
+  so the order-n block is the degree-n part of the product of the
+  interval exponentials, with a factorial tail bound.
 * ``fock_picard_apply`` / ``flow_inner``: the flow vector
   J_t(x (x) E(f)) v itself.  Creation increments entangle the function
   leg with the one-form leg, so the vector is represented through its
-  pairing calculus: inner products of two flow vectors evolve a
-  bilinear kernel by one sparse superoperator exponential per interval,
-  applied to the kernel without forming the exponential.  The
-  mechanisms are the two one-sided generators, the matched
-  creation-creation channel (paired coordinate partials), and creation
-  against the opposite coherent datum (multiplication by the conjugated
-  component composed with the partial, inserted at the creation time).
-  The coherent-coherent residue contributes the exact global factor
-  exp(<f1, f2>).
+  pairing calculus: ``pair_coherent`` evolves a vector and
+  ``flow_inner`` a bilinear kernel under a per-interval list of sparse
+  mechanisms.  For the kernel these are the two one-sided generators,
+  the matched creation-creation channel (paired coordinate partials),
+  and creation against the opposite coherent datum (multiplication by
+  the conjugated component composed with the partial, inserted at the
+  creation time).  The coherent-coherent residue contributes the exact
+  global factor exp(<f1, f2>).
+
+Each expansion is stated once.  A mechanism ``(step, op)`` is an
+operator together with the counters (order, creation legs) it raises.
+The full series sums a cell's mechanisms into one generator and
+propagates it.  Every truncated expansion (the Picard blocks and both
+truncated pairings) hands the same mechanisms to one graded Taylor
+series, ``_graded_series``, which drops the terms whose counters pass
+the order and depth budgets.
 
 Everything is Galerkin-compressed onto the modes |k|_inf <= cap; both
 sides of every cross-check share that compression.  On that mode space
@@ -186,6 +193,50 @@ def _propagate(gen: sparse.csr_array, dt: float, y: np.ndarray) -> np.ndarray:
     return expm_multiply(dt * gen, y)
 
 
+#: graded state: counter tuple -> array
+_State = Dict[Tuple[int, ...], np.ndarray]
+#: mechanisms: (counter step, sparse operator)
+_Mechs = List[Tuple[Tuple[int, ...], sparse.csr_array]]
+
+
+def _graded_series(state: _State, mechs: _Mechs, dt: float,
+                   caps: Tuple[int, ...]) -> _State:
+    """exp(dt sum_j op_j) on a graded state, one Taylor order at a time.
+
+    ``state`` maps counter tuples to arrays.  Each mechanism
+    ``(step, op)`` sends an entry to ``op @ entry`` and raises its
+    counters by ``step``; terms whose counters pass ``caps`` are dropped,
+    which is what ends the series.
+    """
+    out = dict(state)
+    term = state
+    k = 0
+    while term:
+        k += 1
+        nxt: _State = {}
+        for key, entry in term.items():
+            for step, op in mechs:
+                to = tuple(a + b for a, b in zip(key, step))
+                if all(a <= c for a, c in zip(to, caps)):
+                    moved = op @ entry * (dt / k)
+                    nxt[to] = nxt[to] + moved if to in nxt else moved
+        for key, entry in nxt.items():
+            out[key] = out[key] + entry if key in out else entry
+        term = nxt
+    return out
+
+
+def _evolve_cell(state: _State, mechs: _Mechs, dt: float,
+                 caps: Optional[Tuple[int, ...]]) -> _State:
+    """One mesh cell of a pairing.  The full series (``caps`` None)
+    propagates the mechanisms summed in list order as one generator; a
+    truncated one keeps the graded pieces of the same exponential."""
+    if caps is None:
+        gen = sum((op for _, op in mechs[1:]), mechs[0][1])
+        return {key: _propagate(gen, dt, y) for key, y in state.items()}
+    return _graded_series(state, mechs, dt, caps)
+
+
 @dataclass(frozen=True)
 class FlowProblem:
     """One flow evaluation: argument x, noise paths f (ket) and g (bra),
@@ -283,30 +334,24 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
     """Orders 0..n_max of the iterated-integral expansion.
 
     Per interval the simplex integrals of a constant generator collapse
-    to Taylor blocks (dt Psi)^k / k!; blocks combine across intervals by
-    graded convolution in the same outermost-earliest order as the
-    exponential route.
+    to the Taylor terms (dt Psi)^k / k!, so the order-n block is the
+    degree-n part of the graded series of the interval exponentials,
+    applied latest interval first so the earliest sits outermost, as in
+    the exponential route.
     """
     if n_max < 0:
         raise GeometryMismatch("n_max must be nonnegative")
     space = ModeSpace(p.dim, p.cap)
     space.check_dense(n_max + 1, "picard graded blocks")
-    cells = p.cells()
-    graded = [np.eye(space.size, dtype=complex)]
-    graded += [np.zeros((space.size, space.size), dtype=complex)
-               for _ in range(n_max)]
+    cells = [(dt, space.psi_matrix(fc, gc)) for dt, fc, gc in p.cells()]
     s_const = 0.0
-    for dt, fc, gc in cells:
-        psi = space.psi_matrix(fc, gc).toarray()
-        s_const += dt * float(np.linalg.norm(psi, 2))
-        blocks = [np.eye(space.size, dtype=complex)]
-        for k in range(1, n_max + 1):
-            blocks.append(blocks[-1] @ (dt * psi) / k)
-        nxt = [np.zeros_like(graded[0]) for _ in range(n_max + 1)]
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                nxt[n] += graded[n - k] @ blocks[k]
-        graded = nxt
+    for dt, psi in cells:
+        s_const += dt * float(np.linalg.norm(psi.toarray(), 2))
+    state = {(0,): np.eye(space.size, dtype=complex)}
+    for dt, psi in reversed(cells):
+        state = _graded_series(state, [((1,), psi)], dt, (n_max,))
+    empty = np.zeros((space.size, space.size), dtype=complex)
+    graded = [state.get((n,), empty) for n in range(n_max + 1)]
     xv = space.to_vec(p.x)
     coh = np.exp(noise_inner(p.g, p.f))
     terms = [coh * p.u.l2_inner(mul_free(space.from_vec(a @ xv), p.v))
@@ -350,14 +395,12 @@ class FlowFockVector:
     """
 
     def __init__(self, problem: FlowProblem, n_max: Optional[int], depth: int,
-                 space: ModeSpace, cells: List[_EngineCell],
-                 leg_loss_bound: float):
+                 space: ModeSpace, cells: List[_EngineCell]):
         self.problem = problem
         self.n_max = n_max
         self.depth = depth
         self.space = space
         self.cells = cells
-        self.leg_loss_bound = leg_loss_bound
 
     @property
     def x_vec(self) -> np.ndarray:
@@ -365,9 +408,6 @@ class FlowFockVector:
 
     def inner(self, other: "FlowFockVector") -> complex:
         return flow_inner(self, other)
-
-    def norm(self) -> float:
-        return math.sqrt(max(flow_inner(self, self).real, 0.0))
 
     def pair_coherent(self, u: TrigPoly, g: SimpleNoisePath) -> complex:
         """<u E(g), self>: pairing against a coherent vector.
@@ -379,64 +419,22 @@ class FlowFockVector:
         space = self.space
         if u.dim != space.dim:
             raise GeometryMismatch("u lives on a different torus")
-        g = g.on_mesh(self.problem.mesh())
-        # graded state: (order, legs) -> vector; order None means full
-        if self.n_max is None:
-            y = space.to_vec(self.problem.x)
-            for cell, (a, _) in zip(self.cells[::-1],
-                                    self.problem.mesh().cells()[::-1]):
-                gc = g.value_at(a)
-                gen = cell.phi
-                for i in range(space.dim):
-                    if not gc.comps[i].is_zero():
-                        gen = gen + (space.mult_matrix(gc.comps[i].conjugate())
-                                     @ space.partial_matrix(i))
-                y = _propagate(gen, cell.dt, y)
-            poly = space.from_vec(y)
-        else:
-            state: Dict[Tuple[int, int], np.ndarray] = {
-                (0, 0): space.to_vec(self.problem.x)
-            }
-            mesh_cells = self.problem.mesh().cells()
-            for cell, (a, _) in zip(self.cells[::-1], mesh_cells[::-1]):
-                gc = g.value_at(a)
-                inserts = []
-                for i in range(space.dim):
-                    if not gc.comps[i].is_zero():
-                        inserts.append(space.mult_matrix(gc.comps[i].conjugate())
-                                       @ space.partial_matrix(i))
-                out = {k: v.copy() for k, v in state.items()}
-                term = state
-                for k in range(1, 2 * self.n_max + 2):
-                    nxt: Dict[Tuple[int, int], np.ndarray] = {}
-                    for (n, l), vec in term.items():
-                        moved = cell.phi @ vec * (cell.dt / k)
-                        if n + 1 <= self.n_max:
-                            _acc(nxt, (n + 1, l), moved)
-                        if n + 1 <= self.n_max and l + 1 <= self.depth:
-                            for ins in inserts:
-                                _acc(nxt, (n + 1, l + 1),
-                                     ins @ vec * (cell.dt / k))
-                    if not nxt:
-                        break
-                    for key, vec in nxt.items():
-                        _acc(out, key, vec)
-                    term = nxt
-                state = out
-            total = np.zeros(space.size, dtype=complex)
-            for vec in state.values():
-                total += vec
-            poly = space.from_vec(total)
+        mesh = self.problem.mesh()
+        g = g.on_mesh(mesh)
+        caps = None if self.n_max is None else (self.n_max, self.depth)
+        state = {(0, 0): self.x_vec}  # (order, legs) -> vector
+        for cell, (a, _) in zip(self.cells[::-1], mesh.cells()[::-1]):
+            gc = g.value_at(a)
+            mechs = [((1, 0), cell.phi)]
+            for i in range(space.dim):
+                h = gc.comps[i]
+                if not h.is_zero():
+                    ins = space.mult_matrix(h.conjugate()) @ space.partial_matrix(i)
+                    mechs.append(((1, 1), ins))
+            state = _evolve_cell(state, mechs, cell.dt, caps)
+        poly = space.from_vec(sum(state.values()))
         coh = np.exp(noise_inner(g, self.problem.f))
         return coh * u.l2_inner(mul_free(poly, self.problem.v))
-
-
-def _acc(table: Dict, key, value: np.ndarray) -> None:
-    cur = table.get(key)
-    if cur is None:
-        table[key] = value
-    else:
-        table[key] = cur + value
 
 
 def _build_vector(p: FlowProblem, n_max: Optional[int], depth: int,
@@ -445,7 +443,6 @@ def _build_vector(p: FlowProblem, n_max: Optional[int], depth: int,
     cells = []
     for dt, fc, _ in p.cells():
         cells.append(_EngineCell(dt, fc, space.psi_matrix(fc, None)))
-    leg_loss = 0.0
     if n_max is not None and n_max > depth:
         # order budget allows more creation increments than the leg
         # budget keeps, so the vector genuinely drops content: bound
@@ -474,7 +471,7 @@ def _build_vector(p: FlowProblem, n_max: Optional[int], depth: int,
                 f"creation content past {depth} legs bounded only by "
                 f"{leg_loss:.3e} (> {loss_tol:.1e})"
             )
-    return FlowFockVector(p, n_max, depth, space, cells, leg_loss)
+    return FlowFockVector(p, n_max, depth, space, cells)
 
 
 def _check_engine_budget(p: FlowProblem, depth: int) -> None:
@@ -523,7 +520,8 @@ def flow_inner(v1: FlowFockVector, v2: FlowFockVector) -> complex:
 
     and the coherent residues contribute exp(<f1, f2>) globally.
     Finite n_max/depth truncations keep the graded pieces of the same
-    expansion.
+    expansion.  Both vectors must be full series or both truncated: a
+    full-series vector against a truncated one raises BasisMismatch.
     """
     if v1.space.dim != v2.space.dim or v1.space.cap != v2.space.cap:
         raise BasisMismatch("flow vectors use different mode spaces")
@@ -532,79 +530,33 @@ def flow_inner(v1: FlowFockVector, v2: FlowFockVector) -> complex:
         raise BasisMismatch("flow vectors use different time meshes")
     if v1.depth != v2.depth:
         raise BasisMismatch("flow vectors use different depths")
+    if (v1.n_max is None) != (v2.n_max is None):
+        raise BasisMismatch("a full-series flow vector cannot be paired "
+                            "with a truncated one")
     space = v1.space
     size = space.size
+    caps = None if v1.n_max is None else (v1.n_max, v2.n_max, v1.depth, v2.depth)
     gram = space.gram_matrix(v1.problem.v, v2.problem.v)
-    coh = np.exp(noise_inner(v1.problem.f, v2.problem.f))
-    x1 = v1.x_vec
-    x2 = v2.x_vec
-
-    full = v1.n_max is None and v2.n_max is None
-    if full:
-        w = gram.reshape(-1)
-        for c1, c2 in zip(v1.cells, v2.cells):
-            t_op = _superop(c1.phi.conj().T, None, size)
-            t_op += _superop(None, c2.phi, size)
-            for i in range(space.dim):
-                d_i = space.partial_matrix(i)
-                t_op += _superop(d_i.conj().T, d_i, size)
-                f2i = c2.form.comps[i]
-                if not f2i.is_zero():
-                    ins = space.mult_matrix(f2i.conjugate()) @ d_i
-                    t_op += _superop(ins.conj().T, None, size)
-                f1i = c1.form.comps[i]
-                if not f1i.is_zero():
-                    ins = space.mult_matrix(f1i.conjugate()) @ d_i
-                    t_op += _superop(None, ins, size)
-            w = _propagate(t_op, c1.dt, w)
-        wmat = w.reshape(size, size)
-        return coh * complex(np.vdot(x1, wmat @ x2))
-
-    n1_cap = v1.n_max if v1.n_max is not None else 2 * v1.depth + 8
-    n2_cap = v2.n_max if v2.n_max is not None else 2 * v2.depth + 8
-    depth = v1.depth
-    state: Dict[Tuple[int, int, int, int], np.ndarray] = {(0, 0, 0, 0): gram}
+    state = {(0, 0, 0, 0): gram.reshape(-1)}  # (n1, n2, l1, l2) -> raveled W
     for c1, c2 in zip(v1.cells, v2.cells):
-        mechs = []  # (dn1, dn2, dl1, dl2, left or None, right or None)
-        mechs.append((1, 0, 0, 0, c1.phi.conj().T, None))
-        mechs.append((0, 1, 0, 0, None, c2.phi))
+        mechs = [((1, 0, 0, 0), _superop(c1.phi.conj().T, None, size)),
+                 ((0, 1, 0, 0), _superop(None, c2.phi, size))]
         for i in range(space.dim):
             d_i = space.partial_matrix(i)
-            mechs.append((1, 1, 1, 1, d_i.conj().T, d_i))
+            mechs.append(((1, 1, 1, 1), _superop(d_i.conj().T, d_i, size)))
             f2i = c2.form.comps[i]
             if not f2i.is_zero():
                 ins = space.mult_matrix(f2i.conjugate()) @ d_i
-                mechs.append((1, 0, 1, 0, ins.conj().T, None))
+                mechs.append(((1, 0, 1, 0), _superop(ins.conj().T, None, size)))
             f1i = c1.form.comps[i]
             if not f1i.is_zero():
                 ins = space.mult_matrix(f1i.conjugate()) @ d_i
-                mechs.append((0, 1, 0, 1, None, ins))
-        out = {k: w.copy() for k, w in state.items()}
-        term = state
-        for k in range(1, n1_cap + n2_cap + 2):
-            nxt: Dict[Tuple[int, int, int, int], np.ndarray] = {}
-            for (n1, n2, l1, l2), w in term.items():
-                for dn1, dn2, dl1, dl2, left, right in mechs:
-                    if (n1 + dn1 > n1_cap or n2 + dn2 > n2_cap
-                            or l1 + dl1 > depth or l2 + dl2 > depth):
-                        continue
-                    moved = w
-                    if left is not None:
-                        moved = left @ moved
-                    if right is not None:
-                        moved = moved @ right
-                    _acc(nxt, (n1 + dn1, n2 + dn2, l1 + dl1, l2 + dl2),
-                         moved * (c1.dt / k))
-            if not nxt:
-                break
-            for key, w in nxt.items():
-                _acc(out, key, w)
-            term = nxt
-        state = out
-    total = 0.0 + 0.0j
-    for w in state.values():
-        total += complex(np.vdot(x1, w @ x2))
-    return coh * total
+                mechs.append(((0, 1, 0, 1), _superop(None, ins, size)))
+        state = _evolve_cell(state, mechs, c1.dt, caps)
+    x1, x2 = v1.x_vec, v2.x_vec
+    total = sum(complex(np.vdot(x1, w.reshape(size, size) @ x2))
+                for w in state.values())
+    return np.exp(noise_inner(v1.problem.f, v2.problem.f)) * total
 
 
 @dataclass

@@ -43,9 +43,6 @@ class TimeMesh:
     def cells(self) -> List[Tuple[float, float]]:
         return list(zip(self.points, self.points[1:]))
 
-    def widths(self) -> List[float]:
-        return [b - a for a, b in self.cells()]
-
     @property
     def horizon(self) -> float:
         return self.points[-1]
@@ -120,11 +117,6 @@ class SimpleNoisePath:
             if a <= s < b:
                 return w
         return OneForm.zero(self.dim, 0)
-
-    def restricted(self, horizon: float) -> "SimpleNoisePath":
-        mesh = self.mesh.refined_to(horizon)
-        return SimpleNoisePath(mesh, [self.value_at(a) for a, _ in mesh.cells()],
-                               dim=self.dim)
 
     def on_mesh(self, mesh: TimeMesh) -> "SimpleNoisePath":
         """Re-sample onto a refinement; exact for piecewise constant paths."""

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .fock import SimpleNoisePath, TimeMesh
-from .spectral import OneForm, TrigPoly, exterior_derivative
+from .spectral import OneForm, TrigPoly
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -44,20 +44,12 @@ def one_form(rng: np.random.Generator, dim: int, cap: int,
                          for _ in range(dim)))
 
 
-def exact_form(rng: np.random.Generator, dim: int, cap: int,
-               max_mode: Optional[int] = None, scale: float = 1.0) -> OneForm:
-    """An exact one-form dh for a random self-adjoint h (so h is real)."""
-    h = poly(rng, dim, cap, max_mode, self_adjoint=True, scale=scale)
-    return exterior_derivative(h)
-
-
 def noise_path(rng: np.random.Generator, dim: int, cap: int,
                num_cells: int, horizon: float = 1.0,
-               max_mode: Optional[int] = None, scale: float = 0.3,
-               exact: bool = False) -> SimpleNoisePath:
+               max_mode: Optional[int] = None,
+               scale: float = 0.3) -> SimpleNoisePath:
     """Simple path with num_cells equal cells filling [0, horizon]."""
     points = tuple(horizon * i / num_cells for i in range(num_cells + 1))
-    maker = exact_form if exact else one_form
-    values = tuple(maker(rng, dim, cap, max_mode, scale=scale)
+    values = tuple(one_form(rng, dim, cap, max_mode, scale=scale)
                    for _ in range(num_cells))
     return SimpleNoisePath(TimeMesh(points), values)

@@ -191,9 +191,6 @@ class TrigPoly:
         modes = (np.stack(nz, axis=1) - self.cap).tolist()
         return list(zip(map(tuple, modes), self._a[nz].tolist()))
 
-    def modes(self) -> List[ModeKey]:
-        return [k for k, _ in self.items()]
-
     def __len__(self) -> int:
         return int(np.count_nonzero(self._a))
 

@@ -61,14 +61,18 @@ class SpectrumSlice:
         return len(self.modes)
 
 
+def _box_sq(m: int, dim: int) -> np.ndarray:
+    """|k|^2 over the box |k|_inf <= m as one float array of shape
+    (2m+1,)*dim, broadcast from the per-axis squares (exact integers, so
+    the summation order cannot change a value)."""
+    return sum(a.astype(float) ** 2 for a in np.ogrid[(slice(-m, m + 1),) * dim])
+
+
 def heat_trace_direct(t: float, z: float, dim: int) -> float:
     """sum of e^{-t |k|^2} over lattice points with |k| <= z."""
     if t <= 0:
         raise GeometryMismatch("heat trace needs t > 0")
-    m = int(math.floor(z))
-    axis = np.arange(-m, m + 1)
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    sq = sum(g.astype(float) ** 2 for g in grids)
+    sq = _box_sq(int(math.floor(z)), dim)
     mask = sq <= z * z + 1e-12
     return float(np.sum(np.exp(-t * sq[mask])))
 
@@ -85,9 +89,7 @@ def theta_reference(t: float, dim: int) -> float:
     m = 1
     while math.pi ** 2 * m * m / t < 80.0:
         m += 1
-    axis = np.arange(-m, m + 1)
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    sq = sum(g.astype(float) ** 2 for g in grids)
+    sq = _box_sq(m, dim)
     return float((math.pi / t) ** (dim / 2.0)
                  * np.sum(np.exp(-(math.pi ** 2) * sq / t)))
 

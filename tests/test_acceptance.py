@@ -9,6 +9,7 @@ loosening them is a code change a reviewer has to see.
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -184,9 +185,15 @@ def test_criterion_5_trace_identity(capsys):
             worst_flow = max(worst_flow,
                              abs(heat_trace_via_flow(t, 6.0, dim)
                                  - heat_trace_direct(t, 6.0, dim)))
-    ref_direct = abs(heat_trace_direct(1.0, z_for_tail(1.0, 1), 1)
-                     - 1.772637205)
-    ref_theta = abs(theta_reference(0.05, 1) - 7.926654595)
+
+    def theta3(t):
+        # on the circle sum_k e^{-t k^2} = sum_k q^{k^2} = theta_3(0, q),
+        # the Jacobi theta function at nome q = e^{-t}
+        with mpmath.workdps(50):
+            return float(mpmath.jtheta(3, 0, mpmath.exp(-t)))
+
+    ref_direct = abs(heat_trace_direct(1.0, z_for_tail(1.0, 1), 1) - theta3(1.0))
+    ref_theta = abs(theta_reference(0.05, 1) - theta3(0.05))
     elapsed = time.monotonic() - started
     ok = (worst_theta <= 1e-10 and worst_flow <= 1e-9
           and ref_direct <= 1e-9 and ref_theta <= 1e-9)

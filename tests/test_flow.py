@@ -6,11 +6,12 @@ import time
 import numpy as np
 import pytest
 
-from torusflow import (CapExceeded, DepthExceeded, GeometryMismatch,
-                       NotPositive)
+from torusflow import (BasisMismatch, CapExceeded, DepthExceeded,
+                       GeometryMismatch, NotPositive)
 from torusflow.flow import (FlowProblem, ModeSpace, factorization_check,
-                            fock_picard_apply, picard_terms, positivity_probe,
-                            texp_matrix_element, vacuum_expectation)
+                            flow_inner, fock_picard_apply, picard_terms,
+                            positivity_probe, texp_matrix_element,
+                            vacuum_expectation)
 from torusflow.fock import SimpleNoisePath, TimeMesh, noise_inner
 from torusflow.sampling import noise_path, one_form, poly, rng_for
 from torusflow.spectral import (OneForm, TrigPoly, exterior_derivative,
@@ -327,6 +328,66 @@ def test_engine_zero_noise_reproduces_vacuum():
     got = vec.pair_coherent(u, zero_path(1, t))
     want = vacuum_expectation(x, u, v, t)
     assert got == pytest.approx(want, rel=1e-11)
+
+
+# (dim, n_max) -> (pair_coherent, flow_inner) at depth 3, computed by the
+# order-by-order Taylor loops that the graded series replaced
+_PINNED_ENGINE = dict([
+    ((1, 0), (1.7997318609300346-2.7519163549396759j,
+              -3.6362756602227875-2.1964623273160138j)),
+    ((1, 1), (0.86737205461695477-2.5155608063838066j,
+              -4.5208059862460139-1.3136436146389732j)),
+    ((1, 2), (0.97631733763152895-2.5081967675786894j,
+              -4.2990228657666316-1.4968160839744935j)),
+    ((1, 3), (0.9827690965243695-2.4983045714736258j,
+              -4.2942904595151923-1.5188316220873013j)),
+    ((1, None), (0.97848156636163175-2.5040402265446193j,
+                 -4.2910533049406512-1.5321753049893172j)),
+    ((2, 0), (-120.2102065428072+236.48596608694822j,
+              -13.191393564729399-23.771755706857483j)),
+    ((2, 1), (31.356404490298658+175.37937596046032j,
+              32.231686706173946-9.6654424680418156j)),
+    ((2, 2), (-2.8678036007125058+151.93736407747349j,
+              6.0688197557839514-26.975874593019665j)),
+    ((2, 3), (-17.335677649111346+176.7652443580817j,
+              19.074669989135703-24.360602602179142j)),
+    ((2, None), (-7.4309458053707971+168.17432225266498j,
+                 13.732209059608909-24.634958672246455j)),
+])
+
+
+def _engine_problems(dim, cap):
+    """Two seeded two-cell flow problems, a bra function and a bra path."""
+    rng = rng_for(40 + dim)
+    t = 0.6
+    f1 = noise_path(rng, dim, cap, 2, horizon=t, max_mode=1, scale=0.3)
+    f2 = noise_path(rng, dim, cap, 2, horizon=t, max_mode=1, scale=0.3)
+    g = noise_path(rng, dim, cap, 2, horizon=t, max_mode=1, scale=0.3)
+    zero = SimpleNoisePath.zero(dim, t)
+    x1, x2, v1, v2, u = (poly(rng, dim, cap, 1) for _ in range(5))
+    return (FlowProblem(x1, f1, zero, v1, v1, t),
+            FlowProblem(x2, f2, zero, v2, v2, t), u, g)
+
+
+@pytest.mark.parametrize("dim,cap", [(1, 3), (2, 2)])
+def test_engine_pairings_pinned_at_every_order(dim, cap):
+    pa, pb, u, g = _engine_problems(dim, cap)
+    for n_max in (0, 1, 2, 3, None):
+        va = fock_picard_apply(pa, n_max, 3)
+        vb = fock_picard_apply(pb, n_max, 3)
+        want_pc, want_fi = _PINNED_ENGINE[dim, n_max]
+        assert va.pair_coherent(u, g) == pytest.approx(want_pc, rel=1e-12)
+        assert flow_inner(va, vb) == pytest.approx(want_fi, rel=1e-12)
+
+
+def test_engine_refuses_mixed_full_and_truncated_pairing():
+    pa, pb, _, _ = _engine_problems(1, 3)
+    full = fock_picard_apply(pa, None, 3)
+    cut = fock_picard_apply(pb, 2, 3)
+    with pytest.raises(BasisMismatch, match="full-series"):
+        flow_inner(full, cut)
+    with pytest.raises(BasisMismatch, match="full-series"):
+        cut.inner(full)
 
 
 def test_engine_pairing_matches_texp_oracle():

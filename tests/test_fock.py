@@ -19,7 +19,6 @@ def test_time_mesh_basics():
     m = TimeMesh([0.0, 0.5, 2.0])
     assert m.num_cells == 2
     assert m.cells() == [(0.0, 0.5), (0.5, 2.0)]
-    assert m.widths() == [0.5, 1.5]
     assert m.horizon == 2.0
 
 
@@ -65,13 +64,6 @@ def test_empty_path_needs_dimension():
         SimpleNoisePath(TimeMesh([0.0]), ())
     p = SimpleNoisePath(TimeMesh([0.0]), (), dim=2)
     assert p.dim == 2 and p.is_zero()
-
-
-def test_path_restriction_is_exact():
-    p = SimpleNoisePath.indicator(dcos(), 0.0, 2.0)
-    q = p.restricted(1.25)
-    assert q.mesh.horizon == 1.25
-    assert noise_inner(q, q) == pytest.approx(1.25 * math.pi)
 
 
 def test_on_mesh_resampling():
