@@ -634,17 +634,21 @@ def positivity_probe(x: TrigPoly, t: float, samples: int = 8,
 
     theta ranges over random coherent states v E(f) with exact one-form
     noise, evaluated through the full Fock engine pairing.  x must be
-    pointwise nonnegative (NotPositive otherwise); the flow then keeps
-    the pairings nonnegative and the norm ratio below sup|x|.
+    pointwise nonnegative: certified on x's sup grid as grid minimum
+    minus slack >= -1e-12 (``TrigPoly._sup_grid``; NotPositive otherwise,
+    so an x touching 0 is refused).  The flow then keeps the pairings
+    nonnegative and the norm ratio below sup_x, the grid max, which is
+    the strict side of the sup bracket for that check.
     """
     if not x.is_selfadjoint():
         raise NotPositive("argument is not self-adjoint")
-    grid = x.values_on_grid(4 * max(x.max_abs_mode(), 1) + 1)
-    if float(np.min(grid.real)) < -1e-12:
-        raise NotPositive("argument has a strictly negative region")
+    vals, slack = x._sup_grid()
+    low = float(vals.real.min()) - slack
+    if low < -1e-12:
+        raise NotPositive(f"cannot certify nonnegativity: grid min - slack = {low:.3e}")
     rng = np.random.default_rng(seed)
     d = x.dim
-    sup_x = x.sup_norm()
+    sup_x = float(np.abs(vals).max())
     basis_modes = [tuple(int(i == j) for i in range(d)) for j in range(d)]
     min_pair = math.inf
     max_ratio = 0.0

@@ -10,6 +10,12 @@ layout.  Every value carries a hard mode cap: an operation whose exact
 result needs a mode with |k|_inf above the cap raises CapExceeded rather
 than aliasing or projecting.
 
+A supremum is a bracket read off one exact grid (``TrigPoly.sup_norm``).
+Where the sup sits on the bound side, callers take the grid max
+(``structure.sobolev_w2inf_norm``, ``flow.positivity_probe``); where it
+is compared against a bound, the certified upper end
+(``structure.nested_phi_growth``).
+
 Conventions used throughout the package:
 
 * the Laplacian has nonnegative spectrum, Delta e^{i k.x} = |k|^2 e^{i k.x}
@@ -33,12 +39,6 @@ from .errors import CapExceeded, GeometryMismatch, RankMismatch
 ModeKey = Tuple[int, ...]
 
 TWO_PI = 2.0 * math.pi
-
-#: relative tolerance of the sup-norm grid refinement loop
-SUP_NORM_TOL = 1e-12
-
-#: hard budget on total grid points used by one sup-norm evaluation
-_SUP_GRID_BUDGET = 1 << 22
 
 
 # ----------------------------------------------------------------------
@@ -317,27 +317,20 @@ class TrigPoly:
         arr[np.ix_(*([bins] * self.dim))] = _recap(self._a, self.cap, r)
         return np.fft.ifftn(arr) * (n ** self.dim)
 
-    def sup_norm(self, tol: float = SUP_NORM_TOL) -> float:
-        """Sup of |f| over the torus via dyadic grid refinement.
+    def _sup_grid(self) -> Tuple[np.ndarray, float]:
+        """Exact values on the ``sup_grid_size`` grid, and the slack
+        (pi / n) sum_k |k|_1 |c_k| by which |f| can move off a node: each
+        coordinate is within pi / n of one and |d_i f| <= sum |k_i c_k|."""
+        n = sup_grid_size(self.max_abs_mode())
+        k1 = sum(np.abs(k) for k in _axis_modes(self.dim, self.cap))
+        return self.values_on_grid(n), math.pi / n * float(np.sum(k1 * np.abs(self._a)))
 
-        The estimate is a max over sample points, so it approaches the
-        true sup from below; refinement stops once doubling the grid
-        moves the value by a relative amount below ``tol``.
-        """
-        if self.is_zero():
-            return 0.0
-        n = 8
-        while n <= 2 * self.max_abs_mode():
-            n *= 2
-        best = float(np.abs(self.values_on_grid(n)).max())
-        while (2 * n) ** self.dim <= _SUP_GRID_BUDGET:
-            n *= 2
-            nxt = float(np.abs(self.values_on_grid(n)).max())
-            gain = nxt - best
-            best = nxt
-            if gain <= tol * max(1.0, best):
-                break
-        return best
+    def sup_norm(self) -> Tuple[float, float]:
+        """(lower, upper) around sup |f|: the grid max, and the grid max
+        plus the slack of ``_sup_grid`` capped at the coefficient l1 norm."""
+        vals, slack = self._sup_grid()
+        top = float(np.abs(vals).max())
+        return top, min(top + slack, self.coeff_l1())
 
     def __repr__(self):
         terms = ", ".join(f"{k}: {c:.6g}" for k, c in self.items())
@@ -411,8 +404,14 @@ def l2_inner(f: TrigPoly, g: TrigPoly) -> complex:
     return f.l2_inner(g)
 
 
-def sup_norm(f: TrigPoly, tol: float = SUP_NORM_TOL) -> float:
-    return f.sup_norm(tol=tol)
+def sup_grid_size(radius: int) -> int:
+    """The smallest power of two above 2 * radius: the grid on which the
+    modes |k|_inf <= radius land in distinct FFT bins."""
+    return 1 << (2 * radius).bit_length()
+
+
+def sup_norm(f: TrigPoly) -> Tuple[float, float]:
+    return f.sup_norm()
 
 
 # ----------------------------------------------------------------------
@@ -437,6 +436,12 @@ class CovariantTensor:
 
     def component(self, idx: Tuple[int, ...]) -> TrigPoly:
         return self.comps.get(tuple(idx)) or TrigPoly.zero(self.dim, self.cap)
+
+    def length_on_grid(self, n: int) -> np.ndarray:
+        """ell(t) = sqrt(sum_I |t_I|^2) on the uniform n^d grid, from the
+        components' exact grid values (n > 2 * their mode radius)."""
+        return np.sqrt(sum(np.abs(c.values_on_grid(n)) ** 2
+                           for c in self.comps.values()))
 
     def is_symmetric(self, tol: float = 0.0) -> bool:
         # a missing component is zero, which is what component() returns

@@ -19,8 +19,7 @@ from .flow import (FlowProblem, factorization_check, picard_terms,
 from .fock import SimpleNoisePath
 from .report import Record
 from .spectral import (TrigPoly, covariant_derivative, exterior_derivative,
-                       form_inner, lifted_sum, mul_free,
-                       pointwise_length_sq)
+                       form_inner, lifted_sum, mul_free)
 from .structure import (AugmentedVector, delta, delta_squared, generator_L,
                         kernel_eval, nested_phi_growth, sobolev_w2inf_norm,
                         theta_apply)
@@ -154,8 +153,7 @@ def run_growth(dim: int, cap: int, tol: float, seed: int,
         f = sampling.poly(rng, dim, cap, m)
         n = 4 * max(1, f.max_abs_mode()) + 3
         lap_vals = np.abs(f.laplacian().values_on_grid(n))
-        hess = pointwise_length_sq(covariant_derivative(f, 2))
-        hess_vals = np.sqrt(np.maximum(hess.values_on_grid(n).real, 0.0))
+        hess_vals = covariant_derivative(f, 2).length_on_grid(n)
         res = float(np.max(lap_vals - math.sqrt(dim) * hess_vals))
         res = max(res, 0.0)
         out.append(Record("growth", f"lap_vs_hessian[{i}]",

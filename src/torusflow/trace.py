@@ -16,12 +16,13 @@ since flat tori carry no curvature corrections.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import GeometryMismatch
+from .errors import CapExceeded, GeometryMismatch
 from .flow import ModeSpace, diagonal_entries
 from .spectral import OneForm, flat_index, mode_grid
 
@@ -36,6 +37,9 @@ __all__ = [
     "WeylFit",
     "weyl_fit",
 ]
+
+#: hard budget on the (2 floor(z) + 1)^d lattice box of the direct trace
+_LATTICE_BUDGET = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,12 @@ def heat_trace_direct(t: float, z: float, dim: int) -> float:
     """sum of e^{-t |k|^2} over lattice points with |k| <= z."""
     if t <= 0:
         raise GeometryMismatch("heat trace needs t > 0")
-    sq = _box_sq(int(math.floor(z)), dim)
+    m = int(math.floor(z))
+    if (2 * m + 1) ** dim > _LATTICE_BUDGET:
+        raise CapExceeded(
+            f"direct trace at t={t:g}, z={z:g}, dim {dim} needs {(2 * m + 1) ** dim}"
+            f" lattice points, over the budget of {_LATTICE_BUDGET}")
+    sq = _box_sq(m, dim)
     mask = sq <= z * z + 1e-12
     return float(np.sum(np.exp(-t * sq[mask])))
 
@@ -105,18 +114,18 @@ def z_for_tail(t: float, dim: int, tol: float = 1e-12) -> int:
 
     def tail(z: int) -> float:
         acc = 0.0
-        n = z + 1
-        while True:
+        for n in range(z + 1, z + 10002):
             inc = 2 * dim * (2 * n + 1) ** (dim - 1) * math.exp(-t * (n - 1) ** 2)
             acc += inc
-            if inc < tol * 1e-4 or n > z + 10000:
-                return acc
-            n += 1
+            if inc < tol * 1e-4:
+                break
+        return acc
 
-    z = 1
-    while tail(z) >= tol:
-        z += 1
-    return z
+    # the tail only shrinks as z grows: double past the answer, then bisect
+    hi = 1
+    while tail(hi) >= tol:
+        hi *= 2
+    return bisect_left(range(hi), True, hi // 2 + 1, key=lambda z: tail(z) < tol)
 
 
 def heat_trace_via_flow(t: float, z: float, dim: int,

@@ -504,3 +504,10 @@ def test_positivity_rejects_negative_region():
         positivity_probe(cos1(2), 0.25, samples=2)
     with pytest.raises(NotPositive):
         positivity_probe(TrigPoly.mode((1,), 1, 2), 0.25, samples=2)
+
+
+def test_positivity_refuses_what_it_cannot_certify():
+    # 1 + cos x >= 0 touches 0 at x = pi, so no grid minimum minus a
+    # positive slack can certify it
+    with pytest.raises(NotPositive, match="cannot certify nonnegativity"):
+        positivity_probe(cos1(2) + 1.0, 0.25, samples=2)

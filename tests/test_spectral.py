@@ -289,8 +289,50 @@ def test_l2_norm_cos():
 
 
 def test_sup_norm_examples():
-    assert sup_norm(TrigPoly.cosine((1,), 1, 1)) == pytest.approx(1.0, abs=1e-9)
-    assert sup_norm(TrigPoly.one(1, 1)) == pytest.approx(1.0)
+    lower, upper = sup_norm(TrigPoly.cosine((1,), 1, 1))
+    assert lower == pytest.approx(1.0, abs=1e-12)
+    assert lower <= upper + 1e-15 and upper >= 1.0 - 1e-15
+    assert sup_norm(TrigPoly.one(1, 1)) == pytest.approx((1.0, 1.0))
+    assert sup_norm(TrigPoly.zero(2, 3)) == (0.0, 0.0)
+
+
+def _dense_sup(f, n):
+    return float(np.abs(f.values_on_grid(n)).max())
+
+
+def test_sup_norm_brackets_an_off_grid_peak():
+    # cos(x - 0.3) peaks at x = 0.3, between the nodes of its 4-point grid
+    f = (math.cos(0.3) * TrigPoly.cosine((1,), 1, 1)
+         + math.sin(0.3) * TrigPoly.sine((1,), 1, 1))
+    lower, upper = sup_norm(f)
+    true_sup = _dense_sup(f, 4096)
+    assert lower == pytest.approx(math.cos(0.3), abs=1e-12)   # 0.955
+    assert true_sup == pytest.approx(1.0, abs=1e-6)
+    assert lower < true_sup <= upper
+
+
+@pytest.mark.parametrize("dim,n_ref", [(1, 256), (2, 128)])
+def test_sup_norm_brackets_random_polys(dim, n_ref):
+    rng = np.random.default_rng(606 + dim)
+    for _ in range(40):
+        f = random_poly(rng, dim, 4, int(rng.integers(1, 5)))
+        lower, upper = sup_norm(f)
+        true_sup = _dense_sup(f, n_ref)
+        assert lower <= true_sup * (1 + 1e-12) + 1e-12
+        assert true_sup <= upper * (1 + 1e-12) + 1e-12
+        assert upper <= f.coeff_l1() + 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_length_on_grid_matches_coefficient_length(dim, rank):
+    rng = np.random.default_rng(10 * dim + rank)
+    f = random_poly(rng, dim, 3, 2)
+    t = covariant_derivative(f, rank)
+    n = 4 * 2 + 3
+    want = np.sqrt(pointwise_length_sq(t).values_on_grid(n).real)
+    got = t.length_on_grid(n)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
 
 
 def test_values_on_grid_matches_direct_eval():
@@ -384,7 +426,7 @@ def test_iterated_laplacian_growth():
     g = f
     for k in range(1, 9):
         g = laplacian(g)
-        assert sup_norm(g) <= c_const * k_const ** k + 1e-9
+        assert sup_norm(g)[1] <= c_const * k_const ** k + 1e-9
 
 
 def test_sobolev_sup_bound():
@@ -392,4 +434,4 @@ def test_sobolev_sup_bound():
     rng = np.random.default_rng(8)
     for _ in range(10):
         f = random_poly(rng, 1, 5, 3)
-        assert sup_norm(f) <= f.coeff_l1() + 1e-9
+        assert sup_norm(f)[1] <= f.coeff_l1() + 1e-9

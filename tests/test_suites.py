@@ -38,6 +38,12 @@ def test_growth_records():
     assert all(r.passed for r in recs)
 
 
+def test_growth_records_dim3_default_cap():
+    recs = run_growth(3, 8, DEFAULT_TOLS["growth"], seed=0)
+    assert len(recs) == 72
+    assert all(r.passed for r in recs)
+
+
 def test_flow_records():
     recs = run_flow(1, 8, 3, DEFAULT_TOLS["flow"], seed=0)
     names = [r.name for r in recs]

@@ -1,7 +1,9 @@
 """Heat traces, theta references, Weyl asymptotics."""
 
 import math
+import time
 
+import numpy as np
 import pytest
 
 from torusflow import CapExceeded, GeometryMismatch, cli
@@ -74,6 +76,35 @@ def test_direct_matches_theta_identity():
 def test_z_for_tail_frozen_table():
     assert [z_for_tail(t, 1) for t in (0.05, 0.1, 0.5, 1.0)] == [24, 17, 8, 6]
     assert [z_for_tail(t, 2) for t in (0.05, 0.1, 0.5, 1.0)] == [26, 19, 8, 6]
+
+
+def test_z_for_tail_frozen_action_cutoffs():
+    # the cutoffs of the default action scales and of the d=3 trace points,
+    # frozen from a linear search z = 1, 2, ... over the same tail bound
+    lams = np.geomspace(5.0, 20.0, 9)
+    assert [z_for_tail(lam ** -2, 1, 1e-13) for lam in lams] == [
+        28, 33, 40, 47, 56, 67, 80, 95, 113]
+    assert [z_for_tail(lam ** -2, 2, 1e-13) for lam in lams] == [
+        30, 36, 43, 51, 61, 73, 87, 103, 123]
+    assert [z_for_tail(lam ** -2, 3, 1e-13) for lam in lams] == [
+        32, 38, 46, 55, 65, 78, 93, 111, 133]
+    assert [z_for_tail(t, 3) for t in (0.05, 0.1, 0.5, 1.0)] == [28, 20, 9, 6]
+    assert z_for_tail(300.0 ** -2, 3, 1e-13) == 2154
+
+
+def test_direct_trace_refuses_a_lattice_past_its_budget(tmp_path, capsys):
+    # z = 2154 at d=3 would be a 4309^3 box: refused before allocating
+    with pytest.raises(CapExceeded, match=r"t=1.11111e-05, z=2154, dim 3"):
+        heat_trace_direct(300.0 ** -2, 2154.0, 3)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("lambdas = 5,1000\n")
+    started = time.monotonic()
+    code = cli.main(["run", "--suite", "action", "--dim", "3",
+                     "--config", str(cfg), "--out", str(tmp_path / "a.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "suite action" in err and "lattice points, over the budget" in err
+    assert time.monotonic() - started < 5.0
 
 
 def test_z_for_tail_guards():
