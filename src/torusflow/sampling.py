@@ -6,7 +6,6 @@ output is reproducible from the config seed alone.
 
 from __future__ import annotations
 
-from itertools import product as iter_product
 from typing import Optional
 
 import numpy as np
@@ -28,14 +27,12 @@ def poly(rng: np.random.Generator, dim: int, cap: int,
     fixed by conjugation.
     """
     m = cap if max_mode is None else min(max_mode, cap)
-    coeffs = {}
-    for k in iter_product(range(-m, m + 1), repeat=dim):
-        c = scale * (rng.standard_normal() + 1j * rng.standard_normal()) / 2.0
-        coeffs[k] = coeffs.get(k, 0.0) + c
-        if self_adjoint:
-            nk = tuple(-v for v in k)
-            coeffs[nk] = coeffs.get(nk, 0.0) + np.conj(c)
-    return TrigPoly(dim, cap, coeffs)
+    # one draw per mode in C order, real part then imaginary part
+    draw = rng.standard_normal((2 * m + 1,) * dim + (2,))
+    coeffs = scale * (draw[..., 0] + 1j * draw[..., 1]) / 2.0
+    if self_adjoint:
+        coeffs = coeffs + np.flip(coeffs).conj()
+    return TrigPoly(dim, m, coeffs).with_cap(cap)
 
 
 def one_form(rng: np.random.Generator, dim: int, cap: int,

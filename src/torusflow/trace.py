@@ -1,11 +1,13 @@
 """Heat-kernel traces and the bosonic spectral action on flat tori.
 
-Three routes to Tr e^{-t Laplacian} keep each other honest: the direct
-lattice sum over eigenvalues, the Poisson-resummed theta series (exact
-for every t, not just asymptotically), and the vacuum flow: the diagonal
-of the flow's zero-noise propagator e^{2t L} on the mode space, summed
-over the spectrum slice.  The flow transports functions by e^{tL} with
-L = -Laplacian/2 and therefore runs at flow time 2t.
+Three routes to Tr e^{-t Laplacian} keep each other honest.  The direct
+lattice sum over eigenvalues and the Poisson-resummed theta series (exact
+for every t, not just asymptotically) both read one integer table of
+eigenvalue multiplicities, ``shell_counts``, whose work is checked against
+``_LATTICE_BUDGET`` before allocation.  The vacuum flow sums the diagonal of
+the flow's zero-noise propagator e^{2t L} over the modes |k| <= z; it
+transports functions by e^{tL} with L = -Laplacian/2 and therefore runs at
+flow time 2t.
 
 The spectral action with the Gaussian weight is the same trace at
 t = Lambda^{-2} scaled by the spinor rank; its large-Lambda growth is
@@ -24,10 +26,10 @@ import numpy as np
 
 from .errors import CapExceeded, GeometryMismatch
 from .flow import ModeSpace, diagonal_entries
-from .spectral import OneForm, flat_index, mode_grid
+from .spectral import OneForm, mode_grid
 
 __all__ = [
-    "SpectrumSlice",
+    "shell_counts",
     "heat_trace_direct",
     "heat_trace_via_flow",
     "theta_reference",
@@ -38,52 +40,49 @@ __all__ = [
     "weyl_fit",
 ]
 
-#: hard budget on the (2 floor(z) + 1)^d lattice box of the direct trace
-_LATTICE_BUDGET = 1 << 25
+#: hard budget on the entry additions of a ``shell_counts`` table (about 1 s)
+_LATTICE_BUDGET = 1 << 30
 
 
-@dataclass(frozen=True)
-class SpectrumSlice:
-    """All lattice modes with Euclidean length at most z."""
+def shell_counts(dim: int, n: int) -> np.ndarray:
+    """r_dim(0..n) as int64, the number of k in Z^dim with |k|^2 = m: from
+    r_0 = delta_0, each axis adds the counts shifted by every s^2 <= n,
+    once for s = 0 and twice (for +-s) for s > 0."""
+    if dim < 1 or n < 0:
+        raise GeometryMismatch(f"r_d(0..n) needs d >= 1 and n >= 0, got d={dim}, n={n}")
+    root = math.isqrt(n)
+    work = dim * (root + 1) * (n + 1)
+    if work > _LATTICE_BUDGET:
+        raise CapExceeded(f"the table r_{dim}(0..{n}) needs {work} entry additions,"
+                          f" over the budget of {_LATTICE_BUDGET}")
+    if (2 * root + 1) ** dim >= 1 << 63:  # no entry exceeds the box count
+        raise CapExceeded(f"the table r_{dim}(0..{n}) could overflow int64 counts")
+    counts = np.zeros(n + 1, dtype=np.int64)
+    counts[0] = 1
+    for _ in range(dim):
+        prev, counts = counts, np.zeros_like(counts)
+        for s in range(root + 1):
+            counts[s * s:] += (1 if s == 0 else 2) * prev[:n + 1 - s * s]
+    return counts
 
-    z: float
-    dim: int
-    modes: Tuple[Tuple[int, ...], ...]
 
-    @classmethod
-    def build(cls, dim: int, z: float) -> "SpectrumSlice":
-        if dim < 1:
-            raise GeometryMismatch("dimension must be at least 1")
-        if z < 0:
-            raise GeometryMismatch("cutoff must be nonnegative")
-        grid = mode_grid(dim, int(math.floor(z)))
-        keep = np.sum(grid * grid, axis=1) <= z * z + 1e-12
-        return cls(z, dim, tuple(map(tuple, grid[keep].tolist())))
-
-    @property
-    def count(self) -> int:
-        return len(self.modes)
-
-
-def _box_sq(m: int, dim: int) -> np.ndarray:
-    """|k|^2 over the box |k|_inf <= m as one float array of shape
-    (2m+1,)*dim, broadcast from the per-axis squares (exact integers, so
-    the summation order cannot change a value)."""
-    return sum(a.astype(float) ** 2 for a in np.ogrid[(slice(-m, m + 1),) * dim])
+def _shell_sum(dim: int, n: int, rate: float, what: str) -> float:
+    """sum_{m <= n} r_dim(m) e^{-rate m}; a refusal names ``what``."""
+    try:
+        counts = shell_counts(dim, n)
+    except CapExceeded as exc:
+        raise CapExceeded(f"{what}: {exc}") from None
+    return float(counts @ np.exp(-rate * np.arange(n + 1)))
 
 
 def heat_trace_direct(t: float, z: float, dim: int) -> float:
     """sum of e^{-t |k|^2} over lattice points with |k| <= z."""
     if t <= 0:
         raise GeometryMismatch("heat trace needs t > 0")
-    m = int(math.floor(z))
-    if (2 * m + 1) ** dim > _LATTICE_BUDGET:
-        raise CapExceeded(
-            f"direct trace at t={t:g}, z={z:g}, dim {dim} needs {(2 * m + 1) ** dim}"
-            f" lattice points, over the budget of {_LATTICE_BUDGET}")
-    sq = _box_sq(m, dim)
-    mask = sq <= z * z + 1e-12
-    return float(np.sum(np.exp(-t * sq[mask])))
+    if z < 0:
+        raise GeometryMismatch("cutoff must be nonnegative")
+    return _shell_sum(dim, math.floor(z * z + 1e-12), t,
+                      f"direct trace at t={t:g}, z={z:g}, dim {dim}")
 
 
 def theta_reference(t: float, dim: int) -> float:
@@ -91,16 +90,15 @@ def theta_reference(t: float, dim: int) -> float:
 
     This is an identity, not an asymptotic: it equals the direct sum for
     every t, with the series converging fast for small t where the
-    direct sum is expensive.
+    direct sum is expensive.  The terms past |k| = m are below e^{-80}.
     """
     if t <= 0:
         raise GeometryMismatch("theta reference needs t > 0")
     m = 1
     while math.pi ** 2 * m * m / t < 80.0:
         m += 1
-    sq = _box_sq(m, dim)
-    return float((math.pi / t) ** (dim / 2.0)
-                 * np.sum(np.exp(-(math.pi ** 2) * sq / t)))
+    return (math.pi / t) ** (dim / 2.0) * _shell_sum(
+        dim, m * m, math.pi ** 2 / t, f"theta reference at t={t:g}, dim {dim}")
 
 
 def z_for_tail(t: float, dim: int, tol: float = 1e-12) -> int:
@@ -140,21 +138,22 @@ def heat_trace_via_flow(t: float, z: float, dim: int,
     """
     if t <= 0:
         raise GeometryMismatch("heat trace needs t > 0")
-    slc = SpectrumSlice.build(dim, z)
-    if cap is None:
-        cap = int(math.floor(z))
+    if z < 0:
+        raise GeometryMismatch("cutoff must be nonnegative")
+    m = math.floor(z)
+    cap = m if cap is None else cap
+    if cap < m:
+        raise CapExceeded(f"cutoff z={z:g} needs modes up to {m}, past the cap {cap}")
     space = ModeSpace(dim, cap)
     diag = diagonal_entries(space.psi_matrix(OneForm.zero(dim, 0), None))
     if diag is None:
         raise GeometryMismatch("the zero-noise generator is not diagonal")
-    prop = np.exp(2.0 * t * diag)
-    total = 0.0
-    for k, i in zip(slc.modes, flat_index(slc.modes, cap)):
-        val = prop[i]
-        if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-            raise GeometryMismatch(f"trace term for mode {k} is not real: {val}")
-        total += val.real
-    return float(total)
+    keep = np.sum(mode_grid(dim, cap) ** 2, axis=1) <= z * z + 1e-12
+    vals = np.exp(2.0 * t * diag)[keep]
+    if np.any(np.abs(vals.imag) > 1e-10 * np.maximum(1.0, np.abs(vals.real))):
+        raise GeometryMismatch(f"the trace terms over |k| <= {z:g} are not real: {vals}")
+    # a left-to-right sum in C order, not numpy's pairwise one
+    return float(sum(vals.real.tolist()))
 
 
 def spinor_rank(dim: int) -> int:

@@ -224,6 +224,18 @@ def test_augmented_vector_norm_decomposition():
     direct += sum(s.l2_norm() ** 2 for s in v.form_sections())
     assert v.norm_sq() == pytest.approx(direct)
     assert v.norm() == pytest.approx(math.sqrt(direct))
+    # seeded vectors: the grid norm against the convolved form sections
+    rng = rng_for(17)
+    for dim in (1, 2, 3):
+        for _ in range(3):
+            v = AugmentedVector.product(
+                poly(rng, dim, 4, 2),
+                complex(rng.standard_normal(), rng.standard_normal()),
+                one_form(rng, dim, 4, 3),
+            )
+            direct = v.scalar_part.l2_norm() ** 2
+            direct += sum(s.l2_norm() ** 2 for s in v.form_sections())
+            assert v.norm_sq() == pytest.approx(direct, rel=1e-12)
 
 
 def test_augmented_vector_geometry_check():

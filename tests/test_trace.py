@@ -2,15 +2,15 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from torusflow import CapExceeded, GeometryMismatch, cli
-from torusflow.trace import (SpectrumSlice, WeylFit, heat_trace_direct,
-                             heat_trace_via_flow, spectral_action,
-                             spinor_rank, theta_reference, weyl_fit,
-                             z_for_tail)
+from torusflow.trace import (WeylFit, heat_trace_direct, heat_trace_via_flow,
+                             shell_counts, spectral_action, spinor_rank,
+                             theta_reference, weyl_fit, z_for_tail)
 
 # frozen sums, computed once from the defining series
 TRACE_T1_CIRCLE = 1.7726372048266523      # sum over Z of e^{-n^2}
@@ -21,25 +21,63 @@ THETA_05_CIRCLE = 2.5066282880429052
 THETA_01_TORUS2 = 31.41592653589793       # pi / 0.1
 
 
-# ------------------------------------------------------------------ slices
+# ------------------------------------------------------------------ table
 
-def test_spectrum_slice_counts():
-    assert SpectrumSlice.build(1, 6.0).count == 13
-    assert SpectrumSlice.build(2, 2.0).count == 13
-    assert SpectrumSlice.build(1, 0.0).modes == ((0,),)
-
-
-def test_spectrum_slice_boundary_inclusive():
-    # |k| = z exactly must be kept: (3,4) has length 5
-    slc = SpectrumSlice.build(2, 5.0)
-    assert (3, 4) in slc.modes
+def test_shell_counts_slice_facts():
+    # 13 lattice points with |k| <= 6 on the circle and |k| <= 2 on T^2
+    assert shell_counts(1, 36).sum() == 13
+    assert shell_counts(2, 4).sum() == 13
+    assert shell_counts(1, 0).tolist() == [1]
+    # |k| = 5 on T^2: (+-5, 0), (0, +-5) and the eight points like (3, 4)
+    assert shell_counts(2, 25)[25] == 12
+    assert shell_counts(3, 5).dtype == np.int64
 
 
-def test_spectrum_slice_validation():
+def test_shell_counts_refuse_int64_overflow():
+    # r_60(25) is about 3.2e24: the counts would wrap
+    with pytest.raises(CapExceeded, match="overflow int64"):
+        shell_counts(60, 25)
+    assert shell_counts(12, 16)[16] > 0
+
+
+def test_shell_counts_match_jacobi_four_squares():
+    r4 = shell_counts(4, 900)
+    assert r4[0] == 1
+    for n in range(1, 901):
+        assert r4[n] == 8 * sum(m for m in range(1, n + 1)
+                                if n % m == 0 and m % 4 != 0), n
+
+
+def test_shell_counts_match_brute_force():
+    for dim, box in ((1, 30), (2, 20), (3, 12)):
+        sq = sum(a * a for a in np.ogrid[(slice(-box, box + 1),) * dim])
+        # the box holds every point with |k|^2 <= box^2
+        want = np.bincount(sq.ravel())[:box * box + 1]
+        assert shell_counts(dim, box * box).tolist() == want.tolist()
+
+
+def test_cutoff_must_be_nonnegative():
+    for dim in (1, 2, 3):
+        with pytest.raises(GeometryMismatch, match="cutoff must be nonnegative"):
+            heat_trace_direct(1.0, -1.0, dim)
+        with pytest.raises(GeometryMismatch, match="cutoff must be nonnegative"):
+            heat_trace_via_flow(1.0, -1.0, dim)
     with pytest.raises(GeometryMismatch):
-        SpectrumSlice.build(0, 1.0)
+        heat_trace_direct(1.0, 1.0, 0)
     with pytest.raises(GeometryMismatch):
-        SpectrumSlice.build(1, -1.0)
+        heat_trace_via_flow(1.0, 1.0, 0)
+    with pytest.raises(GeometryMismatch):
+        shell_counts(0, 4)
+    with pytest.raises(GeometryMismatch):
+        shell_counts(1, -1)
+
+
+def test_cutoff_boundary_is_inclusive():
+    # |k| = z exactly is kept: the shell |k| = 5 on T^2 adds 12 e^{-25}
+    gap = heat_trace_direct(1.0, 5.0, 2) - heat_trace_direct(1.0, 5.0 - 1e-9, 2)
+    assert gap == pytest.approx(12 * math.exp(-25.0), rel=1e-4)
+    assert abs(heat_trace_via_flow(0.04, 5.0, 2)
+               - heat_trace_direct(0.04, 5.0, 2)) <= 1e-9
 
 
 # ------------------------------------------------------------------ traces
@@ -73,6 +111,18 @@ def test_direct_matches_theta_identity():
                        - theta_reference(t, dim)) <= 1e-10
 
 
+def test_theta_reference_at_large_time():
+    # t = 1e4 sums over |k| <= 285: a table, not a 571^3 box
+    started = time.monotonic()
+    assert theta_reference(1e4, 3) == pytest.approx(1.0, abs=1e-12)
+    assert time.monotonic() - started < 1.0
+    # t = 1e8 would need |k| <= 28471: refused before allocating
+    started = time.monotonic()
+    with pytest.raises(CapExceeded, match=r"theta reference at t=1e\+08, dim 3"):
+        theta_reference(1e8, 3)
+    assert time.monotonic() - started < 1.0
+
+
 def test_z_for_tail_frozen_table():
     assert [z_for_tail(t, 1) for t in (0.05, 0.1, 0.5, 1.0)] == [24, 17, 8, 6]
     assert [z_for_tail(t, 2) for t in (0.05, 0.1, 0.5, 1.0)] == [26, 19, 8, 6]
@@ -93,7 +143,8 @@ def test_z_for_tail_frozen_action_cutoffs():
 
 
 def test_direct_trace_refuses_a_lattice_past_its_budget(tmp_path, capsys):
-    # z = 2154 at d=3 would be a 4309^3 box: refused before allocating
+    # z = 2154 at d=3 would be a table of 3e10 additions: refused before
+    # allocating
     with pytest.raises(CapExceeded, match=r"t=1.11111e-05, z=2154, dim 3"):
         heat_trace_direct(300.0 ** -2, 2154.0, 3)
     cfg = tmp_path / "big.cfg"
@@ -103,7 +154,7 @@ def test_direct_trace_refuses_a_lattice_past_its_budget(tmp_path, capsys):
                      "--config", str(cfg), "--out", str(tmp_path / "a.csv")])
     err = capsys.readouterr().err
     assert code == 2
-    assert "suite action" in err and "lattice points, over the budget" in err
+    assert "suite action" in err and "entry additions, over the budget" in err
     assert time.monotonic() - started < 5.0
 
 
@@ -138,8 +189,10 @@ def test_flow_trace_dim3_at_default_cap(tmp_path, capsys):
 
 
 def test_flow_trace_cap_below_cutoff():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="past the cap 2"):
         heat_trace_via_flow(1.0, 3.0, 2, cap=2)
+    # cap = floor(z) holds every mode with |k| <= z
+    heat_trace_via_flow(1.0, 3.5, 2, cap=3)
 
 
 def test_flow_trace_needs_positive_time():
@@ -174,6 +227,17 @@ def test_weyl_fit_recovers_volume_term():
         want = WeylFit.expected_prefactor(dim)
         assert fit.prefactor == pytest.approx(want, rel=1e-10)
         assert len(fit.rows) == 9
+
+
+def test_weyl_fit_dim3_memory():
+    # the d=3 cutoffs reach z = 133: a 17690-entry table, not a 267^3 box
+    tracemalloc.start()
+    try:
+        weyl_fit(np.geomspace(5.0, 20.0, 9), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_weyl_expected_prefactors():
