@@ -9,7 +9,7 @@ Layer map:
 * ``fock``      time meshes and piecewise constant one-form noise paths
 * ``flow``      the quantum stochastic flow: matrix elements, Picard
                 iteration, time-ordered exponentials, and the pairing
-                engine for flow vectors in Fock space
+                of flow vectors in Fock space
 * ``trace``     heat traces, theta-function cross-checks, spectral action
 * ``cli``       the ``torusflow`` command line front end
 """
@@ -18,7 +18,6 @@ from .errors import (
     BasisMismatch,
     CapExceeded,
     ConfigInvalid,
-    DepthExceeded,
     GeometryMismatch,
     IoFailure,
     NotPositive,
@@ -30,7 +29,6 @@ __all__ = [
     "BasisMismatch",
     "CapExceeded",
     "ConfigInvalid",
-    "DepthExceeded",
     "GeometryMismatch",
     "IoFailure",
     "NotPositive",

@@ -23,14 +23,8 @@ class RankMismatch(TorusFlowError):
 
 
 class BasisMismatch(TorusFlowError):
-    """Flow vectors on different mode spaces, time meshes or depths were
-    paired (``flow.flow_inner``), or a full-series vector was paired with
-    a truncated one: the full side has no order budget to cut it at, and
-    any cut chosen for it would pass a surrogate off as the full series."""
-
-
-class DepthExceeded(TorusFlowError):
-    """Truncated-Fock evolution dropped more amplitude than allowed."""
+    """Flow problems on different mode spaces or time meshes were paired
+    (``flow.flow_inner``): their kernel would have no common basis."""
 
 
 class NotPositive(TorusFlowError):

@@ -10,25 +10,20 @@ piecewise constant one-form noise:
   on constant intervals the simplex integrals are exact Taylor terms,
   so the order-n block is the degree-n part of the product of the
   interval exponentials, with a factorial tail bound.
-* ``fock_picard_apply`` / ``flow_inner``: the flow vector
-  J_t(x (x) E(f)) v itself.  Creation increments entangle the function
-  leg with the one-form leg, so the vector is represented through its
-  pairing calculus: ``pair_coherent`` evolves a vector and
-  ``flow_inner`` a bilinear kernel under a per-interval list of sparse
-  mechanisms.  For the kernel these are the two one-sided generators,
-  the matched creation-creation channel (paired coordinate partials),
-  and creation against the opposite coherent datum (multiplication by
-  the conjugated component composed with the partial, inserted at the
-  creation time).  The coherent-coherent residue contributes the exact
-  global factor exp(<f1, f2>).
+* ``flow_inner``: the pairing of two flow vectors
+  J_t(x (x) E(f)) v.  Creation increments entangle the function leg
+  with the one-form leg, so the vectors are never stored: a bilinear
+  kernel evolves per interval under the two sides' generators and the
+  matched creation-creation channel, and the coherent-coherent residue
+  contributes the exact global factor exp(<f1, f2>).  The factorization
+  check compares it with the first route.
 
 Each expansion is stated once.  A mechanism ``(step, op)`` is an
-operator together with the counters (order, creation legs) it raises.
-The full series sums a cell's mechanisms into one generator and
-propagates it.  Every truncated expansion (the Picard blocks and both
-truncated pairings) hands the same mechanisms to one graded Taylor
-series, ``_graded_series``, which drops the terms whose counters pass
-the order and depth budgets.
+operator together with the orders it raises.  The full series sums a
+cell's mechanisms into one generator and propagates it.  Every truncated
+expansion (the Picard blocks and the truncated pairing) hands the same
+mechanisms to one graded Taylor series, ``_graded_series``, which drops
+the terms past the order budget.
 
 Everything is Galerkin-compressed onto the modes |k|_inf <= cap; both
 sides of every cross-check share that compression.  On that mode space
@@ -48,8 +43,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from scipy import sparse
 
-from .errors import (BasisMismatch, CapExceeded, DepthExceeded,
-                     GeometryMismatch, NotPositive)
+from .errors import (BasisMismatch, CapExceeded, GeometryMismatch,
+                     NotPositive)
 from .fock import SimpleNoisePath, TimeMesh, noise_inner
 from .spectral import (TWO_PI, OneForm, TrigPoly, exterior_derivative,
                        flat_index, lifted_sum, mode_grid, mul_free)
@@ -62,8 +57,6 @@ __all__ = [
     "PicardSeries",
     "picard_terms",
     "vacuum_expectation",
-    "FlowFockVector",
-    "fock_picard_apply",
     "flow_inner",
     "FactorizationReport",
     "factorization_check",
@@ -71,8 +64,8 @@ __all__ = [
     "positivity_probe",
 ]
 
-#: hard budget on the entries of the dense mode-space arrays one call
-#: allocates (Picard blocks, pairing kernels, Gram matrices)
+#: hard budget on the mode-space array entries one call allocates (Picard
+#: blocks, Gram matrices, pairing kernels with their superoperators)
 _DENSE_BUDGET = 1 << 24
 
 
@@ -98,9 +91,8 @@ class ModeSpace:
     def size(self) -> int:
         return self._k.shape[0]
 
-    def check_dense(self, blocks: int, what: str) -> None:
-        """Refuse ``blocks`` dense size x size arrays past the budget."""
-        entries = blocks * self.size ** 2
+    def check_dense(self, entries: int, what: str) -> None:
+        """Refuse an allocation of ``entries`` array entries past the budget."""
         if entries > _DENSE_BUDGET:
             raise CapExceeded(
                 f"{what} needs {entries} dense entries at cap {self.cap}, "
@@ -165,7 +157,7 @@ class ModeSpace:
 
     def gram_matrix(self, v1: TrigPoly, v2: TrigPoly) -> np.ndarray:
         """G[k,l] = <e_k v1, e_l v2> in L2; products taken uncapped."""
-        self.check_dense(1, "gram matrix")
+        self.check_dense(self.size ** 2, "gram matrix")
         lift = self.cap + max(v1.max_abs_mode(), v2.max_abs_mode())
         a = self._shift_matrix(v1, lift)
         b = self._shift_matrix(v2, lift)
@@ -193,9 +185,9 @@ def _propagate(gen: sparse.csr_array, dt: float, y: np.ndarray) -> np.ndarray:
     return expm_multiply(dt * gen, y)
 
 
-#: graded state: counter tuple -> array
+#: graded state: order tuple -> array
 _State = Dict[Tuple[int, ...], np.ndarray]
-#: mechanisms: (counter step, sparse operator)
+#: mechanisms: (order step, sparse operator)
 _Mechs = List[Tuple[Tuple[int, ...], sparse.csr_array]]
 
 
@@ -203,10 +195,10 @@ def _graded_series(state: _State, mechs: _Mechs, dt: float,
                    caps: Tuple[int, ...]) -> _State:
     """exp(dt sum_j op_j) on a graded state, one Taylor order at a time.
 
-    ``state`` maps counter tuples to arrays.  Each mechanism
-    ``(step, op)`` sends an entry to ``op @ entry`` and raises its
-    counters by ``step``; terms whose counters pass ``caps`` are dropped,
-    which is what ends the series.
+    ``state`` maps order tuples to arrays.  Each mechanism ``(step, op)``
+    sends an entry to ``op @ entry`` and raises its orders by ``step``;
+    terms whose orders pass ``caps`` are dropped, which is what ends the
+    series.
     """
     out = dict(state)
     term = state
@@ -224,17 +216,6 @@ def _graded_series(state: _State, mechs: _Mechs, dt: float,
             out[key] = out[key] + entry if key in out else entry
         term = nxt
     return out
-
-
-def _evolve_cell(state: _State, mechs: _Mechs, dt: float,
-                 caps: Optional[Tuple[int, ...]]) -> _State:
-    """One mesh cell of a pairing.  The full series (``caps`` None)
-    propagates the mechanisms summed in list order as one generator; a
-    truncated one keeps the graded pieces of the same exponential."""
-    if caps is None:
-        gen = sum((op for _, op in mechs[1:]), mechs[0][1])
-        return {key: _propagate(gen, dt, y) for key, y in state.items()}
-    return _graded_series(state, mechs, dt, caps)
 
 
 @dataclass(frozen=True)
@@ -342,7 +323,7 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
     if n_max < 0:
         raise GeometryMismatch("n_max must be nonnegative")
     space = ModeSpace(p.dim, p.cap)
-    space.check_dense(n_max + 1, "picard graded blocks")
+    space.check_dense((n_max + 1) * space.size ** 2, "picard graded blocks")
     cells = [(dt, space.psi_matrix(fc, gc)) for dt, fc, gc in p.cells()]
     s_const = 0.0
     for dt, psi in cells:
@@ -368,195 +349,61 @@ def vacuum_expectation(x: TrigPoly, u: TrigPoly, v: TrigPoly, t: float) -> compl
     return texp_matrix_element(FlowProblem(x, zero, zero, u, v, t))
 
 
-# ----------------------------------------------------------------------
-# explicit Fock engine
+def flow_inner(p1: FlowProblem, p2: FlowProblem,
+               n_max: Optional[int] = None) -> complex:
+    """<J(x1 (x) E(f1)) v1, J(x2 (x) E(f2)) v2>: the pairing of two flow
+    vectors, read off the x, f and v of each problem.
 
+    Creation increments entangle the function leg with the one-form leg,
+    so the vectors are never stored; the bilinear kernel W with value
+    x1^H W x2 evolves per mesh cell by
 
-class _EngineCell:
-    """Per-interval data shared by the pairing mechanisms."""
+        dW = Psi(f1, f2)^H W + W Psi(f2, f1) + sum_i D_i^H W D_i
 
-    __slots__ = ("dt", "form", "phi")
+    Each side's generator carries its own noise and the creation legs
+    that the other side's coherent datum eats; the last term is the
+    matched creation-creation channel, entrywise multiplication by k.l
+    since the partials are diagonal.  The coherent residues contribute
+    exp(<f1, f2>) globally.  ``n_max`` = None is the full series; a
+    finite n_max keeps the orders n1, n2 <= n_max of the two sides.
 
-    def __init__(self, dt: float, form: OneForm, phi: np.ndarray):
-        self.dt = dt
-        self.form = form
-        self.phi = phi
-
-
-class FlowFockVector:
-    """Truncated flow vector J_t^{(<= n_max)}(x (x) E(f)) v.
-
-    The creation legs are module-entangled with the function slot, so
-    amplitudes over any fixed one-form basis cannot carry them exactly;
-    the vector is stored as its generating data (argument, noise path,
-    per-cell compressed generators) and all inner products are evaluated
-    through the pairing calculus in ``flow_inner``.  ``n_max`` = None
-    means the full series (one exponential per interval).
+    The kernel state, and with it each cell's summed superoperator
+    entries (nnz(kron(A, B)) = nnz(A) nnz(B)), is checked against the
+    dense budget before the kernel or any superoperator is allocated.
     """
-
-    def __init__(self, problem: FlowProblem, n_max: Optional[int], depth: int,
-                 space: ModeSpace, cells: List[_EngineCell]):
-        self.problem = problem
-        self.n_max = n_max
-        self.depth = depth
-        self.space = space
-        self.cells = cells
-
-    @property
-    def x_vec(self) -> np.ndarray:
-        return self.space.to_vec(self.problem.x)
-
-    def inner(self, other: "FlowFockVector") -> complex:
-        return flow_inner(self, other)
-
-    def pair_coherent(self, u: TrigPoly, g: SimpleNoisePath) -> complex:
-        """<u E(g), self>: pairing against a coherent vector.
-
-        Creation legs are consumed by g cell by cell: each leg inserts
-        multiplication by conj(g_i) composed with the i-th partial at
-        the creation position inside the evolution.
-        """
-        space = self.space
-        if u.dim != space.dim:
-            raise GeometryMismatch("u lives on a different torus")
-        mesh = self.problem.mesh()
-        g = g.on_mesh(mesh)
-        caps = None if self.n_max is None else (self.n_max, self.depth)
-        state = {(0, 0): self.x_vec}  # (order, legs) -> vector
-        for cell, (a, _) in zip(self.cells[::-1], mesh.cells()[::-1]):
-            gc = g.value_at(a)
-            mechs = [((1, 0), cell.phi)]
-            for i in range(space.dim):
-                h = gc.comps[i]
-                if not h.is_zero():
-                    ins = space.mult_matrix(h.conjugate()) @ space.partial_matrix(i)
-                    mechs.append(((1, 1), ins))
-            state = _evolve_cell(state, mechs, cell.dt, caps)
-        poly = space.from_vec(sum(state.values()))
-        coh = np.exp(noise_inner(g, self.problem.f))
-        return coh * u.l2_inner(mul_free(poly, self.problem.v))
-
-
-def _build_vector(p: FlowProblem, n_max: Optional[int], depth: int,
-                  loss_tol: float = 1e-6) -> FlowFockVector:
-    space = ModeSpace(p.dim, p.cap)
-    cells = []
-    for dt, fc, _ in p.cells():
-        cells.append(_EngineCell(dt, fc, space.psi_matrix(fc, None)))
-    if n_max is not None and n_max > depth:
-        # order budget allows more creation increments than the leg
-        # budget keeps, so the vector genuinely drops content: bound
-        # the clipped sectors by a factorial envelope
-        gram = space.gram_matrix(p.v, p.v)
-        # ||D_i|| = cap: the partials are diagonal with entries i k_i
-        d_norms = float(space.dim * space.cap ** 2)
-        beta_legs = sum(c.dt * d_norms for c in cells)
-        beta_all = sum(c.dt * 2 * float(np.linalg.norm(c.phi.toarray(), 2))
-                       for c in cells) + beta_legs
-        pref = float(np.linalg.norm(space.to_vec(p.x))) ** 2 * \
-            float(np.linalg.norm(gram, 2))
-        tail = 0.0
-        q = depth + 1
-        fact = math.factorial(q)
-        for _ in range(60):
-            inc = beta_legs ** q / fact
-            tail += inc
-            if inc < 1e-18 * max(tail, 1.0):
-                break
-            q += 1
-            fact *= q
-        leg_loss = pref * math.exp(beta_all - beta_legs) * tail
-        if leg_loss > loss_tol:
-            raise DepthExceeded(
-                f"creation content past {depth} legs bounded only by "
-                f"{leg_loss:.3e} (> {loss_tol:.1e})"
-            )
-    return FlowFockVector(p, n_max, depth, space, cells)
-
-
-def _check_engine_budget(p: FlowProblem, depth: int) -> None:
-    """At most 4 mesh intervals and 3 creation legs per pairing."""
-    if p.mesh().num_cells > 4:
-        raise GeometryMismatch("the explicit engine is limited to 4 mesh cells")
-    if depth > 3:
-        raise DepthExceeded("the explicit engine is limited to depth <= 3")
-
-
-def fock_picard_apply(p: FlowProblem, n_max: Optional[int], depth: int,
-                      loss_tol: float = 1e-6) -> FlowFockVector:
-    """Build the truncated flow vector for later pairings.
-
-    Small scales only: mode cap <= 4 on top of the engine's mesh and
-    depth budget keeps every pairing a handful of small propagations.
-    n_max = None keeps the full series (legs included, whatever the
-    depth); DepthExceeded fires when a finite order budget clips
-    creation content past ``depth`` legs by more than ``loss_tol``.
-    """
-    if p.cap > 4:
-        raise CapExceeded("the explicit engine is limited to mode cap <= 4")
-    _check_engine_budget(p, depth)
-    return _build_vector(p, n_max, depth, loss_tol)
-
-
-def _superop(a_left: Optional[sparse.csr_array],
-             b_right: Optional[sparse.csr_array],
-             size: int) -> sparse.csr_array:
-    """Row-major sparse matrix for W -> A W B (A or B may be the identity)."""
-    eye = sparse.eye_array(size, dtype=complex, format="csr")
-    a = eye if a_left is None else a_left
-    b = eye if b_right is None else b_right
-    return sparse.kron(a, b.T, format="csr")
-
-
-def flow_inner(v1: FlowFockVector, v2: FlowFockVector) -> complex:
-    """<v1, v2>: joint pairing of two flow vectors on the same mesh.
-
-    The bilinear kernel W with value x1^H W x2 evolves per interval by
-
-        dW = Phi1^H W + W Phi2                (one-sided generators)
-           + sum_i D_i^H W D_i                (matched creation legs)
-           + sum_i (M_{conj f2,i} D_i)^H W    (side-1 legs eaten by f2)
-           + sum_i W (M_{conj f1,i} D_i)      (side-2 legs eaten by f1)
-
-    and the coherent residues contribute exp(<f1, f2>) globally.
-    Finite n_max/depth truncations keep the graded pieces of the same
-    expansion.  Both vectors must be full series or both truncated: a
-    full-series vector against a truncated one raises BasisMismatch.
-    """
-    if v1.space.dim != v2.space.dim or v1.space.cap != v2.space.cap:
-        raise BasisMismatch("flow vectors use different mode spaces")
-    m1, m2 = v1.problem.mesh(), v2.problem.mesh()
-    if m1 != m2:
-        raise BasisMismatch("flow vectors use different time meshes")
-    if v1.depth != v2.depth:
-        raise BasisMismatch("flow vectors use different depths")
-    if (v1.n_max is None) != (v2.n_max is None):
-        raise BasisMismatch("a full-series flow vector cannot be paired "
-                            "with a truncated one")
-    space = v1.space
+    if p1.dim != p2.dim or p1.cap != p2.cap:
+        raise BasisMismatch("flow problems use different mode spaces")
+    if p1.mesh() != p2.mesh():
+        raise BasisMismatch("flow problems use different time meshes")
+    if n_max is not None and n_max < 0:
+        raise GeometryMismatch("n_max must be nonnegative")
+    space = ModeSpace(p1.dim, p1.cap)
     size = space.size
-    caps = None if v1.n_max is None else (v1.n_max, v2.n_max, v1.depth, v2.depth)
-    gram = space.gram_matrix(v1.problem.v, v2.problem.v)
-    state = {(0, 0, 0, 0): gram.reshape(-1)}  # (n1, n2, l1, l2) -> raveled W
-    for c1, c2 in zip(v1.cells, v2.cells):
-        mechs = [((1, 0, 0, 0), _superop(c1.phi.conj().T, None, size)),
-                 ((0, 1, 0, 0), _superop(None, c2.phi, size))]
-        for i in range(space.dim):
-            d_i = space.partial_matrix(i)
-            mechs.append(((1, 1, 1, 1), _superop(d_i.conj().T, d_i, size)))
-            f2i = c2.form.comps[i]
-            if not f2i.is_zero():
-                ins = space.mult_matrix(f2i.conjugate()) @ d_i
-                mechs.append(((1, 0, 1, 0), _superop(ins.conj().T, None, size)))
-            f1i = c1.form.comps[i]
-            if not f1i.is_zero():
-                ins = space.mult_matrix(f1i.conjugate()) @ d_i
-                mechs.append(((0, 1, 0, 1), _superop(None, ins, size)))
-        state = _evolve_cell(state, mechs, c1.dt, caps)
-    x1, x2 = v1.x_vec, v2.x_vec
+    state_entries = size ** 2 * (1 if n_max is None else (n_max + 1) ** 2)
+    space.check_dense(state_entries, "flow pairing kernel")
+    cells = []
+    for (dt, f1c, _), (_, f2c, _) in zip(p1.cells(), p2.cells()):
+        a = space.psi_matrix(f1c, f2c)
+        b = a if p2.f is p1.f else space.psi_matrix(f2c, f1c)
+        space.check_dense(state_entries + size * (a.nnz + b.nnz) + size ** 2,
+                          "flow pairing cell")
+        cells.append((dt, a, b))
+    eye = sparse.eye_array(size, dtype=complex, format="csr")
+    k = space._k
+    legs = sparse.diags_array((k @ k.T).ravel().astype(complex)).tocsr()
+    state = {(0, 0): space.gram_matrix(p1.v, p2.v).reshape(-1)}  # (n1, n2) -> W
+    for dt, a, b in cells:
+        left = sparse.kron(a.conj().T, eye, format="csr")
+        right = sparse.kron(eye, b.T, format="csr")
+        if n_max is None:
+            state = {(0, 0): _propagate(left + right + legs, dt, state[0, 0])}
+        else:
+            mechs = [((1, 0), left), ((0, 1), right), ((1, 1), legs)]
+            state = _graded_series(state, mechs, dt, (n_max, n_max))
+    x1, x2 = space.to_vec(p1.x), space.to_vec(p2.x)
     total = sum(complex(np.vdot(x1, w.reshape(size, size) @ x2))
                 for w in state.values())
-    return np.exp(noise_inner(v1.problem.f, v2.problem.f)) * total
+    return np.exp(noise_inner(p1.f, p2.f)) * total
 
 
 @dataclass
@@ -574,7 +421,7 @@ class FactorizationReport:
 def factorization_check(a1: TrigPoly, a2: TrigPoly,
                         f1: SimpleNoisePath, f2: SimpleNoisePath,
                         v1: TrigPoly, v2: TrigPoly, t: float,
-                        n_max: Optional[int] = 3, depth: int = 3,
+                        n_max: Optional[int] = 3,
                         safety: float = 4.0) -> FactorizationReport:
     """|<J(a1 (x) Ef1)v1, J(a2 (x) Ef2)v2> - <v1 Ef1, J(a1* a2 (x) Ef2)v2>|.
 
@@ -582,8 +429,8 @@ def factorization_check(a1: TrigPoly, a2: TrigPoly,
     pairing from its full-series value, the measured sensitivity of both
     routes to raising the mode cap by two (scaled by ``safety``), and a
     float slop; the identity itself is exact for the uncompressed flow.
-    The engine's mesh and depth budget is checked before any pairing;
-    its cap limit is not, since the cap + 2 pass runs past it anyway.
+    Every pairing, the cap + 2 pass included, checks its entries against
+    the dense budget before allocating.
     """
     if not (a1.is_selfadjoint() and a2.is_selfadjoint()):
         raise ValueError("the factorization identity is checked for "
@@ -591,15 +438,12 @@ def factorization_check(a1: TrigPoly, a2: TrigPoly,
     if t < 0:
         raise GeometryMismatch("horizon must be nonnegative")
     zero = SimpleNoisePath.zero(a1.dim, max(t, 1.0))
-    _check_engine_budget(FlowProblem(a1, f1, zero, v1, v1, t), depth)
-    _check_engine_budget(FlowProblem(a2, f2, zero, v2, v2, t), depth)
 
-    def lhs_at(cap: int, n_max_, depth_) -> complex:
+    def lhs_at(cap: int, n_max_: Optional[int]) -> complex:
         va, vb = v1.with_cap(cap), v2.with_cap(cap)
         pa = FlowProblem(a1.with_cap(cap), f1, zero, va, va, t)
         pb = FlowProblem(a2.with_cap(cap), f2, zero, vb, vb, t)
-        return flow_inner(_build_vector(pa, n_max_, depth_),
-                          _build_vector(pb, n_max_, depth_))
+        return flow_inner(pa, pb, n_max_)
 
     def rhs_at(cap: int) -> complex:
         prod = mul_free(a1.conjugate(), a2).with_cap(cap)
@@ -607,11 +451,11 @@ def factorization_check(a1: TrigPoly, a2: TrigPoly,
                                                v2.with_cap(cap), t))
 
     cap = a1.cap
-    lhs = lhs_at(cap, n_max, depth)
+    lhs = lhs_at(cap, n_max)
     rhs = rhs_at(cap)
-    lhs_full = lhs_at(cap, None, depth) if n_max is not None else lhs
+    lhs_full = lhs_at(cap, None) if n_max is not None else lhs
     trunc = abs(lhs - lhs_full)
-    lhs_hi = lhs_at(cap + 2, None, depth)
+    lhs_hi = lhs_at(cap + 2, None)
     rhs_hi = rhs_at(cap + 2)
     cap_sens = abs(lhs_hi - lhs_full) + abs(rhs_hi - rhs)
     scale = max(1.0, abs(lhs), abs(rhs))
@@ -633,7 +477,8 @@ def positivity_probe(x: TrigPoly, t: float, samples: int = 8,
     """min <theta, j_t(x) theta> and max ||j_t(x) theta|| / ||theta||.
 
     theta ranges over random coherent states v E(f) with exact one-form
-    noise, evaluated through the full Fock engine pairing.  x must be
+    noise: the pairing is the coherent matrix element
+    ``texp_matrix_element`` and the norm the kernel pairing ``flow_inner``.  x must be
     pointwise nonnegative: certified on x's sup grid as grid minimum
     minus slack >= -1e-12 (``TrigPoly._sup_grid``; NotPositive otherwise,
     so an x touching 0 is refused).  The flow then keeps the pairings
@@ -665,10 +510,9 @@ def positivity_probe(x: TrigPoly, t: float, samples: int = 8,
             h = h + TrigPoly.cosine(k, d, x.cap) * rng.normal() * 0.4 \
                 + TrigPoly.sine(k, d, x.cap) * rng.normal() * 0.4
         f = SimpleNoisePath.indicator(exterior_derivative(h), 0.0, t)
+        pairing = texp_matrix_element(FlowProblem(x, f, f, v, v, t))
         prob = FlowProblem(x, f, SimpleNoisePath.zero(d, t), v, v, t)
-        vec = fock_picard_apply(prob, None, 3)
-        pairing = vec.pair_coherent(v, f)
-        norm_sq = flow_inner(vec, vec).real
+        norm_sq = flow_inner(prob, prob).real
         theta_sq = math.exp(noise_inner(f, f).real) * v.l2_norm() ** 2
         ratio = math.sqrt(max(norm_sq, 0.0) / theta_sq)
         min_pair = min(min_pair, pairing.real)

@@ -92,10 +92,14 @@ def theta_reference(t: float, dim: int) -> float:
     every t, with the series converging fast for small t where the
     direct sum is expensive.  The terms past |k| = m are below e^{-80}.
     """
-    if t <= 0:
-        raise GeometryMismatch("theta reference needs t > 0")
-    m = 1
-    while math.pi ** 2 * m * m / t < 80.0:
+    if not 0 < t < math.inf:
+        raise GeometryMismatch("theta reference needs a finite t > 0")
+    # start just below the root of pi^2 m^2 / t = 80, so the loop takes a
+    # few steps at any t instead of one step per integer; past 2^52 a unit
+    # step no longer moves the float predicate, and the table budget
+    # refuses a cutoff that large anyway
+    m = max(1, int(math.sqrt(80.0 * t) / math.pi) - 1)
+    while m < 2 ** 52 and math.pi ** 2 * m * m / t < 80.0:
         m += 1
     return (math.pi / t) ** (dim / 2.0) * _shell_sum(
         dim, m * m, math.pi ** 2 / t, f"theta reference at t={t:g}, dim {dim}")

@@ -223,6 +223,17 @@ def test_main_exit_codes(tmp_path):
     assert main(["run", "--cap", "4"]) == 2  # cap below default z
 
 
+def test_main_runs_flow_at_every_depth(tmp_path):
+    # depth is the Picard order of the d=1 factorization record; the
+    # largest value validation accepts runs and passes
+    out = tmp_path / "flow.json"
+    assert main(["run", "--suite", "flow", "--dim", "1", "--depth", "6",
+                 "--format", "json", "--out", str(out)]) == 0
+    records = json.loads(out.read_text())["records"]
+    assert records and all(r["passed"] for r in records)
+    assert "factorization" in [r["name"] for r in records]
+
+
 def test_main_listing_verbs(capsys):
     assert main(["list-suites"]) == 0
     out = capsys.readouterr().out

@@ -2,16 +2,16 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from torusflow import (BasisMismatch, CapExceeded, DepthExceeded,
-                       GeometryMismatch, NotPositive)
+from torusflow import (BasisMismatch, CapExceeded, GeometryMismatch,
+                       NotPositive)
 from torusflow.flow import (FlowProblem, ModeSpace, factorization_check,
-                            flow_inner, fock_picard_apply, picard_terms,
-                            positivity_probe, texp_matrix_element,
-                            vacuum_expectation)
+                            flow_inner, picard_terms, positivity_probe,
+                            texp_matrix_element, vacuum_expectation)
 from torusflow.fock import SimpleNoisePath, TimeMesh, noise_inner
 from torusflow.sampling import noise_path, one_form, poly, rng_for
 from torusflow.spectral import (OneForm, TrigPoly, exterior_derivative,
@@ -252,6 +252,21 @@ def test_picard_partial_sums_approach_texp():
             assert abs(term) <= series.term_bound(n) * (1 + 1e-12) + 1e-15
 
 
+def test_coherent_bra_with_its_own_breakpoints():
+    # f breaks at 0.5 and g at 0.25: both routes run on the merged mesh
+    rng = rng_for(3)
+    x, u, v = (poly(rng, 1, 3, 1) for _ in range(3))
+    f = SimpleNoisePath(TimeMesh([0.0, 0.5, 1.0]),
+                        tuple(one_form(rng, 1, 3, 1, scale=0.4) for _ in range(2)))
+    g = SimpleNoisePath(TimeMesh([0.0, 0.25, 1.0]),
+                        tuple(one_form(rng, 1, 3, 1, scale=0.4) for _ in range(2)))
+    p = FlowProblem(x, f, g, u, v, 1.0)
+    want = texp_matrix_element(p)
+    assert want == pytest.approx(-1.026 + 1.681j, abs=1e-3)
+    series = picard_terms(p, 12)
+    assert abs(series.partial_sum() - want) <= series.tail_bound(12)
+
+
 def test_picard_block_norms_track_factorial_envelope():
     # order-n block of prod exp(dt Psi) is bounded by S^n / n!
     rng = rng_for(29)
@@ -283,9 +298,11 @@ def test_picard_rejects_negative_order():
         picard_terms(p, -1)
 
 
-# ------------------------------------------------------------ fock engine
+# ------------------------------------------------------------- pairings
 
 def test_engine_unital_argument():
+    # J_t(1 (x) E(f)) v = v E(f): the coherent matrix element and the
+    # kernel pairing both see the unit
     rng = rng_for(6)
     t = 1.0
     f = noise_path(rng, 1, 3, 2, horizon=t, max_mode=1, scale=0.4)
@@ -293,14 +310,12 @@ def test_engine_unital_argument():
     v = poly(rng, 1, 3, 1)
     u = poly(rng, 1, 3, 1)
     g = noise_path(rng, 1, 3, 2, horizon=t, max_mode=1, scale=0.4)
-    vec = fock_picard_apply(FlowProblem(one, f, zero_path(1, t), v, v, t),
-                            None, 3)
-    got = vec.pair_coherent(u, g)
+    got = texp_matrix_element(FlowProblem(one, f, g, u, v, t))
     want = np.exp(noise_inner(g, f)) * l2_inner(u, v)
     assert got == pytest.approx(want, rel=1e-11)
-    nrm = vec.inner(vec)
+    p = FlowProblem(one, f, zero_path(1, t), v, v, t)
     want_sq = np.exp(noise_inner(f, f).real) * v.l2_norm() ** 2
-    assert nrm.real == pytest.approx(want_sq, rel=1e-11)
+    assert flow_inner(p, p).real == pytest.approx(want_sq, rel=1e-11)
 
 
 def test_engine_order_zero_is_plain_product():
@@ -308,30 +323,33 @@ def test_engine_order_zero_is_plain_product():
     t = 0.9
     f = noise_path(rng, 1, 3, 2, horizon=t, max_mode=1, scale=0.4)
     g = noise_path(rng, 1, 3, 2, horizon=t, max_mode=1, scale=0.4)
-    x = poly(rng, 1, 3, 1)
-    u = poly(rng, 1, 3, 1)
-    v = poly(rng, 1, 3, 1)
-    vec = fock_picard_apply(FlowProblem(x, f, zero_path(1, t), v, v, t), 0, 3)
-    got = vec.pair_coherent(u, g)
-    want = np.exp(noise_inner(g, f)) * l2_inner(u, mul_free(x, v))
+    x1, x2, v1, v2 = (poly(rng, 1, 3, 1) for _ in range(4))
+    got = flow_inner(FlowProblem(x1, f, zero_path(1, t), v1, v1, t),
+                     FlowProblem(x2, g, zero_path(1, t), v2, v2, t), 0)
+    want = np.exp(noise_inner(f, g)) * l2_inner(mul_free(x1, v1),
+                                                mul_free(x2, v2))
     assert got == pytest.approx(want, rel=1e-11)
 
 
 def test_engine_zero_noise_reproduces_vacuum():
+    # with no noise the kernel generator is diagonal, -|k - l|^2 / 2, so
+    # the pairing is the heat semigroup on x1* x2 with nothing compressed
     rng = rng_for(8)
     t = 0.7
-    x = poly(rng, 1, 3, 1)
-    u = poly(rng, 1, 3, 1)
-    v = poly(rng, 1, 3, 1)
-    vec = fock_picard_apply(
-        FlowProblem(x, zero_path(1, t), zero_path(1, t), v, v, t), None, 3)
-    got = vec.pair_coherent(u, zero_path(1, t))
-    want = vacuum_expectation(x, u, v, t)
-    assert got == pytest.approx(want, rel=1e-11)
+    for dim, cap in ((1, 3), (2, 2)):
+        x1, x2, v1, v2 = (poly(rng, dim, cap, 1) for _ in range(4))
+        zero = zero_path(dim, t)
+        got = flow_inner(FlowProblem(x1, zero, zero, v1, v1, t),
+                         FlowProblem(x2, zero, zero, v2, v2, t))
+        prod = mul_free(x1.conjugate(), x2)
+        want = vacuum_expectation(prod, v1.with_cap(prod.cap),
+                                  v2.with_cap(prod.cap), t)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
-# (dim, n_max) -> (pair_coherent, flow_inner) at depth 3, computed by the
-# order-by-order Taylor loops that the graded series replaced
+# (dim, n_max) -> (<u E(g), J(x1 (x) E(f1)) v1> to order n_max,
+# flow_inner to order n_max), computed by the order-by-order Taylor loops
+# that the graded series replaced
 _PINNED_ENGINE = dict([
     ((1, 0), (1.7997318609300346-2.7519163549396759j,
               -3.6362756602227875-2.1964623273160138j)),
@@ -372,28 +390,24 @@ def _engine_problems(dim, cap):
 @pytest.mark.parametrize("dim,cap", [(1, 3), (2, 2)])
 def test_engine_pairings_pinned_at_every_order(dim, cap):
     pa, pb, u, g = _engine_problems(dim, cap)
+    coherent = FlowProblem(pa.x, pa.f, g, u, pa.v, pa.horizon)
+    series = picard_terms(coherent, 3)
     for n_max in (0, 1, 2, 3, None):
-        va = fock_picard_apply(pa, n_max, 3)
-        vb = fock_picard_apply(pb, n_max, 3)
         want_pc, want_fi = _PINNED_ENGINE[dim, n_max]
-        assert va.pair_coherent(u, g) == pytest.approx(want_pc, rel=1e-12)
-        assert flow_inner(va, vb) == pytest.approx(want_fi, rel=1e-12)
-
-
-def test_engine_refuses_mixed_full_and_truncated_pairing():
-    pa, pb, _, _ = _engine_problems(1, 3)
-    full = fock_picard_apply(pa, None, 3)
-    cut = fock_picard_apply(pb, 2, 3)
-    with pytest.raises(BasisMismatch, match="full-series"):
-        flow_inner(full, cut)
-    with pytest.raises(BasisMismatch, match="full-series"):
-        cut.inner(full)
+        got_pc = (texp_matrix_element(coherent) if n_max is None
+                  else series.partial_sum(n_max))
+        assert got_pc == pytest.approx(want_pc, rel=1e-12)
+        assert flow_inner(pa, pb, n_max) == pytest.approx(want_fi, rel=1e-12)
 
 
 def test_engine_pairing_matches_texp_oracle():
+    # with x1 = 1 only the right-hand generator Psi(f2, f1) acts on the
+    # kernel's unit row, so the pairing is the coherent matrix element
+    # <v1 E(f1), J(x2 (x) E(f2)) v2>
     rng = rng_for(29)
     t = 0.8
     mesh = TimeMesh([0.0, 0.4, t])
+    one = TrigPoly.one(1, 3)
     for _ in range(3):
         fvals = tuple(dform(poly(rng, 1, 3, 1, self_adjoint=True, scale=0.3))
                       for _ in range(2))
@@ -401,47 +415,56 @@ def test_engine_pairing_matches_texp_oracle():
                       for _ in range(2))
         f = SimpleNoisePath(mesh, fvals)
         g = SimpleNoisePath(mesh, gvals)
-        x = poly(rng, 1, 3, 1)
-        u = poly(rng, 1, 3, 1)
-        v = poly(rng, 1, 3, 1)
-        vec = fock_picard_apply(FlowProblem(x, f, zero_path(1, t), v, v, t),
-                                None, 3)
-        got = vec.pair_coherent(u, g)
-        want = texp_matrix_element(FlowProblem(x, f, g, u, v, t))
-        assert got == pytest.approx(want, rel=1e-9)
+        x, v1, v2 = (poly(rng, 1, 3, 1) for _ in range(3))
+        got = flow_inner(FlowProblem(one, g, zero_path(1, t), v1, v1, t),
+                         FlowProblem(x, f, zero_path(1, t), v2, v2, t))
+        want = texp_matrix_element(FlowProblem(x, f, g, v1, v2, t))
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_engine_gates():
-    big_cap = TrigPoly.one(1, 5)
-    with pytest.raises(CapExceeded):
-        fock_picard_apply(
-            FlowProblem(big_cap, zero_path(), zero_path(), big_cap,
-                        big_cap, 1.0), None, 3)
-    one = TrigPoly.one(1, 2)
-    fine = SimpleNoisePath(
-        TimeMesh([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]),
-        tuple(dform(cos1(2)) for _ in range(5)))
+    # one entry budget: d=3, cap 8 is refused before anything is built
+    x = TrigPoly.one(3, 8)
+    f = SimpleNoisePath.indicator(
+        dform(TrigPoly.cosine((1, 0, 0), 3, 8)), 0.0, 0.25)
+    p = FlowProblem(x, f, zero_path(3, 0.25), x, x, 0.25)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=r"\d+ dense entries at cap 8, dim 3"):
+            flow_inner(p, p)
+        with pytest.raises(CapExceeded, match=r"cap 8, dim 3"):
+            factorization_check(x, x, f, f, x, x, 0.25)
+        # at cap 4 the kernel fits, but not with a noisy cell's
+        # superoperators summed on top of it
+        rng = rng_for(9)
+        x = TrigPoly.one(3, 4)
+        f = noise_path(rng, 3, 4, 1, horizon=0.25, max_mode=1, scale=0.3)
+        p = FlowProblem(x, f, zero_path(3, 0.25), x, x, 0.25)
+        with pytest.raises(CapExceeded, match=r"flow pairing cell .* cap 4, dim 3"):
+            flow_inner(p, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+    # cap 5, five mesh cells and order 4 are within it
+    one = TrigPoly.one(1, 5)
+    c = TrigPoly.cosine((1,), 1, 5)
+    fine = SimpleNoisePath(TimeMesh([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]),
+                           tuple(dform(c).scale(0.3) for _ in range(5)))
+    rep = factorization_check(c + 2.0, c + 2.0, fine, fine, one, one, 1.0,
+                              n_max=4)
+    assert rep.residual <= rep.bound
+    # kernels need one mode space and one time mesh
+    two = FlowProblem(one, fine, zero_path(1, 1.0), one, one, 1.0)
+    plain = FlowProblem(one, zero_path(1, 1.0), zero_path(1, 1.0), one, one, 1.0)
+    small = TrigPoly.one(1, 4)
+    with pytest.raises(BasisMismatch, match="time meshes"):
+        flow_inner(two, plain)
+    with pytest.raises(BasisMismatch, match="mode spaces"):
+        flow_inner(plain, FlowProblem(small, zero_path(), zero_path(),
+                                      small, small, 1.0))
     with pytest.raises(GeometryMismatch):
-        fock_picard_apply(FlowProblem(one, fine, zero_path(1, 1.0), one,
-                                      one, 1.0), None, 3)
-    with pytest.raises(DepthExceeded):
-        fock_picard_apply(
-            FlowProblem(one, zero_path(1, 1.0), zero_path(1, 1.0), one,
-                        one, 1.0), None, 4)
-    # the factorization check shares the mesh and depth budget
-    f = SimpleNoisePath.indicator(dform(cos1(2)), 0.0, 0.25)
-    with pytest.raises(DepthExceeded):
-        factorization_check(one, one, f, f, one, one, 0.25, depth=4)
-
-
-def test_engine_depth_budget_loss():
-    # order budget past the leg budget with real content must refuse
-    x = cos1(2)
-    one = TrigPoly.one(1, 2)
-    f = SimpleNoisePath.indicator(dform(cos1(2)), 0.0, 1.0)
-    with pytest.raises(DepthExceeded):
-        fock_picard_apply(FlowProblem(x, f, zero_path(1, 1.0), one, one, 1.0),
-                          3, 1)
+        flow_inner(plain, plain, -1)
 
 
 # ---------------------------------------------------------- factorization
@@ -462,8 +485,6 @@ def test_factorization_zero_horizon_exact():
 
 
 def test_factorization_cos_quarter():
-    # cap 5 is past the engine's cap-4 vector limit, which the check
-    # does not apply: its own cap + 2 pass already runs beyond it
     for cap in (2, 5):
         one = TrigPoly.one(1, cap)
         c = cos1(cap)

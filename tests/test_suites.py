@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from torusflow import DepthExceeded
+from torusflow import CapExceeded
 from torusflow.cli import RunConfig, run
 from torusflow.report import render_csv, render_json
 from torusflow.suites import (DEFAULT_TOLS, EXPLANATIONS, SUITE_ORDER,
@@ -90,9 +90,10 @@ def test_full_run_record_count():
 
 
 def test_suite_errors_carry_context():
-    # depth 5 passes config validation but the engine refuses it
-    with pytest.raises(DepthExceeded) as exc:
-        run(RunConfig(dim=1, cap=4, z=2.0, suite="flow", depth=5))
+    # z = 40000 passes config validation but the direct trace's table
+    # budget refuses it before allocating
+    with pytest.raises(CapExceeded) as exc:
+        run(RunConfig(dim=1, cap=40000, z=40000.0, suite="trace"))
     msg = str(exc.value)
-    assert msg.startswith("suite flow (dim=1")
-    assert "depth" in msg
+    assert msg.startswith("suite trace (dim=1")
+    assert "z=40000" in msg

@@ -121,6 +121,17 @@ def test_theta_reference_at_large_time():
     with pytest.raises(CapExceeded, match=r"theta reference at t=1e\+08, dim 3"):
         theta_reference(1e8, 3)
     assert time.monotonic() - started < 1.0
+    # the cutoff starts next to its root, so a huge t reaches the refusal
+    # without stepping through millions of integers first
+    started = time.monotonic()
+    with pytest.raises(CapExceeded, match=r"theta reference at t=1e\+12, dim 1"):
+        theta_reference(1e12, 1)
+    with pytest.raises(CapExceeded):
+        theta_reference(1e300, 1)
+    assert time.monotonic() - started < 0.1
+    for t in (math.inf, math.nan):
+        with pytest.raises(GeometryMismatch, match="finite t > 0"):
+            theta_reference(t, 1)
 
 
 def test_z_for_tail_frozen_table():
