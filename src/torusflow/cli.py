@@ -16,6 +16,7 @@ assertion passed, 1 when any failed, 2 when the run could not execute
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -41,7 +42,6 @@ class RunConfig:
     dim: int = 1
     cap: int = 8
     z: float = 6.0
-    depth: int = 3
     seed: int = 0
     suite: str = "all"
     out: Optional[str] = None
@@ -59,14 +59,13 @@ class RunConfig:
             raise ConfigInvalid(f"dim: must be 1, 2, or 3, got {self.dim}")
         if self.cap < 0:
             raise ConfigInvalid(f"cap: must be nonnegative, got {self.cap}")
-        if self.z < 0:
-            raise ConfigInvalid(f"z: must be nonnegative, got {self.z}")
+        if not (math.isfinite(self.z) and self.z >= 0):
+            raise ConfigInvalid(f"z: must be finite and nonnegative, got {self.z}")
         if self.cap < self.z:
             raise ConfigInvalid(
                 f"cap: mode cap {self.cap} below eigenvalue cutoff z={self.z}")
-        if not 0 <= self.depth <= 6:
-            raise ConfigInvalid(
-                f"depth: must be between 0 and 6, got {self.depth}")
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed: must be nonnegative, got {self.seed}")
         if self.suite not in SUITE_CHOICES:
             raise ConfigInvalid(f"suite: unknown suite {self.suite!r}")
         if self.fmt not in ("csv", "json"):
@@ -79,15 +78,14 @@ class RunConfig:
         for label, grid in (("theta_times", self.theta_times),
                             ("flow_times", self.flow_times),
                             ("lambdas", self.lambdas)):
-            if any(v <= 0 for v in grid):
-                raise ConfigInvalid(f"{label}: entries must be positive")
+            if not all(math.isfinite(v) and v > 0 for v in grid):
+                raise ConfigInvalid(f"{label}: entries must be finite and positive")
 
     def echo(self) -> Dict[str, object]:
         return {
             "dim": self.dim,
             "cap": self.cap,
             "z": self.z,
-            "depth": self.depth,
             "seed": self.seed,
             "suite": self.suite,
             "format": self.fmt,
@@ -146,8 +144,6 @@ def config_from_pairs(pairs: Dict[str, str],
                 updates["z"] = float(value)
             except ValueError as exc:
                 raise ConfigInvalid(f"z: expected a real, got {value!r}") from exc
-        elif key == "depth":
-            updates["depth"] = _parse_int(value, key)
         elif key == "seed":
             updates["seed"] = _parse_int(value, key)
         elif key == "suite":
@@ -183,8 +179,7 @@ def _suite_records(name: str, config: RunConfig) -> List[Record]:
         if name == "growth":
             return suites.run_growth(config.dim, config.cap, tol, config.seed)
         if name == "flow":
-            return suites.run_flow(config.dim, config.cap, config.depth, tol,
-                                   config.seed)
+            return suites.run_flow(config.dim, config.cap, tol, config.seed)
         if name == "trace":
             return suites.run_trace(config.dim, config.cap, config.z, tol,
                                     config.theta_times, config.flow_times)
@@ -194,7 +189,7 @@ def _suite_records(name: str, config: RunConfig) -> List[Record]:
     except TorusFlowError as exc:
         raise type(exc)(
             f"suite {name} (dim={config.dim}, cap={config.cap}, "
-            f"z={config.z}, depth={config.depth}): {exc}") from exc
+            f"z={config.z}): {exc}") from exc
 
 
 def run(config: RunConfig) -> Report:
@@ -245,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--format", choices=("csv", "json"), dest="fmt")
     runp.add_argument("--dim", type=int)
     runp.add_argument("--cap", type=int)
-    runp.add_argument("--depth", type=int)
     runp.add_argument("--tol", action="append", default=[],
                       metavar="SUITE=VALUE",
                       help="override one suite tolerance")
@@ -273,8 +267,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         overrides["dim"] = str(args.dim)
     if args.cap is not None:
         overrides["cap"] = str(args.cap)
-    if args.depth is not None:
-        overrides["depth"] = str(args.depth)
     for pair in args.tol:
         if "=" not in pair:
             raise ConfigInvalid(f"tol: expected SUITE=VALUE, got {pair!r}")

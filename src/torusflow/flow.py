@@ -18,12 +18,10 @@ piecewise constant one-form noise:
   contributes the exact global factor exp(<f1, f2>).  The factorization
   check compares it with the first route.
 
-Each expansion is stated once.  A mechanism ``(step, op)`` is an
-operator together with the orders it raises.  The full series sums a
-cell's mechanisms into one generator and propagates it.  Every truncated
-expansion (the Picard blocks and the truncated pairing) hands the same
-mechanisms to one graded Taylor series, ``_graded_series``, which drops
-the terms past the order budget.
+Two expansions serve these routes.  The exponential routes sum each
+cell's generator and propagate a vector through its exponential; the
+Picard blocks run one Taylor loop per cell over the orders already
+present and drop the orders past the budget.
 
 Everything is Galerkin-compressed onto the modes |k|_inf <= cap; both
 sides of every cross-check share that compression.  On that mode space
@@ -185,39 +183,6 @@ def _propagate(gen: sparse.csr_array, dt: float, y: np.ndarray) -> np.ndarray:
     return expm_multiply(dt * gen, y)
 
 
-#: graded state: order tuple -> array
-_State = Dict[Tuple[int, ...], np.ndarray]
-#: mechanisms: (order step, sparse operator)
-_Mechs = List[Tuple[Tuple[int, ...], sparse.csr_array]]
-
-
-def _graded_series(state: _State, mechs: _Mechs, dt: float,
-                   caps: Tuple[int, ...]) -> _State:
-    """exp(dt sum_j op_j) on a graded state, one Taylor order at a time.
-
-    ``state`` maps order tuples to arrays.  Each mechanism ``(step, op)``
-    sends an entry to ``op @ entry`` and raises its orders by ``step``;
-    terms whose orders pass ``caps`` are dropped, which is what ends the
-    series.
-    """
-    out = dict(state)
-    term = state
-    k = 0
-    while term:
-        k += 1
-        nxt: _State = {}
-        for key, entry in term.items():
-            for step, op in mechs:
-                to = tuple(a + b for a, b in zip(key, step))
-                if all(a <= c for a, c in zip(to, caps)):
-                    moved = op @ entry * (dt / k)
-                    nxt[to] = nxt[to] + moved if to in nxt else moved
-        for key, entry in nxt.items():
-            out[key] = out[key] + entry if key in out else entry
-        term = nxt
-    return out
-
-
 @dataclass(frozen=True)
 class FlowProblem:
     """One flow evaluation: argument x, noise paths f (ket) and g (bra),
@@ -316,9 +281,11 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
 
     Per interval the simplex integrals of a constant generator collapse
     to the Taylor terms (dt Psi)^k / k!, so the order-n block is the
-    degree-n part of the graded series of the interval exponentials,
-    applied latest interval first so the earliest sits outermost, as in
-    the exponential route.
+    degree-n part of the product of the interval exponentials, applied
+    latest interval first so the earliest sits outermost, as in the
+    exponential route.  ``blocks[n]`` is the order-n block; each cell's
+    Taylor loop moves the blocks present up one order per step and drops
+    those past n_max, which is what ends it.
     """
     if n_max < 0:
         raise GeometryMismatch("n_max must be nonnegative")
@@ -328,11 +295,22 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
     s_const = 0.0
     for dt, psi in cells:
         s_const += dt * float(np.linalg.norm(psi.toarray(), 2))
-    state = {(0,): np.eye(space.size, dtype=complex)}
+    blocks = [np.eye(space.size, dtype=complex)]
     for dt, psi in reversed(cells):
-        state = _graded_series(state, [((1,), psi)], dt, (n_max,))
+        out = list(blocks)
+        term = blocks  # term[j] is of order j + k
+        k = 0
+        while term:
+            k += 1
+            term = [psi @ b * (dt / k) for b in term[: n_max + 1 - k]]
+            for j, b in enumerate(term):
+                if j + k < len(out):
+                    out[j + k] = out[j + k] + b
+                else:
+                    out.append(b)
+        blocks = out
     empty = np.zeros((space.size, space.size), dtype=complex)
-    graded = [state.get((n,), empty) for n in range(n_max + 1)]
+    graded = blocks + [empty] * (n_max + 1 - len(blocks))
     xv = space.to_vec(p.x)
     coh = np.exp(noise_inner(p.g, p.f))
     terms = [coh * p.u.l2_inner(mul_free(space.from_vec(a @ xv), p.v))
@@ -349,8 +327,7 @@ def vacuum_expectation(x: TrigPoly, u: TrigPoly, v: TrigPoly, t: float) -> compl
     return texp_matrix_element(FlowProblem(x, zero, zero, u, v, t))
 
 
-def flow_inner(p1: FlowProblem, p2: FlowProblem,
-               n_max: Optional[int] = None) -> complex:
+def flow_inner(p1: FlowProblem, p2: FlowProblem) -> complex:
     """<J(x1 (x) E(f1)) v1, J(x2 (x) E(f2)) v2>: the pairing of two flow
     vectors, read off the x, f and v of each problem.
 
@@ -364,45 +341,36 @@ def flow_inner(p1: FlowProblem, p2: FlowProblem,
     that the other side's coherent datum eats; the last term is the
     matched creation-creation channel, entrywise multiplication by k.l
     since the partials are diagonal.  The coherent residues contribute
-    exp(<f1, f2>) globally.  ``n_max`` = None is the full series; a
-    finite n_max keeps the orders n1, n2 <= n_max of the two sides.
+    exp(<f1, f2>) globally.
 
-    The kernel state, and with it each cell's summed superoperator
-    entries (nnz(kron(A, B)) = nnz(A) nnz(B)), is checked against the
-    dense budget before the kernel or any superoperator is allocated.
+    The kernel, and with it each cell's summed superoperator entries
+    (nnz(kron(A, B)) = nnz(A) nnz(B)), is checked against the dense
+    budget before the kernel or any superoperator is allocated.
     """
     if p1.dim != p2.dim or p1.cap != p2.cap:
         raise BasisMismatch("flow problems use different mode spaces")
     if p1.mesh() != p2.mesh():
         raise BasisMismatch("flow problems use different time meshes")
-    if n_max is not None and n_max < 0:
-        raise GeometryMismatch("n_max must be nonnegative")
     space = ModeSpace(p1.dim, p1.cap)
     size = space.size
-    state_entries = size ** 2 * (1 if n_max is None else (n_max + 1) ** 2)
-    space.check_dense(state_entries, "flow pairing kernel")
+    space.check_dense(size ** 2, "flow pairing kernel")
     cells = []
     for (dt, f1c, _), (_, f2c, _) in zip(p1.cells(), p2.cells()):
         a = space.psi_matrix(f1c, f2c)
         b = a if p2.f is p1.f else space.psi_matrix(f2c, f1c)
-        space.check_dense(state_entries + size * (a.nnz + b.nnz) + size ** 2,
+        space.check_dense(2 * size ** 2 + size * (a.nnz + b.nnz),
                           "flow pairing cell")
         cells.append((dt, a, b))
     eye = sparse.eye_array(size, dtype=complex, format="csr")
     k = space._k
     legs = sparse.diags_array((k @ k.T).ravel().astype(complex)).tocsr()
-    state = {(0, 0): space.gram_matrix(p1.v, p2.v).reshape(-1)}  # (n1, n2) -> W
+    w = space.gram_matrix(p1.v, p2.v).reshape(-1)
     for dt, a, b in cells:
-        left = sparse.kron(a.conj().T, eye, format="csr")
-        right = sparse.kron(eye, b.T, format="csr")
-        if n_max is None:
-            state = {(0, 0): _propagate(left + right + legs, dt, state[0, 0])}
-        else:
-            mechs = [((1, 0), left), ((0, 1), right), ((1, 1), legs)]
-            state = _graded_series(state, mechs, dt, (n_max, n_max))
+        gen = (sparse.kron(a.conj().T, eye, format="csr")
+               + sparse.kron(eye, b.T, format="csr") + legs)
+        w = _propagate(gen, dt, w)
     x1, x2 = space.to_vec(p1.x), space.to_vec(p2.x)
-    total = sum(complex(np.vdot(x1, w.reshape(size, size) @ x2))
-                for w in state.values())
+    total = complex(np.vdot(x1, w.reshape(size, size) @ x2))
     return np.exp(noise_inner(p1.f, p2.f)) * total
 
 
@@ -414,23 +382,21 @@ class FactorizationReport:
     rhs: complex
     residual: float
     bound: float
-    truncation_deficit: float
     cap_sensitivity: float
 
 
 def factorization_check(a1: TrigPoly, a2: TrigPoly,
                         f1: SimpleNoisePath, f2: SimpleNoisePath,
-                        v1: TrigPoly, v2: TrigPoly, t: float,
-                        n_max: Optional[int] = 3,
-                        safety: float = 4.0) -> FactorizationReport:
+                        v1: TrigPoly, v2: TrigPoly,
+                        t: float) -> FactorizationReport:
     """|<J(a1 (x) Ef1)v1, J(a2 (x) Ef2)v2> - <v1 Ef1, J(a1* a2 (x) Ef2)v2>|.
 
-    The reported bound combines the measured distance of the truncated
-    pairing from its full-series value, the measured sensitivity of both
-    routes to raising the mode cap by two (scaled by ``safety``), and a
-    float slop; the identity itself is exact for the uncompressed flow.
-    Every pairing, the cap + 2 pass included, checks its entries against
-    the dense budget before allocating.
+    The identity is exact for the uncompressed flow, so the residual of
+    the two full-series routes is compression error.  The reported bound
+    is four times the measured sensitivity of both routes to raising the
+    mode cap by two, plus a float slop.  Every pairing, the cap + 2 pass
+    included, checks its entries against the dense budget before
+    allocating.
     """
     if not (a1.is_selfadjoint() and a2.is_selfadjoint()):
         raise ValueError("the factorization identity is checked for "
@@ -439,11 +405,11 @@ def factorization_check(a1: TrigPoly, a2: TrigPoly,
         raise GeometryMismatch("horizon must be nonnegative")
     zero = SimpleNoisePath.zero(a1.dim, max(t, 1.0))
 
-    def lhs_at(cap: int, n_max_: Optional[int]) -> complex:
+    def lhs_at(cap: int) -> complex:
         va, vb = v1.with_cap(cap), v2.with_cap(cap)
         pa = FlowProblem(a1.with_cap(cap), f1, zero, va, va, t)
         pb = FlowProblem(a2.with_cap(cap), f2, zero, vb, vb, t)
-        return flow_inner(pa, pb, n_max_)
+        return flow_inner(pa, pb)
 
     def rhs_at(cap: int) -> complex:
         prod = mul_free(a1.conjugate(), a2).with_cap(cap)
@@ -451,17 +417,13 @@ def factorization_check(a1: TrigPoly, a2: TrigPoly,
                                                v2.with_cap(cap), t))
 
     cap = a1.cap
-    lhs = lhs_at(cap, n_max)
+    lhs = lhs_at(cap)
     rhs = rhs_at(cap)
-    lhs_full = lhs_at(cap, None) if n_max is not None else lhs
-    trunc = abs(lhs - lhs_full)
-    lhs_hi = lhs_at(cap + 2, None)
-    rhs_hi = rhs_at(cap + 2)
-    cap_sens = abs(lhs_hi - lhs_full) + abs(rhs_hi - rhs)
+    cap_sens = abs(lhs_at(cap + 2) - lhs) + abs(rhs_at(cap + 2) - rhs)
     scale = max(1.0, abs(lhs), abs(rhs))
     residual = abs(lhs - rhs)
-    bound = trunc + safety * cap_sens + 1e-9 * scale
-    return FactorizationReport(lhs, rhs, residual, bound, trunc, cap_sens)
+    bound = 4 * cap_sens + 1e-9 * scale
+    return FactorizationReport(lhs, rhs, residual, bound, cap_sens)
 
 
 @dataclass

@@ -118,11 +118,6 @@ class SimpleNoisePath:
                 return w
         return OneForm.zero(self.dim, 0)
 
-    def on_mesh(self, mesh: TimeMesh) -> "SimpleNoisePath":
-        """Re-sample onto a refinement; exact for piecewise constant paths."""
-        vals = [self.value_at(a) for a, _ in mesh.cells()]
-        return SimpleNoisePath(mesh, vals, dim=self.dim)
-
     def is_zero(self) -> bool:
         return all(w.is_zero() for w in self.values)
 

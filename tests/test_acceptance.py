@@ -238,7 +238,7 @@ def test_criterion_7_factorization_positivity(capsys):
         f2 = SimpleNoisePath.indicator(exterior_derivative(h2), 0.0, stop)
         v1 = one + poly(rng, 1, 4, 1, scale=0.2)
         v2 = one + poly(rng, 1, 4, 1, scale=0.2)
-        rep = factorization_check(a1, a2, f1, f2, v1, v2, 0.4, n_max=3)
+        rep = factorization_check(a1, a2, f1, f2, v1, v2, 0.4)
         worst_excess = max(worst_excess, rep.residual - rep.bound)
         cases += 1
     x = 2.0 * TrigPoly.one(1, 4) + TrigPoly.cosine((1,), 1, 4)

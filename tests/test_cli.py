@@ -84,21 +84,29 @@ def test_default_config_is_valid():
 
 
 def test_config_validation_failures():
+    # each bad value is refused up front, naming its key, so the run
+    # exits 2 instead of failing inside a suite
+    nan, inf = math.nan, math.inf
     bad = [
-        RunConfig(dim=4),
-        RunConfig(cap=-1, z=0.0),
-        RunConfig(z=-2.0),
-        RunConfig(cap=4, z=6.0),
-        RunConfig(depth=7),
-        RunConfig(suite="bogus"),
-        RunConfig(fmt="xml"),
-        RunConfig(tols={"bogus": 1e-9}),
-        RunConfig(tols={"flow": 0.0}),
-        RunConfig(theta_times=(0.1, -0.5)),
-        RunConfig(lambdas=(0.0,)),
+        ("dim", RunConfig(dim=4)),
+        ("cap", RunConfig(cap=-1, z=0.0)),
+        ("z", RunConfig(z=-2.0)),
+        ("z", RunConfig(z=nan)),
+        ("z", RunConfig(z=inf)),
+        ("cap", RunConfig(cap=4, z=6.0)),
+        ("seed", RunConfig(seed=-1)),
+        ("suite", RunConfig(suite="bogus")),
+        ("format", RunConfig(fmt="xml")),
+        ("tol", RunConfig(tols={"bogus": 1e-9})),
+        ("tol", RunConfig(tols={"flow": 0.0})),
+        ("theta_times", RunConfig(theta_times=(0.1, -0.5))),
+        ("theta_times", RunConfig(theta_times=(0.1, inf))),
+        ("flow_times", RunConfig(flow_times=(0.5, nan))),
+        ("lambdas", RunConfig(lambdas=(0.0,))),
+        ("lambdas", RunConfig(lambdas=(nan, 2.0))),
     ]
-    for cfg in bad:
-        with pytest.raises(ConfigInvalid):
+    for key, cfg in bad:
+        with pytest.raises(ConfigInvalid, match=f"^{key}: "):
             cfg.validate()
 
 
@@ -110,13 +118,13 @@ def test_tolerance_lookup_and_override():
 
 def test_config_from_pairs_parsing():
     cfg = config_from_pairs({
-        "dim": "2", "cap": "5", "z": "3.5", "depth": "2", "seed": "11",
+        "dim": "2", "cap": "5", "z": "3.5", "seed": "11",
         "suite": "trace", "format": "json",
         "theta_times": "0.1, 0.5", "lambdas": "5,10,20",
         "tol.flow": "1e-8",
     })
     assert cfg.dim == 2 and cfg.cap == 5 and cfg.z == 3.5
-    assert cfg.depth == 2 and cfg.seed == 11
+    assert cfg.seed == 11
     assert cfg.suite == "trace" and cfg.fmt == "json"
     assert cfg.theta_times == (0.1, 0.5)
     assert cfg.lambdas == (5.0, 10.0, 20.0)
@@ -223,15 +231,17 @@ def test_main_exit_codes(tmp_path):
     assert main(["run", "--cap", "4"]) == 2  # cap below default z
 
 
-def test_main_runs_flow_at_every_depth(tmp_path):
-    # depth is the Picard order of the d=1 factorization record; the
-    # largest value validation accepts runs and passes
-    out = tmp_path / "flow.json"
-    assert main(["run", "--suite", "flow", "--dim", "1", "--depth", "6",
-                 "--format", "json", "--out", str(out)]) == 0
-    records = json.loads(out.read_text())["records"]
-    assert records and all(r["passed"] for r in records)
-    assert "factorization" in [r["name"] for r in records]
+def test_main_refuses_the_removed_depth_knob(tmp_path, capsys):
+    # the flow pairing is full-series only, so there is no Picard order
+    # to set: the flag is a usage error and the key an unknown key
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--suite", "flow", "--depth", "3"])
+    assert exc.value.code == 2
+    assert "--depth" in capsys.readouterr().err
+    cfg = tmp_path / "depth.cfg"
+    cfg.write_text("depth = 3\n")
+    assert main(["run", "--suite", "flow", "--config", str(cfg)]) == 2
+    assert "config: unknown key 'depth'" in capsys.readouterr().err
 
 
 def test_main_listing_verbs(capsys):

@@ -318,19 +318,6 @@ def test_engine_unital_argument():
     assert flow_inner(p, p).real == pytest.approx(want_sq, rel=1e-11)
 
 
-def test_engine_order_zero_is_plain_product():
-    rng = rng_for(7)
-    t = 0.9
-    f = noise_path(rng, 1, 3, 2, horizon=t, max_mode=1, scale=0.4)
-    g = noise_path(rng, 1, 3, 2, horizon=t, max_mode=1, scale=0.4)
-    x1, x2, v1, v2 = (poly(rng, 1, 3, 1) for _ in range(4))
-    got = flow_inner(FlowProblem(x1, f, zero_path(1, t), v1, v1, t),
-                     FlowProblem(x2, g, zero_path(1, t), v2, v2, t), 0)
-    want = np.exp(noise_inner(f, g)) * l2_inner(mul_free(x1, v1),
-                                                mul_free(x2, v2))
-    assert got == pytest.approx(want, rel=1e-11)
-
-
 def test_engine_zero_noise_reproduces_vacuum():
     # with no noise the kernel generator is diagonal, -|k - l|^2 / 2, so
     # the pairing is the heat semigroup on x1* x2 with nothing compressed
@@ -347,31 +334,26 @@ def test_engine_zero_noise_reproduces_vacuum():
         assert got == pytest.approx(want, rel=1e-12)
 
 
-# (dim, n_max) -> (<u E(g), J(x1 (x) E(f1)) v1> to order n_max,
-# flow_inner to order n_max), computed by the order-by-order Taylor loops
-# that the graded series replaced
+# (dim, n_max) -> <u E(g), J(x1 (x) E(f1)) v1> to order n_max, None the
+# full series, pinned from an independent order-by-order Taylor loop
 _PINNED_ENGINE = dict([
-    ((1, 0), (1.7997318609300346-2.7519163549396759j,
-              -3.6362756602227875-2.1964623273160138j)),
-    ((1, 1), (0.86737205461695477-2.5155608063838066j,
-              -4.5208059862460139-1.3136436146389732j)),
-    ((1, 2), (0.97631733763152895-2.5081967675786894j,
-              -4.2990228657666316-1.4968160839744935j)),
-    ((1, 3), (0.9827690965243695-2.4983045714736258j,
-              -4.2942904595151923-1.5188316220873013j)),
-    ((1, None), (0.97848156636163175-2.5040402265446193j,
-                 -4.2910533049406512-1.5321753049893172j)),
-    ((2, 0), (-120.2102065428072+236.48596608694822j,
-              -13.191393564729399-23.771755706857483j)),
-    ((2, 1), (31.356404490298658+175.37937596046032j,
-              32.231686706173946-9.6654424680418156j)),
-    ((2, 2), (-2.8678036007125058+151.93736407747349j,
-              6.0688197557839514-26.975874593019665j)),
-    ((2, 3), (-17.335677649111346+176.7652443580817j,
-              19.074669989135703-24.360602602179142j)),
-    ((2, None), (-7.4309458053707971+168.17432225266498j,
-                 13.732209059608909-24.634958672246455j)),
+    ((1, 0), 1.7997318609300346-2.7519163549396759j),
+    ((1, 1), 0.86737205461695477-2.5155608063838066j),
+    ((1, 2), 0.97631733763152895-2.5081967675786894j),
+    ((1, 3), 0.9827690965243695-2.4983045714736258j),
+    ((1, None), 0.97848156636163175-2.5040402265446193j),
+    ((2, 0), -120.2102065428072+236.48596608694822j),
+    ((2, 1), 31.356404490298658+175.37937596046032j),
+    ((2, 2), -2.8678036007125058+151.93736407747349j),
+    ((2, 3), -17.335677649111346+176.7652443580817j),
+    ((2, None), -7.4309458053707971+168.17432225266498j),
 ])
+
+# dim -> the full-series flow_inner of the same two problems
+_PINNED_PAIRING = {
+    1: -4.2910533049406512-1.5321753049893172j,
+    2: 13.732209059608909-24.634958672246455j,
+}
 
 
 def _engine_problems(dim, cap):
@@ -393,11 +375,10 @@ def test_engine_pairings_pinned_at_every_order(dim, cap):
     coherent = FlowProblem(pa.x, pa.f, g, u, pa.v, pa.horizon)
     series = picard_terms(coherent, 3)
     for n_max in (0, 1, 2, 3, None):
-        want_pc, want_fi = _PINNED_ENGINE[dim, n_max]
-        got_pc = (texp_matrix_element(coherent) if n_max is None
-                  else series.partial_sum(n_max))
-        assert got_pc == pytest.approx(want_pc, rel=1e-12)
-        assert flow_inner(pa, pb, n_max) == pytest.approx(want_fi, rel=1e-12)
+        got = (texp_matrix_element(coherent) if n_max is None
+               else series.partial_sum(n_max))
+        assert got == pytest.approx(_PINNED_ENGINE[dim, n_max], rel=1e-12)
+    assert flow_inner(pa, pb) == pytest.approx(_PINNED_PAIRING[dim], rel=1e-12)
 
 
 def test_engine_pairing_matches_texp_oracle():
@@ -446,13 +427,12 @@ def test_engine_gates():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2 ** 20
-    # cap 5, five mesh cells and order 4 are within it
+    # cap 5 and five mesh cells are within it
     one = TrigPoly.one(1, 5)
     c = TrigPoly.cosine((1,), 1, 5)
     fine = SimpleNoisePath(TimeMesh([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]),
                            tuple(dform(c).scale(0.3) for _ in range(5)))
-    rep = factorization_check(c + 2.0, c + 2.0, fine, fine, one, one, 1.0,
-                              n_max=4)
+    rep = factorization_check(c + 2.0, c + 2.0, fine, fine, one, one, 1.0)
     assert rep.residual <= rep.bound
     # kernels need one mode space and one time mesh
     two = FlowProblem(one, fine, zero_path(1, 1.0), one, one, 1.0)
@@ -463,8 +443,6 @@ def test_engine_gates():
     with pytest.raises(BasisMismatch, match="mode spaces"):
         flow_inner(plain, FlowProblem(small, zero_path(), zero_path(),
                                       small, small, 1.0))
-    with pytest.raises(GeometryMismatch):
-        flow_inner(plain, plain, -1)
 
 
 # ---------------------------------------------------------- factorization

@@ -66,13 +66,6 @@ def test_empty_path_needs_dimension():
     assert p.dim == 2 and p.is_zero()
 
 
-def test_on_mesh_resampling():
-    p = SimpleNoisePath.indicator(dcos(), 0.0, 1.0)
-    fine = TimeMesh([0.0, 0.25, 0.5, 1.0])
-    q = p.on_mesh(fine)
-    assert noise_inner(p, q) == pytest.approx(noise_inner(p, p))
-
-
 def test_noise_inner_examples():
     w = dcos()
     f = SimpleNoisePath.indicator(w, 0.0, 1.0)

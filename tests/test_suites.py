@@ -45,7 +45,7 @@ def test_growth_records_dim3_default_cap():
 
 
 def test_flow_records():
-    recs = run_flow(1, 8, 3, DEFAULT_TOLS["flow"], seed=0)
+    recs = run_flow(1, 8, DEFAULT_TOLS["flow"], seed=0)
     names = [r.name for r in recs]
     assert sum(n.startswith("vacuum_identity") for n in names) == 6
     assert sum(n.startswith("picard_tail") for n in names) == 2
@@ -55,6 +55,16 @@ def test_flow_records():
     # the computed bounds are certificates, not placeholders
     fact = next(r for r in recs if r.name == "factorization")
     assert 0.0 <= fact.residual <= fact.bound < 1.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_factorization_record_certifies(seed):
+    # the bound, four times the cap sensitivity, must hold and stay far
+    # below the value it certifies
+    recs = run_flow(1, 8, DEFAULT_TOLS["flow"], seed=seed)
+    fact = next(r for r in recs if r.name == "factorization")
+    assert fact.residual <= fact.bound
+    assert fact.bound <= 1e-4 * max(1.0, abs(fact.fields["rhs"]))
 
 
 def test_trace_records_pin_column_layout():
