@@ -21,7 +21,8 @@ piecewise constant one-form noise:
 Two expansions serve these routes.  The exponential routes sum each
 cell's generator and propagate a vector through its exponential; the
 Picard blocks run one Taylor loop per cell over the orders already
-present and drop the orders past the budget.
+present and drop the orders past the budget.  The blocks' operator
+norms are computed only when read (``PicardSeries.block_norms``).
 
 Everything is Galerkin-compressed onto the modes |k|_inf <= cap; both
 sides of every cross-check share that compression.  On that mode space
@@ -29,13 +30,17 @@ the generator has the closed form Psi(xi, eta) = L + sum_i
 M(xi_i + conj eta_i) D_i (``ModeSpace.psi_matrix``), stored sparse:
 zero-noise propagators are diagonal and exponentiate entrywise, noisy
 ones act on vectors through ``expm_multiply`` (Al-Mohy & Higham, SIAM
-J. Sci. Comput. 33(2), 2011).
+J. Sci. Comput. 33(2), 2011).  ``ModeSpace.mult_matrix`` is the one
+builder of a multiplication operator, M(h)[m, k] = h_{m-k}; the Gram
+matrix <e_k v1, e_l v2> = (2 pi)^d (conj(v1) v2)_{k-l} of the pairing is
+the multiplication operator of conj(v1) v2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -109,40 +114,28 @@ class ModeSpace:
     def partial_matrix(self, axis: int) -> sparse.csr_array:
         return sparse.diags_array(1j * self._k[:, axis]).tocsr()
 
-    def _shift_matrix(self, h: TrigPoly, out_cap: int) -> sparse.csr_array:
-        """Column k holds e_k h on the modes |m|_inf <= out_cap; modes
-        escaping out_cap are dropped."""
-        rows, cols, vals = [], [], []
-        for mu, c in h.items():
-            tgt = self._k + np.asarray(mu, dtype=np.int64)
-            keep = np.all(np.abs(tgt) <= out_cap, axis=1)
-            rows.append(flat_index(tgt[keep], out_cap))
-            cols.append(np.flatnonzero(keep))
-            vals.append(np.full(cols[-1].size, c, dtype=complex))
-        shape = ((2 * out_cap + 1) ** self.dim, self.size)
-        if not rows:
-            return sparse.csr_array(shape, dtype=complex)
-        return sparse.csr_array(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=shape)
-
     def mult_matrix(self, h: TrigPoly) -> sparse.csr_array:
-        """Compression of multiplication by h; escaping modes are dropped."""
+        """Compression of multiplication by h, M[m, k] = h_{m-k}: column k
+        holds e_k h, with the modes escaping the cap dropped."""
         key = (h.cap, (h.coeffs + 0.0).tobytes())  # + 0.0 maps -0.0 to 0.0
         hit = self._mult_cache.get(key)
         if hit is None:
-            hit = self._mult_cache[key] = self._shift_matrix(h, self.cap)
+            mu = np.argwhere(h.coeffs) - h.cap
+            term, col = np.nonzero(
+                np.abs(self._k + mu[:, None]).max(axis=2) <= self.cap)
+            rows = flat_index(self._k[col] + mu[term], self.cap)
+            vals = h.coeffs[h.coeffs != 0][term]
+            hit = self._mult_cache[key] = sparse.csr_array(
+                (vals, (rows, col)), shape=(self.size, self.size))
         return hit
 
-    def psi_matrix(self, xi: OneForm, eta: Optional[OneForm]) -> sparse.csr_array:
+    def psi_matrix(self, xi: OneForm, eta: OneForm) -> sparse.csr_array:
         """Compression of psi(., xi, eta) = L + sum_i M(xi_i + conj eta_i) D_i.
 
         <d(x*), xi> = sum_i xi_i d_i x and <eta, dx> = sum_i conj(eta_i) d_i x,
         so only the multiplier of each partial depends on the noise; with
         xi = eta = 0 the generator is the diagonal L = -Delta/2.
         """
-        if eta is None:
-            eta = OneForm.zero(self.dim, 0)
         if xi.dim != self.dim or eta.dim != self.dim:
             raise GeometryMismatch("noise lives on a different torus")
         out = sparse.diags_array(-0.5 * np.sum(self._k ** 2, axis=1)
@@ -154,12 +147,11 @@ class ModeSpace:
         return out
 
     def gram_matrix(self, v1: TrigPoly, v2: TrigPoly) -> np.ndarray:
-        """G[k,l] = <e_k v1, e_l v2> in L2; products taken uncapped."""
+        """G[k,l] = <e_k v1, e_l v2> in L2 = (2 pi)^d (conj(v1) v2)_{k-l},
+        the multiplication operator of the uncapped product conj(v1) v2."""
         self.check_dense(self.size ** 2, "gram matrix")
-        lift = self.cap + max(v1.max_abs_mode(), v2.max_abs_mode())
-        a = self._shift_matrix(v1, lift)
-        b = self._shift_matrix(v2, lift)
-        return TWO_PI ** self.dim * (a.conj().T @ b).toarray()
+        return TWO_PI ** self.dim * self.mult_matrix(
+            mul_free(v1.conjugate(), v2)).toarray()
 
 
 def diagonal_entries(gen: sparse.csr_array) -> Optional[np.ndarray]:
@@ -254,15 +246,20 @@ class PicardSeries:
     prefactor * s_const**n / n!, and the tail past N by
     prefactor * s_const**(N+1) * e**s_const / (N+1)!.
 
-    ``block_norms[n]`` is the operator norm of the order-n block before
-    pairing.  Scalar terms can dip through zero by cancellation, so decay
-    diagnostics should read the block norms instead.
+    ``blocks[n]`` is the order-n block before pairing, and
+    ``block_norms[n]`` its operator norm, computed on first read.  Scalar
+    terms can dip through zero by cancellation, so decay diagnostics
+    should read the block norms instead.
     """
 
     terms: List[complex]
     s_const: float
     prefactor: float
-    block_norms: List[float]
+    blocks: List[np.ndarray] = field(repr=False)
+
+    @cached_property
+    def block_norms(self) -> List[float]:
+        return [float(np.linalg.norm(a, 2)) for a in self.blocks]
 
     def partial_sum(self, n_max: Optional[int] = None) -> complex:
         terms = self.terms if n_max is None else self.terms[: n_max + 1]
@@ -284,8 +281,9 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
     degree-n part of the product of the interval exponentials, applied
     latest interval first so the earliest sits outermost, as in the
     exponential route.  ``blocks[n]`` is the order-n block; each cell's
-    Taylor loop moves the blocks present up one order per step and drops
-    those past n_max, which is what ends it.
+    Taylor loop moves the blocks present up one order per step, adds the
+    step into the blocks in place and drops the orders past n_max, which
+    is what ends it.
     """
     if n_max < 0:
         raise GeometryMismatch("n_max must be nonnegative")
@@ -297,18 +295,21 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
         s_const += dt * float(np.linalg.norm(psi.toarray(), 2))
     blocks = [np.eye(space.size, dtype=complex)]
     for dt, psi in reversed(cells):
-        out = list(blocks)
         term = blocks  # term[j] is of order j + k
         k = 0
         while term:
             k += 1
-            term = [psi @ b * (dt / k) for b in term[: n_max + 1 - k]]
+            # the whole step is formed before it is added (the first step
+            # reads the blocks); replacing one order at a time frees each
+            # old term at once
+            term = term[: n_max + 1 - k]
             for j, b in enumerate(term):
-                if j + k < len(out):
-                    out[j + k] = out[j + k] + b
+                term[j] = psi @ b * (dt / k)
+            for j, b in enumerate(term):
+                if j + k < len(blocks):
+                    blocks[j + k] += b
                 else:
-                    out.append(b)
-        blocks = out
+                    blocks.append(b)
     empty = np.zeros((space.size, space.size), dtype=complex)
     graded = blocks + [empty] * (n_max + 1 - len(blocks))
     xv = space.to_vec(p.x)
@@ -317,8 +318,7 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
              for a in graded]
     prefactor = (abs(coh) * p.u.l2_norm() * p.v.l2_norm()
                  * math.sqrt(space.size) * float(np.linalg.norm(xv)))
-    block_norms = [float(np.linalg.norm(a, 2)) for a in graded]
-    return PicardSeries(terms, s_const, prefactor, block_norms)
+    return PicardSeries(terms, s_const, prefactor, graded)
 
 
 def vacuum_expectation(x: TrigPoly, u: TrigPoly, v: TrigPoly, t: float) -> complex:

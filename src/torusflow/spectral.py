@@ -513,20 +513,8 @@ class OneForm:
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(c.is_zero(tol) for c in self.comps)
 
-    def __add__(self, other: "OneForm") -> "OneForm":
-        return OneForm(tuple(a + b for a, b in zip(self.comps, other.comps)))
-
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        return OneForm(tuple(a - b for a, b in zip(self.comps, other.comps)))
-
-    def __neg__(self) -> "OneForm":
-        return OneForm(tuple(-a for a in self.comps))
-
     def scale(self, z: complex) -> "OneForm":
         return OneForm(tuple(z * a for a in self.comps))
-
-    def conjugate(self) -> "OneForm":
-        return OneForm(tuple(a.conjugate() for a in self.comps))
 
     def k0_inner(self, other: "OneForm") -> complex:
         """Hilbert inner product on L2 one-forms: integral of <w, e> over M."""

@@ -149,7 +149,8 @@ def heat_trace_via_flow(t: float, z: float, dim: int,
     if cap < m:
         raise CapExceeded(f"cutoff z={z:g} needs modes up to {m}, past the cap {cap}")
     space = ModeSpace(dim, cap)
-    diag = diagonal_entries(space.psi_matrix(OneForm.zero(dim, 0), None))
+    zero = OneForm.zero(dim, 0)
+    diag = diagonal_entries(space.psi_matrix(zero, zero))
     if diag is None:
         raise GeometryMismatch("the zero-noise generator is not diagonal")
     keep = np.sum(mode_grid(dim, cap) ** 2, axis=1) <= z * z + 1e-12

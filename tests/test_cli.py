@@ -207,6 +207,13 @@ def test_run_is_deterministic(tmp_path):
     pb = json.loads(jb.read_text())
     del pa["metadata"]["wall_time_s"], pb["metadata"]["wall_time_s"]
     assert pa == pb
+    # the flow suite builds its operators from index arithmetic and sparse
+    # products; a rerun must reproduce its report byte for byte too
+    fa = tmp_path / "fa.csv"
+    fb = tmp_path / "fb.csv"
+    run(_fast_config(out=str(fa), dim=2, suite="flow"))
+    run(_fast_config(out=str(fb), dim=2, suite="flow"))
+    assert fa.read_bytes() == fb.read_bytes()
 
 
 def test_run_rejects_invalid_config():

@@ -93,10 +93,14 @@ def test_mode_space_operators_match_column_builds(dim, cap):
     h = poly(rng, dim, 2 * cap, cap + 1)
     got = space.mult_matrix(h).toarray()
     assert np.array_equal(got, _mult_loop(space, h))
+    nil = TrigPoly.zero(dim, 2 * cap)
+    empty = np.zeros((space.size, space.size), dtype=complex)
+    assert np.array_equal(space.mult_matrix(nil).toarray(), empty)
     v1 = poly(rng, dim, cap, 1)
     v2 = poly(rng, dim, cap, 2)
     assert _rel_gap(space.gram_matrix(v1, v2),
                     _gram_loop(space, v1, v2)) <= 1e-13
+    assert np.array_equal(space.gram_matrix(nil, v2), empty)
 
 
 def test_zero_noise_generator_is_the_diagonal_laplacian():
@@ -280,6 +284,12 @@ def test_picard_block_norms_track_factorial_envelope():
     assert series.block_norms[0] == 1.0
     for n, bn in enumerate(series.block_norms):
         assert bn <= series.s_const ** n / math.factorial(n) * (1 + 1e-12)
+    # each term is the pairing read off the kept order-n block
+    space = ModeSpace(1, 3)
+    coh = np.exp(noise_inner(g, f))
+    for n, block in enumerate(series.blocks):
+        y = space.from_vec(block @ space.to_vec(p.x))
+        assert series.terms[n] == coh * p.u.l2_inner(mul_free(y, p.v))
 
 
 def test_picard_zero_horizon_collapses_to_order_zero():
