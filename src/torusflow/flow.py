@@ -34,6 +34,11 @@ J. Sci. Comput. 33(2), 2011).  ``ModeSpace.mult_matrix`` is the one
 builder of a multiplication operator, M(h)[m, k] = h_{m-k}; the Gram
 matrix <e_k v1, e_l v2> = (2 pi)^d (conj(v1) v2)_{k-l} of the pairing is
 the multiplication operator of conj(v1) v2.
+
+scipy is imported only where a mode-space operator is built or
+exponentiated, never at module level: ``scipy.sparse`` is about half of
+the CLI import time, and only the runs that build an operator (the
+``trace`` and ``flow`` suites) need it.
 """
 
 from __future__ import annotations
@@ -41,16 +46,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (BasisMismatch, CapExceeded, GeometryMismatch,
                      NotPositive)
 from .fock import SimpleNoisePath, TimeMesh, noise_inner
 from .spectral import (TWO_PI, OneForm, TrigPoly, exterior_derivative,
                        flat_index, lifted_sum, mode_grid, mul_free)
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "ModeSpace",
@@ -112,11 +119,13 @@ class ModeSpace:
         return TrigPoly(self.dim, self.cap, np.array(v, dtype=complex).reshape(shape))
 
     def partial_matrix(self, axis: int) -> sparse.csr_array:
+        from scipy import sparse  # deferred: scipy.sparse is half the CLI import
         return sparse.diags_array(1j * self._k[:, axis]).tocsr()
 
     def mult_matrix(self, h: TrigPoly) -> sparse.csr_array:
         """Compression of multiplication by h, M[m, k] = h_{m-k}: column k
         holds e_k h, with the modes escaping the cap dropped."""
+        from scipy import sparse  # deferred: scipy.sparse is half the CLI import
         key = (h.cap, (h.coeffs + 0.0).tobytes())  # + 0.0 maps -0.0 to 0.0
         hit = self._mult_cache.get(key)
         if hit is None:
@@ -138,6 +147,7 @@ class ModeSpace:
         """
         if xi.dim != self.dim or eta.dim != self.dim:
             raise GeometryMismatch("noise lives on a different torus")
+        from scipy import sparse  # deferred: scipy.sparse is half the CLI import
         out = sparse.diags_array(-0.5 * np.sum(self._k ** 2, axis=1)
                                  .astype(complex)).tocsr()
         for i in range(self.dim):
@@ -170,7 +180,8 @@ def _propagate(gen: sparse.csr_array, dt: float, y: np.ndarray) -> np.ndarray:
     if diag is not None:
         return np.exp(dt * diag) * y
     # imported on first use: scipy.sparse.linalg pulls in scipy.linalg,
-    # about 0.1 s of every CLI start, and only noisy generators need it
+    # about 0.1 s more than the operator builders' scipy.sparse, and only
+    # noisy generators need it
     from scipy.sparse.linalg import expm_multiply
     return expm_multiply(dt * gen, y)
 
@@ -288,7 +299,9 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
     if n_max < 0:
         raise GeometryMismatch("n_max must be nonnegative")
     space = ModeSpace(p.dim, p.cap)
-    space.check_dense((n_max + 1) * space.size ** 2, "picard graded blocks")
+    # held at once: the blocks, one Taylor step's terms and the product
+    # being formed; at n_max = 0, the densified generator and its SVD copy
+    space.check_dense((2 * n_max + 2) * space.size ** 2, "picard graded blocks")
     cells = [(dt, space.psi_matrix(fc, gc)) for dt, fc, gc in p.cells()]
     s_const = 0.0
     for dt, psi in cells:
@@ -361,6 +374,7 @@ def flow_inner(p1: FlowProblem, p2: FlowProblem) -> complex:
         space.check_dense(2 * size ** 2 + size * (a.nnz + b.nnz),
                           "flow pairing cell")
         cells.append((dt, a, b))
+    from scipy import sparse  # deferred: scipy.sparse is half the CLI import
     eye = sparse.eye_array(size, dtype=complex, format="csr")
     k = space._k
     legs = sparse.diags_array((k @ k.T).ravel().astype(complex)).tocsr()

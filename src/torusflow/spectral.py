@@ -237,9 +237,6 @@ class TrigPoly:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return self._new(complex(other) * self._a)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -269,14 +270,30 @@ def test_main_reports_bad_tol_syntax(capsys):
     assert "SUITE=VALUE" in err
 
 
-def test_cli_import_loads_no_heavy_scipy_module():
-    # each of these adds a large share of the CLI start-up time
+def test_cli_import_loads_no_heavy_scipy_module(tmp_path):
+    # each of these adds a large share of the CLI start-up time; only a run
+    # that builds a mode-space operator (here the flow suite) may load them
     src = Path(__file__).resolve().parents[1] / "src"
     path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
                          if p]
-    code = ("import sys, torusflow.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.linalg') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text("dim = 1\ncap = 4\nz = 2\n")
+    code = textwrap.dedent("""
+        import json, sys
+        import torusflow.cli as cli
+        heavy = ("scipy.sparse", "scipy.signal", "scipy.linalg")
+        cfg, out = sys.argv[1:]
+        seen = [[m for m in heavy if m in sys.modules]]
+        seen.append(cli.main(["run", "--config", cfg, "--out", out,
+                              "--suite", "identities"]))
+        seen.append([m for m in heavy if m in sys.modules])
+        seen.append(cli.main(["run", "--config", cfg, "--out", out,
+                              "--suite", "flow"]))
+        seen.append("scipy.sparse" in sys.modules)
+        print(json.dumps(seen))
+    """)
+    out = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "r.csv")],
+                         capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
                          check=True)
-    assert out.stdout.strip() == "[]"
+    assert json.loads(out.stdout.splitlines()[-1]) == [[], 0, [], 0, True]

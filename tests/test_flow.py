@@ -121,6 +121,12 @@ def test_dense_budget_refuses_before_allocating():
         picard_terms(p, 8)
     with pytest.raises(CapExceeded, match=r"dense entries"):
         ModeSpace(3, 8).gram_matrix(x, x)
+    # 5 N^2 blocks at N = 1681 fit the budget, but the Taylor loop holds
+    # about twice that
+    y = TrigPoly.one(2, 20)
+    zero = SimpleNoisePath.zero(2, horizon=1.0)
+    with pytest.raises(CapExceeded, match=r"cap 20, dim 2"):
+        picard_terms(FlowProblem(y, zero, zero, y, y, 1.0), 4)
     assert time.perf_counter() - start < 1.0
 
 
