@@ -10,6 +10,9 @@ layout.  Every value carries a hard mode cap: an operation whose exact
 result needs a mode with |k|_inf above the cap raises CapExceeded rather
 than aliasing or projecting.
 
+Every product is one batched FFT pair (``_convolve``) that keeps each
+mode no pair of nonzero coefficients reaches an exact zero.
+
 A supremum is a bracket read off one exact grid (``TrigPoly.sup_norm``).
 Where the sup sits on the bound side, callers take the grid max
 (``structure.sobolev_w2inf_norm``, ``flow.positivity_probe``); where it
@@ -111,7 +114,7 @@ class TrigPoly:
     the truncation contract of a computation).
     """
 
-    __slots__ = ("dim", "cap", "_a")
+    __slots__ = ("dim", "cap", "_a", "_r")
 
     def __init__(self, dim: int, cap: int,
                  coeffs: Union[Mapping[ModeKey, complex], np.ndarray, None] = None):
@@ -140,6 +143,7 @@ class TrigPoly:
                 arr[tuple(int(v) + cap for v in k)] = c
         arr.flags.writeable = False
         self._a = arr
+        self._r: Optional[int] = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -202,8 +206,11 @@ class TrigPoly:
         return not np.any(np.abs(np.flip(self._a) - self._a.conj()) > tol)
 
     def max_abs_mode(self) -> int:
-        """Largest |k|_inf actually present (0 for the zero polynomial)."""
-        return _radius(self._a, self.cap)
+        """Largest |k|_inf actually present (0 for the zero polynomial),
+        computed on first read and kept: the coefficients never change."""
+        if self._r is None:
+            self._r = _radius(self._a, self.cap)
+        return self._r
 
     def coeff_l1(self) -> float:
         return float(np.abs(self._a).sum())
@@ -257,13 +264,6 @@ class TrigPoly:
             raise CapExceeded(
                 f"mode radius {self.max_abs_mode()} exceeds cap {cap}")
         return TrigPoly(self.dim, cap, _recap(self._a, self.cap, cap))
-
-    def project(self, cap: int) -> Tuple["TrigPoly", float]:
-        """Drop modes above ``cap``; returns (projection, l2 norm dropped)."""
-        kept = _recap(self._a, self.cap, cap)
-        dropped = float(np.sum(np.abs(self._a - _recap(kept, cap, self.cap)) ** 2))
-        norm = math.sqrt(dropped) * TWO_PI ** (self.dim / 2)
-        return TrigPoly(self.dim, cap, kept), norm
 
     # ------------------------------------------------------------------
     # analysis
@@ -339,7 +339,7 @@ class TrigPoly:
 
 
 def multiply(a: TrigPoly, b: TrigPoly) -> TrigPoly:
-    """Pointwise product by exact coefficient convolution.
+    """Pointwise product (the coefficient convolution, by ``_convolve``).
 
     Raises CapExceeded if the exact product carries any mode above the
     shared cap; nothing is silently projected.
@@ -349,7 +349,7 @@ def multiply(a: TrigPoly, b: TrigPoly) -> TrigPoly:
 
 
 def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
-    """Product computed in a lifted ambient cap (never raises CapExceeded).
+    """Product at the lifted cap ra + rb (never raises CapExceeded).
 
     Used by pairings whose results are consumed as scalars or sup-norms,
     where no truncation budget constrains the intermediate.
@@ -360,20 +360,28 @@ def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
 
 
 def _convolve(a: TrigPoly, b: TrigPoly, cap: Optional[int] = None) -> TrigPoly:
-    """Product at ``cap`` (None: the sum of the support radii).  Each
-    nonzero coefficient of the sparser support box adds its multiple of
-    the other box into a shifted slice, so unreached modes stay exact 0."""
+    """Product at ``cap`` (None: the sum of the support radii).
+
+    One batched FFT pair on the (2r + 1)^d box, r = ra + rb, which holds
+    the linear convolution without wrap; the 0/1 support masks ride along
+    and their product counts the pairs that reach each mode.  A mode none
+    reaches is set to exact 0, so the radius and the CapExceeded verdict
+    follow from the supports alone; a reached mode that cancels holds
+    round-off.
+    """
     ra, rb = a.max_abs_mode(), b.max_abs_mode()
-    small = _recap(a._a, a.cap, ra)
-    big = _recap(b._a, b.cap, rb)
-    if np.count_nonzero(small) > np.count_nonzero(big):
-        small, big = big, small
-    width = big.shape[0]
     r = ra + rb
     cap = r if cap is None else cap
-    out = np.zeros((2 * r + 1,) * a.dim, dtype=complex)
-    for idx in zip(*np.nonzero(small)):
-        out[tuple(slice(i, i + width) for i in idx)] += small[idx] * big
+    shape, axes = (2 * r + 1,) * a.dim, tuple(range(1, a.dim + 1))
+    stack = np.zeros((4,) + shape, dtype=complex)
+    # each support box sits at the origin corner
+    stack[(0,) + _box(a.dim, ra, ra)] = _recap(a._a, a.cap, ra)
+    stack[(1,) + _box(a.dim, rb, rb)] = _recap(b._a, b.cap, rb)
+    stack[2:] = stack[:2] != 0
+    # NumPy 2 warns without ``axes``; ``s`` spares it a shape lookup per call
+    f = np.fft.fftn(stack, s=shape, axes=axes)
+    out, reach = np.fft.ifftn(f[0::2] * f[1::2], s=shape, axes=axes)
+    out[reach.real < 0.5] = 0
     if r > cap and _radius(out, r) > cap:
         raise CapExceeded(
             f"product reaches mode radius {_radius(out, r)} past cap {cap}; "
@@ -391,10 +399,6 @@ def lifted_sum(*terms: TrigPoly) -> TrigPoly:
     for t in terms:
         out[_box(dim, cap, t.cap)] += t._a
     return TrigPoly(dim, cap, out)
-
-
-def laplacian(f: TrigPoly) -> TrigPoly:
-    return f.laplacian()
 
 
 def l2_inner(f: TrigPoly, g: TrigPoly) -> complex:
@@ -439,11 +443,6 @@ class CovariantTensor:
         components' exact grid values (n > 2 * their mode radius)."""
         return np.sqrt(sum(np.abs(c.values_on_grid(n)) ** 2
                            for c in self.comps.values()))
-
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        # a missing component is zero, which is what component() returns
-        return all((poly - self.component(tuple(sorted(idx)))).is_zero(tol)
-                   for idx, poly in self.comps.items())
 
 
 def covariant_derivative(f: TrigPoly, order: int) -> CovariantTensor:

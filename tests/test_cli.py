@@ -209,12 +209,14 @@ def test_run_is_deterministic(tmp_path):
     del pa["metadata"]["wall_time_s"], pb["metadata"]["wall_time_s"]
     assert pa == pb
     # the flow suite builds its operators from index arithmetic and sparse
-    # products; a rerun must reproduce its report byte for byte too
-    fa = tmp_path / "fa.csv"
-    fb = tmp_path / "fb.csv"
-    run(_fast_config(out=str(fa), dim=2, suite="flow"))
-    run(_fast_config(out=str(fb), dim=2, suite="flow"))
-    assert fa.read_bytes() == fb.read_bytes()
+    # products, the growth suite its products from FFTs; a rerun must
+    # reproduce each report byte for byte too
+    for suite in ("flow", "growth"):
+        fa = tmp_path / f"{suite}_a.csv"
+        fb = tmp_path / f"{suite}_b.csv"
+        run(_fast_config(out=str(fa), dim=2, suite=suite))
+        run(_fast_config(out=str(fb), dim=2, suite=suite))
+        assert fa.read_bytes() == fb.read_bytes()
 
 
 def test_run_rejects_invalid_config():

@@ -47,9 +47,9 @@ def _psi_columns(space, xi, eta):
     index = {k: i for i, k in enumerate(_modes(space))}
     for col, k in enumerate(_modes(space)):
         out = psi_map(TrigPoly.mode(k, space.dim, space.cap), xi, eta)
-        kept, _ = out.project(space.cap)
-        for mu, c in kept.items():
-            m[index[mu], col] += c
+        for mu, c in out.items():
+            if mu in index:  # modes past the cap are dropped
+                m[index[mu], col] += c
     return m
 
 

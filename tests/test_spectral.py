@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from torusflow import CapExceeded, GeometryMismatch, RankMismatch
 from torusflow.flow import ModeSpace
-from torusflow.spectral import (CovariantTensor, OneForm, TrigPoly,
+from torusflow.spectral import (OneForm, TrigPoly, _radius,
                                 covariant_derivative, exterior_derivative,
-                                flat_index, form_inner, l2_inner, laplacian,
-                                mul_free, multiply, pointwise_length_sq,
-                                sup_norm, tensor_inner)
+                                flat_index, form_inner, l2_inner,
+                                lifted_sum, mul_free, multiply,
+                                pointwise_length_sq, sup_norm, tensor_inner)
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,13 +89,21 @@ def _scattered_poly(rng, dim, cap, count):
                                for k in modes})
 
 
+def _reach(ref):
+    """Radius of the exact product: the largest |k|_inf that does not cancel."""
+    return max((max(abs(v) for v in k) for k, c in ref.items() if c != 0),
+               default=0)
+
+
 def _assert_matches(p, ref):
     scale = max(abs(c) for c in ref.values())
     for k, c in ref.items():
-        assert abs(p.coeff(k) - c) <= 1e-13 * scale
+        # a reached mode whose pairs cancel holds round-off only
+        assert abs(p.coeff(k) - c) <= (1e-13 if c else 1e-15) * scale
     # every mode no pair reaches is an exact zero
     for k, c in p.items():
         assert k in ref, f"mode {k} outside the product support holds {c}"
+    assert p.max_abs_mode() == _reach(ref)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -106,15 +114,21 @@ def test_products_match_pairwise_reference(dim):
              (_scattered_poly(rng, dim, cap, 3), random_poly(rng, dim, cap, 1)),
              (_scattered_poly(rng, dim, cap, 4), _scattered_poly(rng, dim, cap, 5)),
              (TrigPoly.zero(dim, cap), random_poly(rng, dim, cap, 2))]
+    if dim == 2:
+        # (e^{i(x+y)} + e^{i(x-y)}) (e^{i(x+y)} - e^{i(x-y)}): mode (2, 0)
+        # is reached by two pairs that cancel exactly
+        up, down = TrigPoly.mode((1, 1), 2, cap), TrigPoly.mode((1, -1), 2, cap)
+        pairs.append((up + down, up - down))
+        assert _pairwise_product(*pairs[-1])[(2, 0)] == 0
     for a, b in pairs:
-        ref = {k: c for k, c in _pairwise_product(a, b).items() if c != 0}
+        ref = _pairwise_product(a, b)
         p = mul_free(a, b)
         assert p.cap == a.max_abs_mode() + b.max_abs_mode()
         if not ref:
             assert p.is_zero()
             continue
         _assert_matches(p, ref)
-        reach = max(max(abs(v) for v in k) for k in ref)
+        reach = _reach(ref)
         for c in range(max(a.max_abs_mode(), b.max_abs_mode()), reach + 2):
             if c < reach:
                 with pytest.raises(CapExceeded):
@@ -123,6 +137,23 @@ def test_products_match_pairwise_reference(dim):
                 q = multiply(a.with_cap(c), b.with_cap(c))
                 assert q.cap == c
                 _assert_matches(q, ref)
+
+
+def test_cached_radius_matches_the_coefficients():
+    rng = np.random.default_rng(12)
+    # the y-mode is the only one partial_y keeps; heat(100) flushes e^{3ix}
+    f = TrigPoly(2, 4, {(3, 0): 1.0, (0, 1): 0.5, (-1, 2): 0.25j})
+    g = random_poly(rng, 2, 4, 1)
+    assert (f.max_abs_mode(), g.max_abs_mode()) == (3, 1)  # warm caches
+    made = [TrigPoly.zero(2, 4), TrigPoly.one(2, 4), f, g,
+            multiply(f, g), mul_free(f, f), f.with_cap(3), f.with_cap(7),
+            f.conjugate(), f.partial(0), f.partial(1), f.heat(0.1),
+            f.heat(100.0), lifted_sum(f, g.with_cap(6)), f + g, 2.0 * f,
+            TrigPoly(2, 4, np.array(f.coeffs))]
+    radii = [p.max_abs_mode() for p in made]
+    assert radii == [_radius(p.coeffs, p.cap) for p in made]
+    assert f.partial(1).max_abs_mode() == 2
+    assert f.heat(100.0).max_abs_mode() == 2
 
 
 def test_mode_space_vectors_round_trip():
@@ -147,11 +178,11 @@ def test_mode_space_vectors_round_trip():
 # -------------------------------------------------------------- laplacian
 
 def test_laplacian_examples():
-    assert laplacian(TrigPoly.one(1, 3)).is_zero()
+    assert TrigPoly.one(1, 3).laplacian().is_zero()
     e3 = TrigPoly.mode((3,), 1, 3)
-    assert (laplacian(e3) - 9.0 * e3).is_zero()
+    assert (e3.laplacian() - 9.0 * e3).is_zero()
     e11 = TrigPoly.mode((1, 1), 2, 2)
-    assert (laplacian(e11) - 2.0 * e11).is_zero()
+    assert (e11.laplacian() - 2.0 * e11).is_zero()
 
 
 @settings(max_examples=40, derandomize=True)
@@ -159,7 +190,7 @@ def test_laplacian_examples():
 def test_eigenrelation_all_modes(k1, k2):
     e = TrigPoly.mode((k1, k2), 2, 5)
     lam = k1 * k1 + k2 * k2
-    assert (laplacian(e) - float(lam) * e).is_zero()
+    assert (e.laplacian() - float(lam) * e).is_zero()
 
 
 def test_heat_semigroup():
@@ -196,18 +227,8 @@ def test_covariant_derivative_examples():
 def test_hessian_symmetry(seed):
     rng = np.random.default_rng(seed)
     f = random_poly(rng, 2, 3, 2)
-    assert covariant_derivative(f, 2).is_symmetric(1e-12)
-
-
-def test_is_symmetric_checks_every_component():
-    p = TrigPoly.cosine((1, 0, 0), 3, 2)
-    zero = TrigPoly.zero(3, 2)
-    # (1,0) has no sorted partner but is zero; (2,1) and (1,2) disagree
-    bad = CovariantTensor(3, 2, 2, {(1, 0): zero, (2, 1): p, (1, 2): 2.0 * p})
-    assert not bad.is_symmetric()
-    good = CovariantTensor(3, 2, 2, {(1, 0): zero, (2, 1): p, (1, 2): p})
-    assert good.is_symmetric()
-    assert not CovariantTensor(3, 2, 2, {(1, 0): p}).is_symmetric()
+    comps = covariant_derivative(f, 2).comps
+    assert (comps[(0, 1)] - comps[(1, 0)]).is_zero(1e-12)
 
 
 def test_tensor_inner_examples():
@@ -345,14 +366,6 @@ def test_values_on_grid_matches_direct_eval():
     np.testing.assert_allclose(vals.imag, 0.0, atol=1e-12)
 
 
-def test_project_reports_dropped_mass():
-    f = TrigPoly.cosine((1,), 1, 4) + TrigPoly.cosine((3,), 1, 4)
-    low, dropped = f.project(2)
-    assert low.coeff((3,)) == 0
-    # ||cos 3x||_{L2} = sqrt(pi)
-    assert dropped == pytest.approx(math.sqrt(math.pi))
-
-
 def test_with_cap_strictness():
     f = TrigPoly.cosine((3,), 1, 4)
     with pytest.raises(CapExceeded):
@@ -370,12 +383,12 @@ def test_laplacian_product_rule(seed):
     rng = np.random.default_rng(seed)
     f = random_poly(rng, 1, 8, 2)
     g = random_poly(rng, 1, 8, 2)
-    lhs = laplacian(mul_free(f, g)).with_cap(8)
+    lhs = mul_free(f, g).laplacian().with_cap(8)
     cross = TrigPoly.zero(1, 8)
     for ax in range(1):
         cross = cross + mul_free(f.partial(ax), g.partial(ax)).with_cap(8)
-    rhs = (mul_free(f, laplacian(g)).with_cap(8)
-           + mul_free(g, laplacian(f)).with_cap(8)
+    rhs = (mul_free(f, g.laplacian()).with_cap(8)
+           + mul_free(g, f.laplacian()).with_cap(8)
            - 2.0 * cross)
     assert (lhs - rhs).is_zero(1e-12)
 
@@ -385,10 +398,10 @@ def test_laplacian_product_rule(seed):
 def test_commutator_laplacian_covariant(seed, rank):
     rng = np.random.default_rng(seed)
     f = random_poly(rng, 2, 3, 1)
-    a = covariant_derivative(laplacian(f), rank)
+    a = covariant_derivative(f.laplacian(), rank)
     b = covariant_derivative(f, rank)
     for idx, comp in b.comps.items():
-        assert (a.component(idx) - laplacian(comp)).is_zero(1e-11)
+        assert (a.component(idx) - comp.laplacian()).is_zero(1e-11)
 
 
 def test_laplacian_pointwise_bound():
@@ -396,7 +409,7 @@ def test_laplacian_pointwise_bound():
     for _ in range(10):
         f = random_poly(rng, 2, 4, 2)
         n = 4 * 2 + 3
-        lap = np.abs(laplacian(f).values_on_grid(n))
+        lap = np.abs(f.laplacian().values_on_grid(n))
         hess = pointwise_length_sq(covariant_derivative(f, 2))
         hv = np.sqrt(np.maximum(hess.values_on_grid(n).real, 0.0))
         assert np.all(lap <= math.sqrt(2) * hv + 1e-10)
@@ -425,7 +438,7 @@ def test_iterated_laplacian_growth():
     k_const = float(f.max_abs_mode() ** 2)
     g = f
     for k in range(1, 9):
-        g = laplacian(g)
+        g = g.laplacian()
         assert sup_norm(g)[1] <= c_const * k_const ** k + 1e-9
 
 
