@@ -5,7 +5,7 @@ space over L2 one-forms.
 Layer map:
 
 * ``spectral``  exact trigonometric-polynomial calculus on T^d
-* ``structure`` the flow's structure maps (L, delta, delta-dagger, theta)
+* ``structure`` the flow's structure maps (L, delta, theta)
 * ``fock``      time meshes and piecewise constant one-form noise paths
 * ``flow``      the quantum stochastic flow: matrix elements, Picard
                 iteration, time-ordered exponentials, and the pairing

@@ -30,10 +30,13 @@ the generator has the closed form Psi(xi, eta) = L + sum_i
 M(xi_i + conj eta_i) D_i (``ModeSpace.psi_matrix``), stored sparse:
 zero-noise propagators are diagonal and exponentiate entrywise, noisy
 ones act on vectors through ``expm_multiply`` (Al-Mohy & Higham, SIAM
-J. Sci. Comput. 33(2), 2011).  ``ModeSpace.mult_matrix`` is the one
-builder of a multiplication operator, M(h)[m, k] = h_{m-k}; the Gram
-matrix <e_k v1, e_l v2> = (2 pi)^d (conj(v1) v2)_{k-l} of the pairing is
-the multiplication operator of conj(v1) v2.
+J. Sci. Comput. 33(2), 2011).  One index computation builds every
+mode-space operator, sum_j M(c_j) diag(w_j) with entry
+[m, k] = sum_j c_j[m-k] w_j[k]: the multiplication operator
+M(h)[m, k] = h_{m-k} (``ModeSpace.mult_matrix``); the Gram matrix
+<e_k v1, e_l v2> = (2 pi)^d (conj(v1) v2)_{k-l} of the pairing, the
+multiplication operator of conj(v1) v2; and Psi, with L the weights
+-|k|^2/2 on M(1) and D_i the weights i k_i.
 
 scipy is imported only where a mode-space operator is built or
 exponentiated, never at module level: ``scipy.sparse`` is about half of
@@ -118,43 +121,51 @@ class ModeSpace:
         shape = (2 * self.cap + 1,) * self.dim
         return TrigPoly(self.dim, self.cap, np.array(v, dtype=complex).reshape(shape))
 
-    def partial_matrix(self, axis: int) -> sparse.csr_array:
+    def _assemble(self, terms: List[Tuple[TrigPoly, np.ndarray]]
+                  ) -> sparse.csr_array:
+        """sum_j M(c_j) diag(w_j) for ``terms`` = [(c_j, w_j)]: entry
+        [m, k] = sum_j c_j[m - k] w_j[k] over the union of the c_j
+        supports, with the modes escaping the cap and the zero entries
+        dropped, in one CSR construction."""
         from scipy import sparse  # deferred: scipy.sparse is half the CLI import
-        return sparse.diags_array(1j * self._k[:, axis]).tocsr()
+        lift = max(c.cap for c, _ in terms)
+        coeffs = np.stack([c.with_cap(lift).coeffs for c, _ in terms])
+        support = np.any(coeffs != 0, axis=0)
+        mu = np.argwhere(support) - lift
+        shift, col = np.nonzero(
+            np.abs(self._k + mu[:, None]).max(axis=2) <= self.cap)
+        vals = np.zeros(col.size, dtype=complex)
+        for c, (_, w) in zip(coeffs[:, support], terms):
+            vals += c[shift] * w[col]
+        keep = vals != 0
+        rows = flat_index(self._k[col[keep]] + mu[shift[keep]], self.cap)
+        return sparse.csr_array((vals[keep], (rows, col[keep])),
+                                shape=(self.size, self.size))
 
     def mult_matrix(self, h: TrigPoly) -> sparse.csr_array:
-        """Compression of multiplication by h, M[m, k] = h_{m-k}: column k
-        holds e_k h, with the modes escaping the cap dropped."""
-        from scipy import sparse  # deferred: scipy.sparse is half the CLI import
+        """Compression of multiplication by h, M[m, k] = h_{m-k}: the
+        one-term ``_assemble`` with unit weights, cached per h."""
         key = (h.cap, (h.coeffs + 0.0).tobytes())  # + 0.0 maps -0.0 to 0.0
         hit = self._mult_cache.get(key)
         if hit is None:
-            mu = np.argwhere(h.coeffs) - h.cap
-            term, col = np.nonzero(
-                np.abs(self._k + mu[:, None]).max(axis=2) <= self.cap)
-            rows = flat_index(self._k[col] + mu[term], self.cap)
-            vals = h.coeffs[h.coeffs != 0][term]
-            hit = self._mult_cache[key] = sparse.csr_array(
-                (vals, (rows, col)), shape=(self.size, self.size))
+            hit = self._mult_cache[key] = self._assemble([(h, np.ones(self.size))])
         return hit
 
     def psi_matrix(self, xi: OneForm, eta: OneForm) -> sparse.csr_array:
         """Compression of psi(., xi, eta) = L + sum_i M(xi_i + conj eta_i) D_i.
 
         <d(x*), xi> = sum_i xi_i d_i x and <eta, dx> = sum_i conj(eta_i) d_i x,
-        so only the multiplier of each partial depends on the noise; with
-        xi = eta = 0 the generator is the diagonal L = -Delta/2.
+        so only the multiplier of each partial depends on the noise.  L is
+        M(1) with weights -|k|^2/2 and D_i the weights i k_i, so the
+        generator is one ``_assemble``; with xi = eta = 0 it is the
+        diagonal L = -Delta/2.
         """
         if xi.dim != self.dim or eta.dim != self.dim:
             raise GeometryMismatch("noise lives on a different torus")
-        from scipy import sparse  # deferred: scipy.sparse is half the CLI import
-        out = sparse.diags_array(-0.5 * np.sum(self._k ** 2, axis=1)
-                                 .astype(complex)).tocsr()
-        for i in range(self.dim):
-            h = lifted_sum(xi.comps[i], eta.comps[i].conjugate())
-            if not h.is_zero():
-                out = out + self.mult_matrix(h) @ self.partial_matrix(i)
-        return out
+        terms = [(TrigPoly.one(self.dim, 0), -0.5 * np.sum(self._k ** 2, axis=1))]
+        terms += [(lifted_sum(xi.comps[i], eta.comps[i].conjugate()),
+                   1j * self._k[:, i]) for i in range(self.dim)]
+        return self._assemble(terms)
 
     def gram_matrix(self, v1: TrigPoly, v2: TrigPoly) -> np.ndarray:
         """G[k,l] = <e_k v1, e_l v2> in L2 = (2 pi)^d (conj(v1) v2)_{k-l},
@@ -275,9 +286,6 @@ class PicardSeries:
     def partial_sum(self, n_max: Optional[int] = None) -> complex:
         terms = self.terms if n_max is None else self.terms[: n_max + 1]
         return sum(terms)
-
-    def term_bound(self, n: int) -> float:
-        return self.prefactor * self.s_const ** n / math.factorial(n)
 
     def tail_bound(self, after: int) -> float:
         return (self.prefactor * self.s_const ** (after + 1)

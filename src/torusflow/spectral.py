@@ -386,7 +386,10 @@ def _convolve(a: TrigPoly, b: TrigPoly, cap: Optional[int] = None) -> TrigPoly:
         raise CapExceeded(
             f"product reaches mode radius {_radius(out, r)} past cap {cap}; "
             "enlarge the cap or rescale the problem")
-    return TrigPoly(a.dim, cap, _recap(out, r, cap))
+    out = _recap(out, r, cap)
+    # a crop is a view into the FFT output: copy it, so the product does
+    # not keep that stack alive
+    return TrigPoly(a.dim, cap, out if out.base is None else out.copy())
 
 
 def lifted_sum(*terms: TrigPoly) -> TrigPoly:

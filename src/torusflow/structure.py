@@ -41,12 +41,10 @@ from .spectral import (
 __all__ = [
     "generator_L",
     "delta",
-    "delta_dagger",
     "delta_squared",
     "kernel_eval",
     "psi_map",
     "phi_map",
-    "phi_prime_map",
     "sobolev_w2inf_norm",
     "AugmentedVector",
     "theta_apply",
@@ -67,20 +65,6 @@ def generator_L(x: TrigPoly) -> TrigPoly:
 def delta(x: TrigPoly) -> OneForm:
     """The derivation delta(x) = dx (the one-form leg of 1 (x) dx)."""
     return exterior_derivative(x)
-
-
-def delta_dagger(x: TrigPoly, a: TrigPoly, omega: OneForm) -> TrigPoly:
-    """Adjoint block delta(x)^dagger (a (x) omega) = a <dx, omega>.
-
-    The pairing conjugates dx, which for self-adjoint x agrees with the
-    plain frame pairing.  The product must fit the working cap
-    max(a.cap, x.cap + omega.cap); a mode escaping it raises CapExceeded.
-    """
-    if x.dim != a.dim or x.dim != omega.dim:
-        raise GeometryMismatch("delta_dagger operands live on different tori")
-    paired = form_inner(exterior_derivative(x), omega)
-    working_cap = max(a.cap, x.cap + omega.cap)
-    return mul_free(a, paired).with_cap(working_cap)
 
 
 def delta_squared(x: TrigPoly) -> CovariantTensor:
@@ -162,11 +146,6 @@ def psi_map(x: TrigPoly, xi: OneForm, eta: OneForm) -> TrigPoly:
 def phi_map(x: TrigPoly, xi: OneForm) -> TrigPoly:
     """Phi_xi(x) = L(x) + <delta(x*), xi>, the annihilation-side map."""
     return psi_map(x, xi, OneForm.zero(x.dim, 0))
-
-
-def phi_prime_map(x: TrigPoly, eta: OneForm) -> TrigPoly:
-    """Phi'_eta(x) = <eta, delta(x)>, the creation-side pairing alone."""
-    return form_inner(eta, delta(x))
 
 
 # ----------------------------------------------------------------------

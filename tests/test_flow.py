@@ -86,9 +86,18 @@ def test_mode_space_operators_match_column_builds(dim, cap):
     xi = one_form(rng, dim, cap, 1, scale=0.4)
     eta = one_form(rng, dim, cap, 1, scale=0.4)
     zero = OneForm.zero(dim, 0)
-    for e in (eta, zero):
-        got = space.psi_matrix(xi, e).toarray()
-        assert _rel_gap(got, _psi_columns(space, xi, e)) <= 1e-13
+    # xi at twice the cap reaches past the space's cap; xi and eta at
+    # different caps
+    wide = one_form(rng, dim, 2 * cap, cap + 1, scale=0.4)
+    narrow = one_form(rng, dim, cap + 1, 1, scale=0.4)
+    for x, e in ((xi, eta), (xi, zero), (wide, eta), (xi, narrow)):
+        gen = space.psi_matrix(x, e)
+        want = _psi_columns(space, x, e)
+        assert _rel_gap(gen.toarray(), want) <= 1e-13
+        # one canonical CSR with no stored zeros
+        assert gen.has_canonical_format
+        assert (gen.data != 0).all()
+        assert gen.nnz == np.count_nonzero(want)
     # noise reaching past the cap: escaping modes are dropped
     h = poly(rng, dim, 2 * cap, cap + 1)
     got = space.mult_matrix(h).toarray()
@@ -257,9 +266,6 @@ def test_picard_partial_sums_approach_texp():
         series = picard_terms(p, 8)
         target = texp_matrix_element(p)
         assert abs(series.partial_sum() - target) <= series.tail_bound(8)
-        # envelope dominates each measured term
-        for n, term in enumerate(series.terms):
-            assert abs(term) <= series.term_bound(n) * (1 + 1e-12) + 1e-15
 
 
 def test_coherent_bra_with_its_own_breakpoints():

@@ -139,6 +139,17 @@ def test_products_match_pairwise_reference(dim):
                 _assert_matches(q, ref)
 
 
+def test_products_own_their_coefficients():
+    # a product cut out of the FFT output must not hold that array alive
+    a = TrigPoly.cosine((1, 0), 2, 4)
+    assert mul_free(a, a).coeffs.base is None  # cap = r
+    assert multiply(a.with_cap(2), a.with_cap(2)).coeffs.base is None  # r == cap
+    e, einv = TrigPoly.mode((1, 1), 2, 1), TrigPoly.mode((-1, -1), 2, 1)
+    p = multiply(e, einv)  # r = 2 cropped to cap 1
+    assert p.coeffs.base is None
+    assert (p - TrigPoly.one(2, 1)).is_zero()
+
+
 def test_cached_radius_matches_the_coefficients():
     rng = np.random.default_rng(12)
     # the y-mode is the only one partial_y keeps; heat(100) flushes e^{3ix}

@@ -1,4 +1,4 @@
-"""Generator, derivation, adjoint and the block action Theta."""
+"""Generator, derivation and the block action Theta."""
 
 import math
 
@@ -8,10 +8,10 @@ from torusflow import GeometryMismatch
 from torusflow.sampling import one_form, poly, rng_for
 from torusflow.spectral import (OneForm, TrigPoly, exterior_derivative,
                                 form_inner, mul_free)
-from torusflow.structure import (AugmentedVector, delta, delta_dagger,
-                                 delta_squared, generator_L, kernel_eval,
-                                 nested_phi_growth, phi_map, phi_prime_map,
-                                 psi_map, sobolev_w2inf_norm, theta_apply)
+from torusflow.structure import (AugmentedVector, delta, delta_squared,
+                                 generator_L, kernel_eval, nested_phi_growth,
+                                 phi_map, psi_map, sobolev_w2inf_norm,
+                                 theta_apply)
 
 
 def cos1(dim=1, cap=4):
@@ -54,19 +54,6 @@ def test_delta_leibniz():
         rhs_comps.append(t)
     for a, b in zip(lhs.comps, rhs_comps):
         assert (a - b).is_zero(1e-15)
-
-
-def test_delta_dagger_examples():
-    omega_s = exterior_derivative(sin1())
-    omega_c = exterior_derivative(cos1())
-    const = TrigPoly.constant(3.0, 1, 4)
-    assert delta_dagger(const, TrigPoly.one(1, 4), omega_s).is_zero()
-    out = delta_dagger(cos1(), TrigPoly.one(1, 4), omega_s)
-    assert (out + 0.5 * TrigPoly.sine((2,), 1, out.cap)).is_zero(1e-15)
-    out2 = delta_dagger(cos1(), TrigPoly.one(1, 4), omega_c)
-    # sin^2 x
-    assert out2.coeff((0,)) == pytest.approx(0.5)
-    assert out2.coeff((2,)) == pytest.approx(-0.25)
 
 
 def test_delta_squared_vanishes_on_basis():
@@ -155,7 +142,7 @@ def test_phi_maps_assemble_psi():
     xi = one_form(rng, 1, 6, 2)
     eta = one_form(rng, 1, 6, 2)
     full = psi_map(x, xi, eta)
-    partial = phi_map(x, xi) + phi_prime_map(x, eta).with_cap(phi_map(x, xi).cap)
+    partial = phi_map(x, xi) + form_inner(eta, delta(x)).with_cap(phi_map(x, xi).cap)
     assert (full.with_cap(partial.cap) - partial).is_zero(1e-13)
 
 
