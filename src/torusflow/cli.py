@@ -183,9 +183,7 @@ def _suite_records(name: str, config: RunConfig) -> List[Record]:
         if name == "trace":
             return suites.run_trace(config.dim, config.cap, config.z, tol,
                                     config.theta_times, config.flow_times)
-        if name == "action":
-            return suites.run_action(config.dim, tol, config.lambdas)
-        raise ConfigInvalid(f"suite: unknown suite {name!r}")
+        return suites.run_action(config.dim, tol, config.lambdas)
     except TorusFlowError as exc:
         raise type(exc)(
             f"suite {name} (dim={config.dim}, cap={config.cap}, "

@@ -10,8 +10,9 @@ layout.  Every value carries a hard mode cap: an operation whose exact
 result needs a mode with |k|_inf above the cap raises CapExceeded rather
 than aliasing or projecting.
 
-Every product is one batched FFT pair (``_convolve``) that keeps each
-mode no pair of nonzero coefficients reaches an exact zero.
+Every product is one batched FFT pair (``mul_free``), exact at the
+lifted cap ra + rb, that keeps each mode no pair of nonzero coefficients
+reaches an exact zero; a smaller cap is applied by ``TrigPoly.with_cap``.
 
 A supremum is a bracket read off one exact grid (``TrigPoly.sup_norm``).
 Where the sup sits on the bound side, callers take the grid max
@@ -109,9 +110,10 @@ class TrigPoly:
     ``TrigPoly(dim, cap, {mode: coeff})`` places the given coefficients;
     a dense complex array of shape (2 cap + 1,)^d is adopted as the
     coefficient array itself (and made read-only).  Instances are
-    immutable; all arithmetic returns new objects.  Binary operations
-    require both operands to share dimension and cap (the cap is part of
-    the truncation contract of a computation).
+    immutable; all arithmetic returns new objects.  Addition requires
+    both operands to share dimension and cap (the cap is part of the
+    truncation contract of a computation); ``*`` scales by a number only,
+    and the product of two polynomials is ``mul_free``.
     """
 
     __slots__ = ("dim", "cap", "_a", "_r")
@@ -201,9 +203,9 @@ class TrigPoly:
     def is_zero(self, tol: float = 0.0) -> bool:
         return not (self._a.any() if tol == 0 else (np.abs(self._a) > tol).any())
 
-    def is_selfadjoint(self, tol: float = 1e-12) -> bool:
-        """f = f* as a function, i.e. coeff(-k) = conj(coeff(k))."""
-        return not np.any(np.abs(np.flip(self._a) - self._a.conj()) > tol)
+    def is_selfadjoint(self) -> bool:
+        """f = f* as a function, i.e. coeff(-k) = conj(coeff(k)) to 1e-12."""
+        return not np.any(np.abs(np.flip(self._a) - self._a.conj()) > 1e-12)
 
     def max_abs_mode(self) -> int:
         """Largest |k|_inf actually present (0 for the zero polynomial),
@@ -247,23 +249,26 @@ class TrigPoly:
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return self._new(complex(other) * self._a)
-        return multiply(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.__mul__(other)
         return NotImplemented
+
+    __rmul__ = __mul__
 
     def conjugate(self) -> "TrigPoly":
         """Complex conjugate as a function: coeff(k) -> conj(coeff(-k))."""
         return self._new(np.flip(self._a).conj())
 
     def with_cap(self, cap: int) -> "TrigPoly":
-        """Same polynomial under a different truncation budget."""
+        """Same polynomial under a different truncation budget: the one
+        place a cap is applied.  Raises CapExceeded if a nonzero mode lies
+        past ``cap``; a crop is copied, so the result does not keep the
+        larger array alive."""
+        if cap == self.cap:
+            return self
         if cap < self.cap and self.max_abs_mode() > cap:
             raise CapExceeded(
                 f"mode radius {self.max_abs_mode()} exceeds cap {cap}")
-        return TrigPoly(self.dim, cap, _recap(self._a, self.cap, cap))
+        out = _recap(self._a, self.cap, cap)
+        return TrigPoly(self.dim, cap, out if out.base is None else out.copy())
 
     # ------------------------------------------------------------------
     # analysis
@@ -338,40 +343,20 @@ class TrigPoly:
 # module-level operations (the public op surface)
 
 
-def multiply(a: TrigPoly, b: TrigPoly) -> TrigPoly:
-    """Pointwise product (the coefficient convolution, by ``_convolve``).
-
-    Raises CapExceeded if the exact product carries any mode above the
-    shared cap; nothing is silently projected.
-    """
-    a._compat(b)
-    return _convolve(a, b, a.cap)
-
-
 def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
-    """Product at the lifted cap ra + rb (never raises CapExceeded).
-
-    Used by pairings whose results are consumed as scalars or sup-norms,
-    where no truncation budget constrains the intermediate.
-    """
-    if a.dim != b.dim:
-        raise GeometryMismatch("operands live on tori of different dimension")
-    return _convolve(a, b)
-
-
-def _convolve(a: TrigPoly, b: TrigPoly, cap: Optional[int] = None) -> TrigPoly:
-    """Product at ``cap`` (None: the sum of the support radii).
+    """Pointwise product at the lifted cap ra + rb (never raises
+    CapExceeded); ``with_cap`` applies a smaller cap.
 
     One batched FFT pair on the (2r + 1)^d box, r = ra + rb, which holds
     the linear convolution without wrap; the 0/1 support masks ride along
     and their product counts the pairs that reach each mode.  A mode none
-    reaches is set to exact 0, so the radius and the CapExceeded verdict
-    follow from the supports alone; a reached mode that cancels holds
-    round-off.
+    reaches is set to exact 0, so the radius follows from the supports
+    alone; a reached mode that cancels holds round-off.
     """
+    if a.dim != b.dim:
+        raise GeometryMismatch("operands live on tori of different dimension")
     ra, rb = a.max_abs_mode(), b.max_abs_mode()
     r = ra + rb
-    cap = r if cap is None else cap
     shape, axes = (2 * r + 1,) * a.dim, tuple(range(1, a.dim + 1))
     stack = np.zeros((4,) + shape, dtype=complex)
     # each support box sits at the origin corner
@@ -382,14 +367,9 @@ def _convolve(a: TrigPoly, b: TrigPoly, cap: Optional[int] = None) -> TrigPoly:
     f = np.fft.fftn(stack, s=shape, axes=axes)
     out, reach = np.fft.ifftn(f[0::2] * f[1::2], s=shape, axes=axes)
     out[reach.real < 0.5] = 0
-    if r > cap and _radius(out, r) > cap:
-        raise CapExceeded(
-            f"product reaches mode radius {_radius(out, r)} past cap {cap}; "
-            "enlarge the cap or rescale the problem")
-    out = _recap(out, r, cap)
-    # a crop is a view into the FFT output: copy it, so the product does
-    # not keep that stack alive
-    return TrigPoly(a.dim, cap, out if out.base is None else out.copy())
+    # ``out`` is a view into the inverse-FFT stack: copy it, so the
+    # product does not keep that stack alive
+    return TrigPoly(a.dim, r, out.copy())
 
 
 def lifted_sum(*terms: TrigPoly) -> TrigPoly:

@@ -264,10 +264,10 @@ class NestedPhiGrowth:
         """C * (2 sqrt(d) M^2)^n."""
         return self.c_const * (2.0 * math.sqrt(self.dim) * self.m_const ** 2) ** n
 
-    def holds(self, slack: float = 1e-9) -> bool:
-        if any(s > b * (1.0 + 1e-12) + slack for s, b in zip(self.sup_norms, self.bounds)):
+    def holds(self) -> bool:
+        if any(s > b * (1.0 + 1e-12) + 1e-9 for s, b in zip(self.sup_norms, self.bounds)):
             return False
-        return all(s <= self.envelope(n + 1) * (1.0 + 1e-12) + slack
+        return all(s <= self.envelope(n + 1) * (1.0 + 1e-12) + 1e-9
                    for n, s in enumerate(self.sup_norms))
 
 

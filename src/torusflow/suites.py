@@ -87,12 +87,11 @@ def _lifted_diff(a: TrigPoly, b: TrigPoly) -> float:
     return lifted_sum(a, -b).l2_norm()
 
 
-def run_identities(dim: int, cap: int, tol: float, seed: int,
-                   samples: int = 12) -> List[Record]:
+def run_identities(dim: int, cap: int, tol: float, seed: int) -> List[Record]:
     rng = sampling.rng_for(seed)
     m = max(1, cap // 4)
     out = []
-    for i in range(samples):
+    for i in range(12):
         x = sampling.poly(rng, dim, cap, m)
         y = sampling.poly(rng, dim, cap, m)
 
@@ -127,12 +126,11 @@ def run_identities(dim: int, cap: int, tol: float, seed: int,
     return out
 
 
-def run_growth(dim: int, cap: int, tol: float, seed: int,
-               samples: int = 12) -> List[Record]:
+def run_growth(dim: int, cap: int, tol: float, seed: int) -> List[Record]:
     rng = sampling.rng_for(seed + 1)
     m = max(1, cap // 2)
     out = []
-    for i in range(samples):
+    for i in range(12):
         x = sampling.poly(rng, dim, cap, m)
         y = sampling.poly(rng, dim, cap, m)
 

@@ -137,8 +137,10 @@ def heat_trace_via_flow(t: float, z: float, dim: int,
     The flow transports x by e^{tL} = e^{-t Laplacian / 2}, so the heat
     trace at time t is read off at flow time 2t: the sum over |k| <= z of
     the diagonal entries <phi_k, j_{2t}(phi_k) 1> / ||phi_k||^2 of the
-    propagator exp(2t Psi(0, 0)) on the modes |k|_inf <= cap.  That
-    generator is diagonal, so its exponential is taken entrywise.
+    propagator exp(2t Psi(0, 0)) on the modes |k|_inf <= floor(z), the
+    only ones the sum reads (``cap`` bounds that cutoff and allocates
+    nothing).  That generator is diagonal, so its exponential is taken
+    entrywise.
     """
     if t <= 0:
         raise GeometryMismatch("heat trace needs t > 0")
@@ -148,12 +150,12 @@ def heat_trace_via_flow(t: float, z: float, dim: int,
     cap = m if cap is None else cap
     if cap < m:
         raise CapExceeded(f"cutoff z={z:g} needs modes up to {m}, past the cap {cap}")
-    space = ModeSpace(dim, cap)
+    space = ModeSpace(dim, m)
     zero = OneForm.zero(dim, 0)
     diag = diagonal_entries(space.psi_matrix(zero, zero))
     if diag is None:
         raise GeometryMismatch("the zero-noise generator is not diagonal")
-    keep = np.sum(mode_grid(dim, cap) ** 2, axis=1) <= z * z + 1e-12
+    keep = np.sum(mode_grid(dim, m) ** 2, axis=1) <= z * z + 1e-12
     vals = np.exp(2.0 * t * diag)[keep]
     if np.any(np.abs(vals.imag) > 1e-10 * np.maximum(1.0, np.abs(vals.real))):
         raise GeometryMismatch(f"the trace terms over |k| <= {z:g} are not real: {vals}")
@@ -188,7 +190,7 @@ class WeylFit:
         return spinor_rank(dim) * (2 * math.pi) ** dim / (4 * math.pi) ** (dim / 2.0)
 
 
-def weyl_fit(lams: Sequence[float], dim: int, tol: float = 1e-13) -> WeylFit:
+def weyl_fit(lams: Sequence[float], dim: int) -> WeylFit:
     """Fit log S(Lambda) = slope * log Lambda + log prefactor.
 
     Each action value uses a cutoff generous enough that the discarded
@@ -199,7 +201,7 @@ def weyl_fit(lams: Sequence[float], dim: int, tol: float = 1e-13) -> WeylFit:
         raise GeometryMismatch("the fit needs at least two scales")
     rows = []
     for lam in lams:
-        z = z_for_tail(lam ** -2, dim, tol)
+        z = z_for_tail(lam ** -2, dim, 1e-13)
         rows.append((lam, spectral_action(lam, z, dim)))
     logs = np.log(np.array([[l, s] for l, s in rows]))
     slope, intercept = np.polyfit(logs[:, 0], logs[:, 1], 1)

@@ -206,6 +206,19 @@ def test_flow_trace_cap_below_cutoff():
     heat_trace_via_flow(1.0, 3.5, 2, cap=3)
 
 
+def test_flow_trace_allocates_for_the_cutoff_not_the_cap():
+    # cap only bounds the cutoff: a (2001)^3 mode box is never built
+    want = heat_trace_via_flow(0.5, 2.0, 3, cap=2)
+    tracemalloc.start()
+    try:
+        got = heat_trace_via_flow(0.5, 2.0, 3, cap=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2 ** 20
+
+
 def test_flow_trace_needs_positive_time():
     with pytest.raises(GeometryMismatch):
         heat_trace_via_flow(0.0, 4.0, 1)
