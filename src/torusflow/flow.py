@@ -8,8 +8,8 @@ piecewise constant one-form noise:
   interval first (so the earliest sits outermost).
 * ``picard_terms``: the same quantity as an iterated-integral series;
   on constant intervals the simplex integrals are exact Taylor terms,
-  so the order-n block is the degree-n part of the product of the
-  interval exponentials, with a factorial tail bound.
+  so the order-n term is the degree-n part of the product of the
+  interval exponentials applied to x, with a factorial tail bound.
 * ``flow_inner``: the pairing of two flow vectors
   J_t(x (x) E(f)) v.  Creation increments entangle the function leg
   with the one-form leg, so the vectors are never stored: a bilinear
@@ -19,10 +19,14 @@ piecewise constant one-form noise:
   check compares it with the first route.
 
 Two expansions serve these routes.  The exponential routes sum each
-cell's generator and propagate a vector through its exponential; the
-Picard blocks run one Taylor loop per cell over the orders already
-present and drop the orders past the budget.  The blocks' operator
-norms are computed only when read (``PicardSeries.block_norms``).
+cell's generator and propagate a vector through its exponential.  The
+Picard series runs one Taylor recursion per cell (``_graded``) over the
+orders already present and drops the orders past n_max.  It propagates
+the argument vector, so each order is an N-vector and each step a sparse
+mat-vec, and every order's term is read off one functional, conj(v) u.
+The N x N order blocks and their operator norms are computed only when
+read (``PicardSeries.blocks``, ``block_norms``), by the same recursion
+started from the identity.
 
 Everything is Galerkin-compressed onto the modes |k|_inf <= cap; both
 sides of every cross-check share that compression.  On that mode space
@@ -53,11 +57,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (BasisMismatch, CapExceeded, GeometryMismatch,
-                     NotPositive)
+from .errors import BasisMismatch, GeometryMismatch, NotPositive
 from .fock import SimpleNoisePath, TimeMesh, noise_inner
-from .spectral import (TWO_PI, OneForm, TrigPoly, exterior_derivative,
-                       flat_index, lifted_sum, mode_grid, mul_free)
+from .spectral import (TWO_PI, OneForm, TrigPoly, check_dense,
+                       exterior_derivative, flat_index, lifted_sum, mode_grid,
+                       mul_free)
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -76,11 +80,6 @@ __all__ = [
     "PositivityReport",
     "positivity_probe",
 ]
-
-#: hard budget on the mode-space array entries one call allocates (Picard
-#: blocks, Gram matrices, pairing kernels with their superoperators)
-_DENSE_BUDGET = 1 << 24
-
 
 class ModeSpace:
     """The lattice modes |k|_inf <= cap as a vector space.
@@ -105,12 +104,9 @@ class ModeSpace:
         return self._k.shape[0]
 
     def check_dense(self, entries: int, what: str) -> None:
-        """Refuse an allocation of ``entries`` array entries past the budget."""
-        if entries > _DENSE_BUDGET:
-            raise CapExceeded(
-                f"{what} needs {entries} dense entries at cap {self.cap}, "
-                f"dim {self.dim} (budget {_DENSE_BUDGET}); lower the cap"
-            )
+        """Refuse an allocation of ``entries`` array entries past the
+        dense budget (``spectral.check_dense``)."""
+        check_dense(entries, what, self.cap, self.dim)
 
     def to_vec(self, p: TrigPoly) -> np.ndarray:
         if p.dim != self.dim:
@@ -260,6 +256,35 @@ def texp_matrix_element(p: FlowProblem) -> complex:
     return np.exp(noise_inner(p.g, p.f)) * p.u.l2_inner(mul_free(y, p.v))
 
 
+def _graded(cells: List[Tuple[float, sparse.csr_array]], start: np.ndarray,
+            n_max: int) -> List[np.ndarray]:
+    """Orders 0..n_max of E_1 ... E_m start, E_j = exp(dt_j Psi_j), by
+    Taylor recursion, latest cell first so the earliest sits outermost.
+
+    ``start`` is a vector or a matrix of columns.  Each cell's loop moves
+    the orders present up one order per step, adds the step into them in
+    place and drops the orders past n_max, which is what ends it.
+    """
+    graded = [start]
+    for dt, psi in reversed(cells):
+        term = graded  # term[j] is of order j + k
+        k = 0
+        while term:
+            k += 1
+            # the whole step is formed before it is added (the first step
+            # reads the orders); replacing one order at a time frees each
+            # old term at once
+            term = term[: n_max + 1 - k]
+            for j, b in enumerate(term):
+                term[j] = psi @ b * (dt / k)
+            for j, b in enumerate(term):
+                if j + k < len(graded):
+                    graded[j + k] += b
+                else:
+                    graded.append(b)
+    return graded + [np.zeros_like(start)] * (n_max + 1 - len(graded))
+
+
 @dataclass
 class PicardSeries:
     """Iterated-integral contributions plus their factorial envelope.
@@ -269,15 +294,24 @@ class PicardSeries:
     prefactor * s_const**(N+1) * e**s_const / (N+1)!.
 
     ``blocks[n]`` is the order-n block before pairing, and
-    ``block_norms[n]`` its operator norm, computed on first read.  Scalar
-    terms can dip through zero by cancellation, so decay diagnostics
-    should read the block norms instead.
+    ``block_norms[n]`` its operator norm; both are computed on first read,
+    the blocks by the terms' Taylor recursion run from the identity on the
+    kept ``cells`` (width, generator), earliest first, on the mode space
+    of dimension ``size``.  Scalar terms can dip through zero by
+    cancellation, so decay diagnostics should read the block norms
+    instead.
     """
 
     terms: List[complex]
     s_const: float
     prefactor: float
-    blocks: List[np.ndarray] = field(repr=False)
+    size: int = field(repr=False)
+    cells: List[Tuple[float, sparse.csr_array]] = field(repr=False)
+
+    @cached_property
+    def blocks(self) -> List[np.ndarray]:
+        return _graded(self.cells, np.eye(self.size, dtype=complex),
+                       len(self.terms) - 1)
 
     @cached_property
     def block_norms(self) -> List[float]:
@@ -299,47 +333,32 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
     to the Taylor terms (dt Psi)^k / k!, so the order-n block is the
     degree-n part of the product of the interval exponentials, applied
     latest interval first so the earliest sits outermost, as in the
-    exponential route.  ``blocks[n]`` is the order-n block; each cell's
-    Taylor loop moves the blocks present up one order per step, adds the
-    step into the blocks in place and drops the orders past n_max, which
-    is what ends it.
+    exponential route.  The recursion (``_graded``) propagates the
+    argument vector x, so order n is the N-vector y_n = block_n x and each
+    step is a sparse mat-vec; the N x N blocks are formed only when read
+    (``PicardSeries.blocks``).  Every term is read off one functional:
+    <u, y v> = <conj(v) u, y>, so w = conj(v) u is formed once and
+    terms[n] = exp(<g, f>) <w, y_n>.
     """
     if n_max < 0:
         raise GeometryMismatch("n_max must be nonnegative")
     space = ModeSpace(p.dim, p.cap)
-    # held at once: the blocks, one Taylor step's terms and the product
-    # being formed; at n_max = 0, the densified generator and its SVD copy
+    # charged here, so a later read of ``blocks`` is inside the budget:
+    # the blocks, one Taylor step's terms and the product being formed;
+    # at n_max = 0, the densified generator and its SVD copy
     space.check_dense((2 * n_max + 2) * space.size ** 2, "picard graded blocks")
     cells = [(dt, space.psi_matrix(fc, gc)) for dt, fc, gc in p.cells()]
     s_const = 0.0
     for dt, psi in cells:
         s_const += dt * float(np.linalg.norm(psi.toarray(), 2))
-    blocks = [np.eye(space.size, dtype=complex)]
-    for dt, psi in reversed(cells):
-        term = blocks  # term[j] is of order j + k
-        k = 0
-        while term:
-            k += 1
-            # the whole step is formed before it is added (the first step
-            # reads the blocks); replacing one order at a time frees each
-            # old term at once
-            term = term[: n_max + 1 - k]
-            for j, b in enumerate(term):
-                term[j] = psi @ b * (dt / k)
-            for j, b in enumerate(term):
-                if j + k < len(blocks):
-                    blocks[j + k] += b
-                else:
-                    blocks.append(b)
-    empty = np.zeros((space.size, space.size), dtype=complex)
-    graded = blocks + [empty] * (n_max + 1 - len(blocks))
     xv = space.to_vec(p.x)
     coh = np.exp(noise_inner(p.g, p.f))
-    terms = [coh * p.u.l2_inner(mul_free(space.from_vec(a @ xv), p.v))
-             for a in graded]
+    w = mul_free(p.v.conjugate(), p.u)
+    terms = [coh * w.l2_inner(space.from_vec(y))
+             for y in _graded(cells, xv, n_max)]
     prefactor = (abs(coh) * p.u.l2_norm() * p.v.l2_norm()
                  * math.sqrt(space.size) * float(np.linalg.norm(xv)))
-    return PicardSeries(terms, s_const, prefactor, graded)
+    return PicardSeries(terms, s_const, prefactor, space.size, cells)
 
 
 def vacuum_expectation(x: TrigPoly, u: TrigPoly, v: TrigPoly, t: float) -> complex:

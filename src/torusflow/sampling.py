@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .fock import SimpleNoisePath, TimeMesh
-from .spectral import OneForm, TrigPoly
+from .spectral import OneForm, TrigPoly, check_dense
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -27,6 +27,8 @@ def poly(rng: np.random.Generator, dim: int, cap: int,
     fixed by conjugation.
     """
     m = cap if max_mode is None else min(max_mode, cap)
+    # the draw fills the (2m+1)^d box, and the result the cap's box
+    check_dense((2 * cap + 1) ** dim, "sampled polynomial", cap, dim)
     # one draw per mode in C order, real part then imaginary part
     draw = rng.standard_normal((2 * m + 1,) * dim + (2,))
     coeffs = scale * (draw[..., 0] + 1j * draw[..., 1]) / 2.0

@@ -13,6 +13,9 @@ than aliasing or projecting.
 Every product is one batched FFT pair (``mul_free``), exact at the
 lifted cap ra + rb, that keeps each mode no pair of nonzero coefficients
 reaches an exact zero; a smaller cap is applied by ``TrigPoly.with_cap``.
+One dense budget (``check_dense``) bounds the array entries a call may
+allocate: a product's FFT stack, a sampled polynomial
+(``sampling.poly``) and the mode-space arrays of ``flow``.
 
 A supremum is a bracket read off one exact grid (``TrigPoly.sup_norm``).
 Where the sup sits on the bound side, callers take the grid max
@@ -43,6 +46,21 @@ from .errors import CapExceeded, GeometryMismatch, RankMismatch
 ModeKey = Tuple[int, ...]
 
 TWO_PI = 2.0 * math.pi
+
+#: hard budget on the array entries one call allocates: a product's FFT
+#: stack, a sampled coefficient box, and the mode-space arrays of ``flow``
+#: (Picard blocks, Gram matrices, pairing kernels with their superoperators)
+_DENSE_BUDGET = 1 << 24
+
+
+def check_dense(entries: int, what: str, cap: int, dim: int) -> None:
+    """Refuse an allocation of ``entries`` array entries past the budget,
+    naming the cap and the dim that set its size."""
+    if entries > _DENSE_BUDGET:
+        raise CapExceeded(
+            f"{what} needs {entries} dense entries at cap {cap}, "
+            f"dim {dim} (budget {_DENSE_BUDGET}); lower the cap"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -344,20 +362,24 @@ class TrigPoly:
 
 
 def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
-    """Pointwise product at the lifted cap ra + rb (never raises
-    CapExceeded); ``with_cap`` applies a smaller cap.
+    """Pointwise product at the lifted cap ra + rb (the cap never makes it
+    raise CapExceeded; only the dense budget does, below); ``with_cap``
+    applies a smaller cap.
 
     One batched FFT pair on the (2r + 1)^d box, r = ra + rb, which holds
-    the linear convolution without wrap; the 0/1 support masks ride along
-    and their product counts the pairs that reach each mode.  A mode none
-    reaches is set to exact 0, so the radius follows from the supports
-    alone; a reached mode that cancels holds round-off.
+    the linear convolution without wrap; the stack of four such boxes is
+    charged against the dense budget before it is allocated.  The 0/1
+    support masks ride along and their product counts the pairs that
+    reach each mode.  A mode none reaches is set to exact 0, so the radius
+    follows from the supports alone; a reached mode that cancels holds
+    round-off.
     """
     if a.dim != b.dim:
         raise GeometryMismatch("operands live on tori of different dimension")
     ra, rb = a.max_abs_mode(), b.max_abs_mode()
     r = ra + rb
     shape, axes = (2 * r + 1,) * a.dim, tuple(range(1, a.dim + 1))
+    check_dense(4 * (2 * r + 1) ** a.dim, "product FFT stack", r, a.dim)
     stack = np.zeros((4,) + shape, dtype=complex)
     # each support box sits at the origin corner
     stack[(0,) + _box(a.dim, ra, ra)] = _recap(a._a, a.cap, ra)

@@ -212,7 +212,6 @@ def run_flow(dim: int, cap: int, tol: float, seed: int) -> List[Record]:
         series = picard_terms(p, 8)
         gap = abs(series.partial_sum(8) - texp_matrix_element(p))
         bound = series.tail_bound(8)
-        del series  # its order blocks, N^2 entries each, are read no further
         out.append(Record("flow", f"picard_tail[{i}]", gap <= bound,
                           gap, bound, {"order": 8.0}))
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,19 @@ def test_main_refuses_the_removed_depth_knob(tmp_path, capsys):
     cfg.write_text("depth = 3\n")
     assert main(["run", "--suite", "flow", "--config", str(cfg)]) == 2
     assert "config: unknown key 'depth'" in capsys.readouterr().err
+
+
+def test_main_refuses_a_cap_past_the_dense_budget(capsys):
+    # identities and growth draw their polynomials at the run's cap: at
+    # d=3 cap 1000 the draw is refused before anything is allocated
+    for suite in ("identities", "growth"):
+        start = time.perf_counter()
+        assert main(["run", "--suite", suite, "--dim", "3",
+                     "--cap", "1000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"suite {suite} (dim=3, cap=1000" in err
+        assert "dense entries at cap 1000, dim 3" in err
 
 
 def test_main_listing_verbs(capsys):

@@ -296,12 +296,38 @@ def test_picard_block_norms_track_factorial_envelope():
     assert series.block_norms[0] == 1.0
     for n, bn in enumerate(series.block_norms):
         assert bn <= series.s_const ** n / math.factorial(n) * (1 + 1e-12)
-    # each term is the pairing read off the kept order-n block
+    # each term is the pairing read off the order-n block; the terms come
+    # from the propagated vector, so they agree to round-off
     space = ModeSpace(1, 3)
     coh = np.exp(noise_inner(g, f))
     for n, block in enumerate(series.blocks):
         y = space.from_vec(block @ space.to_vec(p.x))
-        assert series.terms[n] == coh * p.u.l2_inner(mul_free(y, p.v))
+        assert series.terms[n] == pytest.approx(
+            coh * p.u.l2_inner(mul_free(y, p.v)), rel=1e-12)
+
+
+def test_picard_terms_propagate_vectors_not_blocks():
+    # d=2 cap 10, N = 441: the nine order blocks would take 9 N^2 complex
+    # entries; the terms propagate N-vectors, so the peak is set by one
+    # densified generator for s_const
+    rng = rng_for(7)
+    f = noise_path(rng, 2, 10, 2, horizon=0.8, max_mode=1)
+    g = noise_path(rng, 2, 10, 2, horizon=0.8, max_mode=1)
+    p = FlowProblem(poly(rng, 2, 10, 1), f, g, poly(rng, 2, 10, 1),
+                    poly(rng, 2, 10, 1), 0.8)
+    blocks_bytes = 9 * 441 ** 2 * 16
+    tracemalloc.start()
+    try:
+        series = picard_terms(p, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < blocks_bytes / 4
+    assert abs(series.partial_sum() - texp_matrix_element(p)) \
+        <= series.tail_bound(8)
+    # the blocks are still there when read
+    assert len(series.blocks) == 9
+    assert series.block_norms[0] == 1.0
 
 
 def test_picard_zero_horizon_collapses_to_order_zero():

@@ -62,6 +62,16 @@ def test_mul_free_lifts_cap():
     assert p.cap >= 2
 
 
+def test_mul_free_refuses_a_stack_past_the_dense_budget():
+    # 4 (2r + 1)^3 entries at r = 82 exceed the budget; each factor holds
+    # one mode, so only the product's FFT stack would be large
+    e = TrigPoly.mode((41, 0, 0), 3, 41)
+    with pytest.raises(CapExceeded, match=r"product FFT stack .* cap 82, dim 3"):
+        mul_free(e, e)
+    # r = 41 fits
+    assert mul_free(e, TrigPoly.one(3, 0)).coeff((41, 0, 0)) == 1.0
+
+
 def test_constructor_rejects_out_of_cap_modes():
     with pytest.raises(CapExceeded):
         TrigPoly(1, 1, {(2,): 1.0})
