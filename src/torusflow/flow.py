@@ -26,7 +26,8 @@ the argument vector, so each order is an N-vector and each step a sparse
 mat-vec, and every order's term is read off one functional, conj(v) u.
 The N x N order blocks and their operator norms are computed only when
 read (``PicardSeries.blocks``, ``block_norms``), by the same recursion
-started from the identity.
+started from the identity, and only then charged against the dense
+budget.
 
 Everything is Galerkin-compressed onto the modes |k|_inf <= cap; both
 sides of every cross-check share that compression.  On that mode space
@@ -134,8 +135,15 @@ class ModeSpace:
         for c, (_, w) in zip(coeffs[:, support], terms):
             vals += c[shift] * w[col]
         keep = vals != 0
-        rows = flat_index(self._k[col[keep]] + mu[shift[keep]], self.cap)
-        return sparse.csr_array((vals[keep], (rows, col[keep])),
+        col = col[keep]
+        rows = flat_index(self._k[col] + mu[shift[keep]], self.cap)
+        # a (row, column) pair occurs once (distinct shifts of a column
+        # land on distinct rows), so sorting by row, then column, is the
+        # canonical CSR order
+        order = np.lexsort((col, rows))
+        indptr = np.zeros(self.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.size), out=indptr[1:])
+        return sparse.csr_array((vals[keep][order], col[order], indptr),
                                 shape=(self.size, self.size))
 
     def mult_matrix(self, h: TrigPoly) -> sparse.csr_array:
@@ -296,21 +304,25 @@ class PicardSeries:
     ``blocks[n]`` is the order-n block before pairing, and
     ``block_norms[n]`` its operator norm; both are computed on first read,
     the blocks by the terms' Taylor recursion run from the identity on the
-    kept ``cells`` (width, generator), earliest first, on the mode space
-    of dimension ``size``.  Scalar terms can dip through zero by
-    cancellation, so decay diagnostics should read the block norms
-    instead.
+    kept ``cells`` (width, generator), earliest first, on ``space``.  The
+    first read charges the blocks against the dense budget: the blocks,
+    one Taylor step's terms and the product being formed.  Scalar terms
+    can dip through zero by cancellation, so decay diagnostics should read
+    the block norms instead.
     """
 
     terms: List[complex]
     s_const: float
     prefactor: float
-    size: int = field(repr=False)
+    space: ModeSpace = field(repr=False)
     cells: List[Tuple[float, sparse.csr_array]] = field(repr=False)
 
     @cached_property
     def blocks(self) -> List[np.ndarray]:
-        return _graded(self.cells, np.eye(self.size, dtype=complex),
+        size = self.space.size
+        self.space.check_dense(2 * len(self.terms) * size ** 2,
+                               "picard graded blocks")
+        return _graded(self.cells, np.eye(size, dtype=complex),
                        len(self.terms) - 1)
 
     @cached_property
@@ -335,18 +347,16 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
     latest interval first so the earliest sits outermost, as in the
     exponential route.  The recursion (``_graded``) propagates the
     argument vector x, so order n is the N-vector y_n = block_n x and each
-    step is a sparse mat-vec; the N x N blocks are formed only when read
-    (``PicardSeries.blocks``).  Every term is read off one functional:
-    <u, y v> = <conj(v) u, y>, so w = conj(v) u is formed once and
-    terms[n] = exp(<g, f>) <w, y_n>.
+    step is a sparse mat-vec; the N x N blocks are formed, and charged
+    against the dense budget, only when read (``PicardSeries.blocks``).
+    Every term is read off one functional: <u, y v> = <conj(v) u, y>, so
+    w = conj(v) u is formed once and terms[n] = exp(<g, f>) <w, y_n>.
     """
     if n_max < 0:
         raise GeometryMismatch("n_max must be nonnegative")
     space = ModeSpace(p.dim, p.cap)
-    # charged here, so a later read of ``blocks`` is inside the budget:
-    # the blocks, one Taylor step's terms and the product being formed;
-    # at n_max = 0, the densified generator and its SVD copy
-    space.check_dense((2 * n_max + 2) * space.size ** 2, "picard graded blocks")
+    # each cell's generator is densified for its SVD, beside the SVD's copy
+    space.check_dense(2 * space.size ** 2, "picard generator SVD")
     cells = [(dt, space.psi_matrix(fc, gc)) for dt, fc, gc in p.cells()]
     s_const = 0.0
     for dt, psi in cells:
@@ -358,7 +368,7 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
              for y in _graded(cells, xv, n_max)]
     prefactor = (abs(coh) * p.u.l2_norm() * p.v.l2_norm()
                  * math.sqrt(space.size) * float(np.linalg.norm(xv)))
-    return PicardSeries(terms, s_const, prefactor, space.size, cells)
+    return PicardSeries(terms, s_const, prefactor, space, cells)
 
 
 def vacuum_expectation(x: TrigPoly, u: TrigPoly, v: TrigPoly, t: float) -> complex:

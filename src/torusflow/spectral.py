@@ -372,7 +372,8 @@ def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
     support masks ride along and their product counts the pairs that
     reach each mode.  A mode none reaches is set to exact 0, so the radius
     follows from the supports alone; a reached mode that cancels holds
-    round-off.
+    round-off.  A zero factor reaches no mode: its product is the exact
+    zero at cap r, formed with no FFT.
     """
     if a.dim != b.dim:
         raise GeometryMismatch("operands live on tori of different dimension")
@@ -380,6 +381,8 @@ def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
     r = ra + rb
     shape, axes = (2 * r + 1,) * a.dim, tuple(range(1, a.dim + 1))
     check_dense(4 * (2 * r + 1) ** a.dim, "product FFT stack", r, a.dim)
+    if a.is_zero() or b.is_zero():
+        return TrigPoly(a.dim, r)  # no pair reaches any mode
     stack = np.zeros((4,) + shape, dtype=complex)
     # each support box sits at the origin corner
     stack[(0,) + _box(a.dim, ra, ra)] = _recap(a._a, a.cap, ra)

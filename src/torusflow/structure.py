@@ -113,10 +113,12 @@ def kernel_eval(a1: TrigPoly, a2: TrigPoly, b1: TrigPoly, b2: TrigPoly,
     if route == "oracle":
         f1s = a1.conjugate()
         f2s = a2.conjugate()
-        t1 = generator_L(mul_free(mul_free(f1s, f2s), mul_free(b2, b1)))
+        f12 = mul_free(f1s, f2s)
+        g21 = mul_free(b2, b1)
+        t1 = generator_L(mul_free(f12, g21))
         t2 = mul_free(f1s, mul_free(generator_L(mul_free(f2s, b2)), b1))
-        t3 = mul_free(generator_L(mul_free(mul_free(f1s, f2s), b2)), b1)
-        t4 = mul_free(f1s, generator_L(mul_free(f2s, mul_free(b2, b1))))
+        t3 = mul_free(generator_L(mul_free(f12, b2)), b1)
+        t4 = mul_free(f1s, generator_L(mul_free(f2s, g21)))
         return lifted_sum(t1, t2, -t3, -t4).with_cap(working_cap)
     raise ValueError(f"unknown kernel route {route!r}")
 

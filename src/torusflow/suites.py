@@ -134,12 +134,13 @@ def run_growth(dim: int, cap: int, tol: float, seed: int) -> List[Record]:
         x = sampling.poly(rng, dim, cap, m)
         y = sampling.poly(rng, dim, cap, m)
 
-        dxy = exterior_derivative(mul_free(x, y))
+        xy = mul_free(x, y)
+        dxy = exterior_derivative(xy)
         res = 0.0
         for ax in range(dim):
             other = mul_free(x.partial(ax), y) + mul_free(x, y.partial(ax))
             res = max(res, _lifted_diff(dxy.comps[ax], other))
-        res = _rel(res, mul_free(x, y).l2_norm())
+        res = _rel(res, xy.l2_norm())
         out.append(Record("growth", f"product_rule[{i}]", res <= tol, res, tol))
 
         grad_lap = covariant_derivative(x.laplacian(), 1)

@@ -4,10 +4,13 @@ Three routes to Tr e^{-t Laplacian} keep each other honest.  The direct
 lattice sum over eigenvalues and the Poisson-resummed theta series (exact
 for every t, not just asymptotically) both read one integer table of
 eigenvalue multiplicities, ``shell_counts``, whose work is checked against
-``_LATTICE_BUDGET`` before allocation.  The vacuum flow sums the diagonal of
-the flow's zero-noise propagator e^{2t L} over the modes |k| <= z; it
-transports functions by e^{tL} with L = -Laplacian/2 and therefore runs at
-flow time 2t.
+``_LATTICE_BUDGET`` before allocation.  The table starts from r_1, known
+in closed form, and adds one shift pass per further axis.  A sum up to
+|k|^2 <= n reads the table's prefix, so a Weyl fit builds one table, at
+its largest cutoff, for all its scales.  The vacuum flow sums the
+diagonal of the flow's zero-noise propagator e^{2t L} over the modes
+|k| <= z; it transports functions by e^{tL} with L = -Laplacian/2 and
+therefore runs at flow time 2t.
 
 The spectral action with the Gaussian weight is the same trace at
 t = Lambda^{-2} scaled by the spinor rank; its large-Lambda growth is
@@ -45,9 +48,12 @@ _LATTICE_BUDGET = 1 << 30
 
 
 def shell_counts(dim: int, n: int) -> np.ndarray:
-    """r_dim(0..n) as int64, the number of k in Z^dim with |k|^2 = m: from
-    r_0 = delta_0, each axis adds the counts shifted by every s^2 <= n,
-    once for s = 0 and twice (for +-s) for s > 0."""
+    """r_dim(0..n) as int64, the number of k in Z^dim with |k|^2 = m.
+
+    r_1 is 1 at 0 and 2 at every nonzero square; each further axis adds
+    the previous table shifted by every s^2 <= n, once for s = 0 and twice
+    (for +-s) for s > 0.
+    """
     if dim < 1 or n < 0:
         raise GeometryMismatch(f"r_d(0..n) needs d >= 1 and n >= 0, got d={dim}, n={n}")
     root = math.isqrt(n)
@@ -59,20 +65,35 @@ def shell_counts(dim: int, n: int) -> np.ndarray:
         raise CapExceeded(f"the table r_{dim}(0..{n}) could overflow int64 counts")
     counts = np.zeros(n + 1, dtype=np.int64)
     counts[0] = 1
-    for _ in range(dim):
-        prev, counts = counts, np.zeros_like(counts)
-        for s in range(root + 1):
-            counts[s * s:] += (1 if s == 0 else 2) * prev[:n + 1 - s * s]
+    counts[np.arange(1, root + 1) ** 2] = 2
+    for _ in range(dim - 1):
+        twice = 2 * counts
+        counts = counts.copy()  # the s = 0 shift
+        for s in range(1, root + 1):
+            counts[s * s:] += twice[:n + 1 - s * s]
     return counts
 
 
-def _shell_sum(dim: int, n: int, rate: float, what: str) -> float:
-    """sum_{m <= n} r_dim(m) e^{-rate m}; a refusal names ``what``."""
+def _table(dim: int, n: int, what: str) -> np.ndarray:
+    """``shell_counts(dim, n)``; a refusal names ``what``."""
     try:
-        counts = shell_counts(dim, n)
+        return shell_counts(dim, n)
     except CapExceeded as exc:
         raise CapExceeded(f"{what}: {exc}") from None
-    return float(counts @ np.exp(-rate * np.arange(n + 1)))
+
+
+def _shell_sum(counts: np.ndarray, n: int, rate: float) -> float:
+    """sum_{m <= n} r(m) e^{-rate m}, read off the prefix of a table."""
+    return float(counts[:n + 1] @ np.exp(-rate * np.arange(n + 1)))
+
+
+def _shell_index(z: float) -> int:
+    """The largest m = |k|^2 with |k| <= z."""
+    return math.floor(z * z + 1e-12)
+
+
+def _direct_what(t: float, z: float, dim: int) -> str:
+    return f"direct trace at t={t:g}, z={z:g}, dim {dim}"
 
 
 def heat_trace_direct(t: float, z: float, dim: int) -> float:
@@ -81,8 +102,8 @@ def heat_trace_direct(t: float, z: float, dim: int) -> float:
         raise GeometryMismatch("heat trace needs t > 0")
     if z < 0:
         raise GeometryMismatch("cutoff must be nonnegative")
-    return _shell_sum(dim, math.floor(z * z + 1e-12), t,
-                      f"direct trace at t={t:g}, z={z:g}, dim {dim}")
+    n = _shell_index(z)
+    return _shell_sum(_table(dim, n, _direct_what(t, z, dim)), n, t)
 
 
 def theta_reference(t: float, dim: int) -> float:
@@ -101,8 +122,8 @@ def theta_reference(t: float, dim: int) -> float:
     m = max(1, int(math.sqrt(80.0 * t) / math.pi) - 1)
     while m < 2 ** 52 and math.pi ** 2 * m * m / t < 80.0:
         m += 1
-    return (math.pi / t) ** (dim / 2.0) * _shell_sum(
-        dim, m * m, math.pi ** 2 / t, f"theta reference at t={t:g}, dim {dim}")
+    counts = _table(dim, m * m, f"theta reference at t={t:g}, dim {dim}")
+    return (math.pi / t) ** (dim / 2.0) * _shell_sum(counts, m * m, math.pi ** 2 / t)
 
 
 def z_for_tail(t: float, dim: int, tol: float = 1e-12) -> int:
@@ -194,15 +215,25 @@ def weyl_fit(lams: Sequence[float], dim: int) -> WeylFit:
     """Fit log S(Lambda) = slope * log Lambda + log prefactor.
 
     Each action value uses a cutoff generous enough that the discarded
-    tail cannot bias the fit at the working tolerance.
+    tail cannot bias the fit at the working tolerance.  Every cutoff is
+    picked first; one ``shell_counts`` table at the largest then serves
+    every scale, whose sum reads its prefix, so each row equals
+    ``spectral_action(Lambda, z, dim)`` bit for bit.
     """
     lams = sorted(float(l) for l in lams)
     if len(lams) < 2:
         raise GeometryMismatch("the fit needs at least two scales")
-    rows = []
+    cuts = []
     for lam in lams:
-        z = z_for_tail(lam ** -2, dim, 1e-13)
-        rows.append((lam, spectral_action(lam, z, dim)))
+        if lam <= 0:
+            raise GeometryMismatch("spectral action needs Lambda > 0")
+        t = lam ** -2
+        z = z_for_tail(t, dim, 1e-13)
+        cuts.append((lam, t, z, _shell_index(z)))
+    _, t, z, n = max(cuts, key=lambda c: c[3])
+    counts = _table(dim, n, _direct_what(t, z, dim))
+    rows = [(lam, spinor_rank(dim) * _shell_sum(counts, n, t))
+            for lam, t, _, n in cuts]
     logs = np.log(np.array([[l, s] for l, s in rows]))
     slope, intercept = np.polyfit(logs[:, 0], logs[:, 1], 1)
     return WeylFit(float(slope), float(math.exp(intercept)), rows)

@@ -130,12 +130,13 @@ def test_dense_budget_refuses_before_allocating():
         picard_terms(p, 8)
     with pytest.raises(CapExceeded, match=r"dense entries"):
         ModeSpace(3, 8).gram_matrix(x, x)
-    # 5 N^2 blocks at N = 1681 fit the budget, but the Taylor loop holds
-    # about twice that
-    y = TrigPoly.one(2, 20)
+    # the terms at N = 441 fit the budget, but the 51 blocks a read of
+    # ``blocks`` would form, with the Taylor loop's terms, do not
+    y = TrigPoly.one(2, 10)
     zero = SimpleNoisePath.zero(2, horizon=1.0)
-    with pytest.raises(CapExceeded, match=r"cap 20, dim 2"):
-        picard_terms(FlowProblem(y, zero, zero, y, y, 1.0), 4)
+    series = picard_terms(FlowProblem(y, zero, zero, y, y, 1.0), 50)
+    with pytest.raises(CapExceeded, match=r"cap 10, dim 2"):
+        series.blocks
     assert time.perf_counter() - start < 1.0
 
 

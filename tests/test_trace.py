@@ -49,11 +49,14 @@ def test_shell_counts_match_jacobi_four_squares():
 
 
 def test_shell_counts_match_brute_force():
-    for dim, box in ((1, 30), (2, 20), (3, 12)):
+    for dim, box in ((1, 30), (2, 20), (3, 12), (4, 6)):
         sq = sum(a * a for a in np.ogrid[(slice(-box, box + 1),) * dim])
         # the box holds every point with |k|^2 <= box^2
         want = np.bincount(sq.ravel())[:box * box + 1]
         assert shell_counts(dim, box * box).tolist() == want.tolist()
+        # a table that ends between two squares
+        n = box * box - 3
+        assert shell_counts(dim, n).tolist() == want[:n + 1].tolist()
 
 
 def test_cutoff_must_be_nonnegative():
@@ -251,6 +254,26 @@ def test_weyl_fit_recovers_volume_term():
         want = WeylFit.expected_prefactor(dim)
         assert fit.prefactor == pytest.approx(want, rel=1e-10)
         assert len(fit.rows) == 9
+
+
+def test_weyl_fit_builds_one_table_per_fit(monkeypatch):
+    from torusflow import trace
+    calls = []
+
+    def counted(dim, n):
+        calls.append((dim, n))
+        return shell_counts(dim, n)
+
+    monkeypatch.setattr(trace, "shell_counts", counted)
+    lams = np.geomspace(5.0, 20.0, 9)
+    for dim in (1, 2, 3):
+        for _ in range(2):  # a second fit builds its own table: no memo
+            calls.clear()
+            fit = weyl_fit(lams, dim)
+            assert len(calls) == 1
+        for lam, action in fit.rows:
+            z = z_for_tail(lam ** -2, dim, 1e-13)
+            assert action == spectral_action(lam, z, dim)
 
 
 def test_weyl_fit_dim3_memory():
