@@ -20,21 +20,13 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import suites
 from .errors import ConfigInvalid, TorusFlowError
 from .report import Record, Report, emit
 
-SUITE_CHOICES = suites.SUITE_ORDER + ("all",)
-
-_SUITE_DESCRIPTIONS = {
-    "identities": "exact structure-map identities (cocycle, unit, kernel)",
-    "growth": "derivative, Sobolev, and iterated-map growth bounds",
-    "flow": "semigroup, Picard, factorization, and positivity checks",
-    "trace": "heat trace vs theta resummation and flow recovery",
-    "action": "spectral action scaling fit against the Weyl term",
-}
+SUITE_CHOICES = tuple(suites.SUITES) + ("all",)
 
 
 @dataclass(frozen=True)
@@ -52,7 +44,7 @@ class RunConfig:
     tols: Dict[str, float] = field(default_factory=dict)
 
     def tolerance(self, suite: str) -> float:
-        return self.tols.get(suite, suites.DEFAULT_TOLS[suite])
+        return self.tols.get(suite, suites.SUITES[suite].tol)
 
     def validate(self) -> None:
         if self.dim not in (1, 2, 3):
@@ -71,10 +63,11 @@ class RunConfig:
         if self.fmt not in ("csv", "json"):
             raise ConfigInvalid(f"format: must be csv or json, got {self.fmt!r}")
         for name, tol in self.tols.items():
-            if name not in suites.SUITE_ORDER:
+            if name not in suites.SUITES:
                 raise ConfigInvalid(f"tol: unknown suite {name!r}")
-            if not tol > 0:
-                raise ConfigInvalid(f"tol: tolerance for {name} must be > 0")
+            if not (math.isfinite(tol) and tol > 0):
+                raise ConfigInvalid(
+                    f"tol: tolerance for {name} must be finite and > 0")
         for label, grid in (("theta_times", self.theta_times),
                             ("flow_times", self.flow_times),
                             ("lambdas", self.lambdas)):
@@ -82,32 +75,40 @@ class RunConfig:
                 raise ConfigInvalid(f"{label}: entries must be finite and positive")
 
     def echo(self) -> Dict[str, object]:
-        return {
-            "dim": self.dim,
-            "cap": self.cap,
-            "z": self.z,
-            "seed": self.seed,
-            "suite": self.suite,
-            "format": self.fmt,
-            "theta_times": list(self.theta_times),
-            "flow_times": list(self.flow_times),
-            "lambdas": list(self.lambdas),
-            "tolerances": {s: self.tolerance(s) for s in suites.SUITE_ORDER},
-        }
+        """Every key's value except ``out``, which says where the report
+        goes, not what produced it; grids as lists."""
+        out: Dict[str, object] = {}
+        for key, (name, _, _) in _KEYS.items():
+            if key != "out":
+                value = getattr(self, name)
+                out[key] = list(value) if isinstance(value, tuple) else value
+        out["tolerances"] = {s: self.tolerance(s) for s in suites.SUITES}
+        return out
 
 
-def _parse_floats(text: str, key: str) -> Tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigInvalid(f"{key}: expected comma-separated reals") from exc
+def _reals(text: str) -> Tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v.strip())
 
 
-def _parse_int(text: str, key: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigInvalid(f"{key}: expected an integer, got {text!r}") from exc
+#: config key -> (RunConfig field, parser, the form the parser expects);
+#: ``tol.<suite>`` keys take a real each and fill ``RunConfig.tols``
+_KEYS: Dict[str, Tuple[str, Callable[[str], object], str]] = {
+    "dim": ("dim", int, "an integer"),
+    "cap": ("cap", int, "an integer"),
+    "z": ("z", float, "a real"),
+    "seed": ("seed", int, "an integer"),
+    "suite": ("suite", str, "a suite name"),
+    "out": ("out", str, "a path"),
+    "format": ("fmt", str, "csv or json"),
+    "theta_times": ("theta_times", _reals, "comma-separated reals"),
+    "flow_times": ("flow_times", _reals, "comma-separated reals"),
+    "lambdas": ("lambdas", _reals, "comma-separated reals"),
+}
+_TOL = ("tols", float, "a real")
+
+#: run flags that set a config key, as (argparse dest, config key)
+_FLAG_KEYS = (("suite", "suite"), ("out", "out"), ("fmt", "format"),
+              ("dim", "dim"), ("cap", "cap"))
 
 
 def load_config_file(path: str) -> Dict[str, str]:
@@ -133,57 +134,26 @@ def config_from_pairs(pairs: Dict[str, str],
                       base: Optional[RunConfig] = None) -> RunConfig:
     cfg = base or RunConfig()
     tols = dict(cfg.tols)
-    updates: Dict[str, object] = {}
-    for key, value in pairs.items():
-        if key == "dim":
-            updates["dim"] = _parse_int(value, key)
-        elif key == "cap":
-            updates["cap"] = _parse_int(value, key)
-        elif key == "z":
-            try:
-                updates["z"] = float(value)
-            except ValueError as exc:
-                raise ConfigInvalid(f"z: expected a real, got {value!r}") from exc
-        elif key == "seed":
-            updates["seed"] = _parse_int(value, key)
-        elif key == "suite":
-            updates["suite"] = value
-        elif key == "out":
-            updates["out"] = value
-        elif key == "format":
-            updates["fmt"] = value
-        elif key == "theta_times":
-            updates["theta_times"] = _parse_floats(value, key)
-        elif key == "flow_times":
-            updates["flow_times"] = _parse_floats(value, key)
-        elif key == "lambdas":
-            updates["lambdas"] = _parse_floats(value, key)
-        elif key.startswith("tol."):
-            suite = key[len("tol."):]
-            try:
-                tols[suite] = float(value)
-            except ValueError as exc:
-                raise ConfigInvalid(f"{key}: expected a real") from exc
-        else:
+    updates: Dict[str, object] = {"tols": tols}
+    for key, text in pairs.items():
+        is_tol = key.startswith("tol.")
+        if not is_tol and key not in _KEYS:
             raise ConfigInvalid(f"config: unknown key {key!r}")
-    updates["tols"] = tols
+        name, parse, form = _TOL if is_tol else _KEYS[key]
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise ConfigInvalid(f"{key}: expected {form}, got {text!r}") from exc
+        if is_tol:
+            tols[key[len("tol."):]] = value
+        else:
+            updates[name] = value
     return replace(cfg, **updates)
 
 
 def _suite_records(name: str, config: RunConfig) -> List[Record]:
-    tol = config.tolerance(name)
     try:
-        if name == "identities":
-            return suites.run_identities(config.dim, config.cap, tol,
-                                         config.seed)
-        if name == "growth":
-            return suites.run_growth(config.dim, config.cap, tol, config.seed)
-        if name == "flow":
-            return suites.run_flow(config.dim, config.cap, tol, config.seed)
-        if name == "trace":
-            return suites.run_trace(config.dim, config.cap, config.z, tol,
-                                    config.theta_times, config.flow_times)
-        return suites.run_action(config.dim, tol, config.lambdas)
+        return suites.SUITES[name].run(config, config.tolerance(name))
     except TorusFlowError as exc:
         raise type(exc)(
             f"suite {name} (dim={config.dim}, cap={config.cap}, "
@@ -196,7 +166,7 @@ def run(config: RunConfig) -> Report:
     order, so reports are deterministic."""
     config.validate()
     started = time.monotonic()
-    names = list(suites.SUITE_ORDER) if config.suite == "all" else [config.suite]
+    names = list(suites.SUITES) if config.suite == "all" else [config.suite]
     records = [r for n in names for r in _suite_records(n, config)]
     report = Report(records, {
         "config": config.echo(),
@@ -246,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("explain",
                          help="describe what each assertion in a suite checks")
-    exp.add_argument("suite", choices=suites.SUITE_ORDER)
+    exp.add_argument("suite", choices=tuple(suites.SUITES))
     return parser
 
 
@@ -254,17 +224,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         cfg = config_from_pairs(load_config_file(args.config), cfg)
-    overrides: Dict[str, str] = {}
-    if args.suite is not None:
-        overrides["suite"] = args.suite
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.fmt is not None:
-        overrides["format"] = args.fmt
-    if args.dim is not None:
-        overrides["dim"] = str(args.dim)
-    if args.cap is not None:
-        overrides["cap"] = str(args.cap)
+    overrides = {key: str(getattr(args, dest)) for dest, key in _FLAG_KEYS
+                 if getattr(args, dest) is not None}
     for pair in args.tol:
         if "=" not in pair:
             raise ConfigInvalid(f"tol: expected SUITE=VALUE, got {pair!r}")
@@ -276,12 +237,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.verb == "list-suites":
-        for name in suites.SUITE_ORDER:
-            print(f"{name}: {_SUITE_DESCRIPTIONS[name]}")
+        for name, suite in suites.SUITES.items():
+            print(f"{name}: {suite.summary}")
         return 0
     if args.verb == "explain":
         print(f"suite {args.suite}:")
-        for line in suites.EXPLANATIONS[args.suite]:
+        for line in suites.SUITES[args.suite].checks:
             print(f"  - {line}")
         return 0
     try:

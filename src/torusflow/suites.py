@@ -9,7 +9,8 @@ suites emit plot-ready data rows alongside their assertions.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,56 +27,73 @@ from .structure import (AugmentedVector, delta, delta_squared, generator_L,
 from .trace import (WeylFit, heat_trace_direct, heat_trace_via_flow,
                     theta_reference, weyl_fit, z_for_tail)
 
-SUITE_ORDER = ("identities", "growth", "flow", "trace", "action")
-
-DEFAULT_TOLS = {
-    "identities": 1e-12,
-    "growth": 1e-10,
-    "flow": 1e-10,
-    "trace": 1e-9,
-    "action": 1e-2,
-}
-
 THETA_TOL = 1e-10
 
-EXPLANATIONS: Dict[str, List[str]] = {
-    "identities": [
-        "cocycle: <delta(x), delta(y)> equals L(x* y) - x* L(y) - L(x)* y",
-        "theta_one: the structure matrix annihilates the unit, Theta(1) v = 0",
-        "delta_squared: the iterated derivation (delta tensor 1)(delta) vanishes",
-        "kernel: the closed-form quadratic kernel matches its defining"
-        " four-term combination of L on self-adjoint first arguments",
-    ],
-    "growth": [
-        "product_rule: d(xy) = dx y + x dy componentwise, exactly",
-        "commutation: the Laplacian commutes with the gradient, exactly",
-        "lap_vs_hessian: |Laplacian f| <= sqrt(d) |Hessian f| pointwise on grids",
-        "sobolev_theta: ||Theta(a) v|| <= 4 d ||a||_{W2,inf} ||v||",
-        "heat_contraction: the heat semigroup does not increase the L2 norm",
-        "nested_phi: iterated Phi applications stay under the l1 cascade bound",
-    ],
-    "flow": [
-        "vacuum_identity: the zero-noise matrix element equals the diagonal"
-        " heat semigroup <u, e^{tL}(x) v>",
-        "picard_tail: the order-8 iterated-integral partial sum sits within"
-        " its computed factorial tail bound of the exponential route",
-        "factorization: the flow inner product matches its coherent-state"
-        " reduction within four times their measured sensitivity to"
-        " raising the mode cap by two",
-        "positivity: for pointwise nonnegative x the flow pairing stays"
-        " nonnegative and the norm ratio stays under sup|x|",
-    ],
-    "trace": [
-        "theta_point: direct eigenvalue sum at a tail-safe cutoff matches the"
-        " resummed theta series to 1e-10",
-        "flow_point: the trace read off the diagonal of the flow's zero-noise"
-        " propagator matches the direct sum at the same cutoff",
-    ],
-    "action": [
-        "action_point: spectral action value at one scale (data row)",
-        "slope: log-log slope of the action over the scale grid equals d",
-        "prefactor: fitted prefactor equals rank (2 pi)^d / (4 pi)^{d/2}",
-    ],
+
+@dataclass(frozen=True)
+class Suite:
+    """One verification suite: its runner, its default tolerance, a
+    one-line summary and one line per check it makes."""
+
+    #: (run config, tolerance) -> records
+    run: Callable[[Any, float], List[Record]]
+    tol: float
+    summary: str
+    checks: Tuple[str, ...]
+
+
+#: every suite, in the order ``--suite all`` runs them.  Each runner
+#: looks its ``run_*`` function up when called, so a rebinding of the
+#: module attribute (a profiler's wrapper, a test's stub) takes effect.
+SUITES: Dict[str, Suite] = {
+    "identities": Suite(
+        lambda c, tol: run_identities(c.dim, c.cap, tol, c.seed), 1e-12,
+        "exact structure-map identities (cocycle, unit, kernel)", (
+            "cocycle: <delta(x), delta(y)> equals L(x* y) - x* L(y) - L(x)* y",
+            "theta_one: the structure matrix annihilates the unit, Theta(1) v = 0",
+            "delta_squared: the iterated derivation (delta tensor 1)(delta) vanishes",
+            "kernel: the closed-form quadratic kernel matches its defining"
+            " four-term combination of L on self-adjoint first arguments",
+        )),
+    "growth": Suite(
+        lambda c, tol: run_growth(c.dim, c.cap, tol, c.seed), 1e-10,
+        "derivative, Sobolev, and iterated-map growth bounds", (
+            "product_rule: d(xy) = dx y + x dy componentwise, exactly",
+            "commutation: the Laplacian commutes with the gradient, exactly",
+            "lap_vs_hessian: |Laplacian f| <= sqrt(d) |Hessian f| pointwise on grids",
+            "sobolev_theta: ||Theta(a) v|| <= 4 d ||a||_{W2,inf} ||v||",
+            "heat_contraction: the heat semigroup does not increase the L2 norm",
+            "nested_phi: iterated Phi applications stay under the l1 cascade bound",
+        )),
+    "flow": Suite(
+        lambda c, tol: run_flow(c.dim, c.cap, tol, c.seed), 1e-10,
+        "semigroup, Picard, factorization, and positivity checks", (
+            "vacuum_identity: the zero-noise matrix element equals the diagonal"
+            " heat semigroup <u, e^{tL}(x) v>",
+            "picard_tail: the order-8 iterated-integral partial sum sits within"
+            " its computed factorial tail bound of the exponential route",
+            "factorization: the flow inner product matches its coherent-state"
+            " reduction within four times their measured sensitivity to"
+            " raising the mode cap by two",
+            "positivity: for pointwise nonnegative x the flow pairing stays"
+            " nonnegative and the norm ratio stays under sup|x|",
+        )),
+    "trace": Suite(
+        lambda c, tol: run_trace(c.dim, c.cap, c.z, tol, c.theta_times,
+                                 c.flow_times), 1e-9,
+        "heat trace vs theta resummation and flow recovery", (
+            "theta_point: direct eigenvalue sum at a tail-safe cutoff matches the"
+            " resummed theta series to 1e-10",
+            "flow_point: the trace read off the diagonal of the flow's zero-noise"
+            " propagator matches the direct sum at the same cutoff",
+        )),
+    "action": Suite(
+        lambda c, tol: run_action(c.dim, tol, c.lambdas), 1e-2,
+        "spectral action scaling fit against the Weyl term", (
+            "action_point: spectral action value at one scale (data row)",
+            "slope: log-log slope of the action over the scale grid equals d",
+            "prefactor: fitted prefactor equals rank (2 pi)^d / (4 pi)^{d/2}",
+        )),
 }
 
 

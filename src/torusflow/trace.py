@@ -221,8 +221,8 @@ def weyl_fit(lams: Sequence[float], dim: int) -> WeylFit:
     ``spectral_action(Lambda, z, dim)`` bit for bit.
     """
     lams = sorted(float(l) for l in lams)
-    if len(lams) < 2:
-        raise GeometryMismatch("the fit needs at least two scales")
+    if len(set(lams)) < 2:
+        raise GeometryMismatch("the fit needs at least two distinct scales")
     cuts = []
     for lam in lams:
         if lam <= 0:

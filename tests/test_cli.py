@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from torusflow import ConfigInvalid, IoFailure
-from torusflow.cli import (RunConfig, config_from_pairs, load_config_file,
-                           main, run)
+from torusflow import suites
+from torusflow.cli import (_KEYS, RunConfig, config_from_pairs,
+                           load_config_file, main, run)
 from torusflow.report import (Record, Report, emit, format_float, render_csv,
                               render_json)
-from torusflow.suites import DEFAULT_TOLS, SUITE_ORDER
+from torusflow.suites import SUITES
 
 
 # ----------------------------------------------------------------- report
@@ -101,6 +102,7 @@ def test_config_validation_failures():
         ("format", RunConfig(fmt="xml")),
         ("tol", RunConfig(tols={"bogus": 1e-9})),
         ("tol", RunConfig(tols={"flow": 0.0})),
+        ("tol", RunConfig(tols={"flow": inf})),
         ("theta_times", RunConfig(theta_times=(0.1, -0.5))),
         ("theta_times", RunConfig(theta_times=(0.1, inf))),
         ("flow_times", RunConfig(flow_times=(0.5, nan))),
@@ -115,7 +117,7 @@ def test_config_validation_failures():
 def test_tolerance_lookup_and_override():
     cfg = RunConfig(tols={"flow": 1e-6})
     assert cfg.tolerance("flow") == 1e-6
-    assert cfg.tolerance("trace") == DEFAULT_TOLS["trace"]
+    assert cfg.tolerance("trace") == SUITES["trace"].tol
 
 
 def test_config_from_pairs_parsing():
@@ -134,18 +136,44 @@ def test_config_from_pairs_parsing():
 
 
 def test_config_from_pairs_rejects_garbage():
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ConfigInvalid, match="^config: unknown key 'nope'"):
         config_from_pairs({"nope": "1"})
-    with pytest.raises(ConfigInvalid):
-        config_from_pairs({"dim": "two"})
-    with pytest.raises(ConfigInvalid):
-        config_from_pairs({"z": "wide"})
-    with pytest.raises(ConfigInvalid):
-        config_from_pairs({"theta_times": "0.1,fast"})
-    with pytest.raises(ConfigInvalid):
-        config_from_pairs({"tol.flow": "tight"})
+    # a value the key's parser refuses is named by its key
+    for key, value in (("dim", "two"), ("z", "wide"),
+                       ("theta_times", "0.1,fast"), ("tol.flow", "tight")):
+        with pytest.raises(ConfigInvalid, match=f"^{key}: expected "):
+            config_from_pairs({key: value})
     with pytest.raises(ConfigInvalid, match="workers"):
         config_from_pairs({"workers": "2"})
+
+
+def test_config_file_sets_every_key(tmp_path):
+    out = tmp_path / "r.json"
+    pairs = {
+        "dim": "1", "cap": "4", "z": "2", "seed": "5", "suite": "action",
+        "out": str(out), "format": "json", "theta_times": "0.1, 0.5",
+        "flow_times": "0.25,0.75", "lambdas": "5,10,20", "tol.trace": "1e-8",
+    }
+    assert set(pairs) == set(_KEYS) | {"tol.trace"}
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+    cfg = config_from_pairs(load_config_file(str(path)))
+    assert cfg == RunConfig(dim=1, cap=4, z=2.0, seed=5, suite="action",
+                            out=str(out), fmt="json", theta_times=(0.1, 0.5),
+                            flow_times=(0.25, 0.75),
+                            lambdas=(5.0, 10.0, 20.0), tols={"trace": 1e-8})
+    rep = run(cfg)
+    # the echo lists the grids, leaves the output path out and names
+    # every suite's tolerance
+    assert rep.metadata["config"] == {
+        "dim": 1, "cap": 4, "z": 2.0, "seed": 5, "suite": "action",
+        "format": "json", "theta_times": [0.1, 0.5],
+        "flow_times": [0.25, 0.75], "lambdas": [5.0, 10.0, 20.0],
+        "tolerances": {"identities": 1e-12, "growth": 1e-10, "flow": 1e-10,
+                       "trace": 1e-8, "action": 1e-2},
+    }
+    payload = json.loads(out.read_text())
+    assert payload["metadata"]["config"] == rep.metadata["config"]
 
 
 def test_load_config_file(tmp_path):
@@ -220,6 +248,23 @@ def test_run_is_deterministic(tmp_path):
         assert fa.read_bytes() == fb.read_bytes()
 
 
+def test_run_dispatches_to_the_module_runners(monkeypatch):
+    # each table entry looks its run_* function up when called, so a
+    # rebound module attribute (a profiler's span wrapper) is what runs
+    seen = []
+    for name in SUITES:
+        original = getattr(suites, f"run_{name}")
+
+        def recording(*args, _name=name, _original=original, **kwargs):
+            seen.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(suites, f"run_{name}", recording)
+    rep = run(_fast_config(suite="all"))
+    assert seen == list(SUITES)
+    assert list(dict.fromkeys(r.suite for r in rep.records)) == list(SUITES)
+
+
 def test_run_rejects_invalid_config():
     with pytest.raises(ConfigInvalid):
         run(RunConfig(dim=9))
@@ -271,7 +316,7 @@ def test_main_refuses_a_cap_past_the_dense_budget(capsys):
 def test_main_listing_verbs(capsys):
     assert main(["list-suites"]) == 0
     out = capsys.readouterr().out
-    for name in SUITE_ORDER:
+    for name in SUITES:
         assert name in out
     assert main(["explain", "flow"]) == 0
     out = capsys.readouterr().out

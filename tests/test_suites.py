@@ -7,19 +7,19 @@ import pytest
 from torusflow import CapExceeded
 from torusflow.cli import RunConfig, run
 from torusflow.report import render_csv, render_json
-from torusflow.suites import (DEFAULT_TOLS, EXPLANATIONS, SUITE_ORDER,
-                              run_action, run_flow, run_growth,
+from torusflow.suites import (SUITES, run_action, run_flow, run_growth,
                               run_identities, run_trace)
 
 
 def test_every_suite_is_described():
-    assert set(EXPLANATIONS) == set(SUITE_ORDER)
-    assert set(DEFAULT_TOLS) == set(SUITE_ORDER)
-    assert all(EXPLANATIONS[s] for s in SUITE_ORDER)
+    for suite in SUITES.values():
+        assert suite.tol > 0
+        assert suite.summary
+        assert suite.checks and all(suite.checks)
 
 
 def test_identities_records():
-    recs = run_identities(1, 4, DEFAULT_TOLS["identities"], seed=0)
+    recs = run_identities(1, 4, SUITES["identities"].tol, seed=0)
     assert len(recs) == 48  # 12 samples x 4 assertions
     assert all(r.passed for r in recs)
     kinds = {r.name.split("[")[0] for r in recs}
@@ -27,25 +27,25 @@ def test_identities_records():
 
 
 def test_identities_records_dim3_default_cap():
-    recs = run_identities(3, 8, DEFAULT_TOLS["identities"], seed=0)
+    recs = run_identities(3, 8, SUITES["identities"].tol, seed=0)
     assert len(recs) == 48
     assert all(r.passed for r in recs)
 
 
 def test_growth_records():
-    recs = run_growth(1, 4, DEFAULT_TOLS["growth"], seed=0)
+    recs = run_growth(1, 4, SUITES["growth"].tol, seed=0)
     assert len(recs) == 72  # 12 samples x 6 assertions
     assert all(r.passed for r in recs)
 
 
 def test_growth_records_dim3_default_cap():
-    recs = run_growth(3, 8, DEFAULT_TOLS["growth"], seed=0)
+    recs = run_growth(3, 8, SUITES["growth"].tol, seed=0)
     assert len(recs) == 72
     assert all(r.passed for r in recs)
 
 
 def test_flow_records():
-    recs = run_flow(1, 8, DEFAULT_TOLS["flow"], seed=0)
+    recs = run_flow(1, 8, SUITES["flow"].tol, seed=0)
     names = [r.name for r in recs]
     assert sum(n.startswith("vacuum_identity") for n in names) == 6
     assert sum(n.startswith("picard_tail") for n in names) == 2
@@ -61,14 +61,14 @@ def test_flow_records():
 def test_factorization_record_certifies(seed):
     # the bound, four times the cap sensitivity, must hold and stay far
     # below the value it certifies
-    recs = run_flow(1, 8, DEFAULT_TOLS["flow"], seed=seed)
+    recs = run_flow(1, 8, SUITES["flow"].tol, seed=seed)
     fact = next(r for r in recs if r.name == "factorization")
     assert fact.residual <= fact.bound
     assert fact.bound <= 1e-4 * max(1.0, abs(fact.fields["rhs"]))
 
 
 def test_trace_records_pin_column_layout():
-    recs = run_trace(1, 6, 6.0, DEFAULT_TOLS["trace"])
+    recs = run_trace(1, 6, 6.0, SUITES["trace"].tol)
     assert len(recs) == 6  # four theta points, two flow points
     assert all(r.passed for r in recs)
     first = recs[0]
@@ -80,7 +80,7 @@ def test_trace_records_pin_column_layout():
 
 
 def test_action_records():
-    recs = run_action(1, DEFAULT_TOLS["action"])
+    recs = run_action(1, SUITES["action"].tol)
     assert len(recs) == 11  # nine scales plus slope and prefactor
     assert all(r.passed for r in recs)
     slope = next(r for r in recs if r.name == "slope")
@@ -93,7 +93,7 @@ def test_full_run_record_count():
     assert rep.all_passed
     suites_seen = [r.suite for r in rep.records]
     # suites run one after another in fixed suite order
-    assert suites_seen == sorted(suites_seen, key=SUITE_ORDER.index)
+    assert suites_seen == sorted(suites_seen, key=list(SUITES).index)
     # every record the suites can produce must survive both emitters
     json.loads(render_json(rep))
     assert render_csv(rep).count("\n") == 149

@@ -293,5 +293,6 @@ def test_weyl_expected_prefactors():
 
 
 def test_weyl_fit_needs_two_scales():
-    with pytest.raises(GeometryMismatch):
-        weyl_fit([10.0], 1)
+    for lams in ([10.0], [5.0, 5.0]):
+        with pytest.raises(GeometryMismatch):
+            weyl_fit(lams, 1)
