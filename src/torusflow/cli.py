@@ -112,7 +112,8 @@ _FLAG_KEYS = (("suite", "suite"), ("out", "out"), ("fmt", "format"),
 
 
 def load_config_file(path: str) -> Dict[str, str]:
-    """Flat key=value lines; blank lines and # comments ignored."""
+    """Flat key=value lines; blank lines and # comments ignored.  A key
+    may appear once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -125,8 +126,10 @@ def load_config_file(path: str) -> Dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigInvalid(f"config: line {ln} is not key=value: {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ConfigInvalid(f"config: line {ln} repeats key {key!r}")
+        out[key] = value
     return out
 
 

@@ -37,8 +37,8 @@ zero-noise propagators are diagonal and exponentiate entrywise, noisy
 ones act on vectors through ``expm_multiply`` (Al-Mohy & Higham, SIAM
 J. Sci. Comput. 33(2), 2011).  One index computation builds every
 mode-space operator, sum_j M(c_j) diag(w_j) with entry
-[m, k] = sum_j c_j[m-k] w_j[k]: the multiplication operator
-M(h)[m, k] = h_{m-k} (``ModeSpace.mult_matrix``); the Gram matrix
+[m, k] = sum_j c_j[m-k] w_j[k] (``ModeSpace._assemble``): the
+multiplication operator M(h)[m, k] = h_{m-k}, unit weights; the Gram matrix
 <e_k v1, e_l v2> = (2 pi)^d (conj(v1) v2)_{k-l} of the pairing, the
 multiplication operator of conj(v1) v2; and Psi, with L the weights
 -|k|^2/2 on M(1) and D_i the weights i k_i.
@@ -54,15 +54,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import BasisMismatch, GeometryMismatch, NotPositive
 from .fock import SimpleNoisePath, TimeMesh, noise_inner
 from .spectral import (TWO_PI, OneForm, TrigPoly, check_dense,
-                       exterior_derivative, flat_index, lifted_sum, mode_grid,
-                       mul_free)
+                       exterior_derivative, flat_index, mode_grid, mul_free)
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -90,7 +89,7 @@ class ModeSpace:
     operators are built by index arithmetic and stored as sparse CSR.
     """
 
-    __slots__ = ("dim", "cap", "_k", "_mult_cache")
+    __slots__ = ("dim", "cap", "_k")
 
     def __init__(self, dim: int, cap: int):
         if dim < 1 or cap < 0:
@@ -98,7 +97,6 @@ class ModeSpace:
         self.dim = dim
         self.cap = cap
         self._k = mode_grid(dim, cap)
-        self._mult_cache: Dict[Tuple, sparse.csr_array] = {}
 
     @property
     def size(self) -> int:
@@ -146,15 +144,6 @@ class ModeSpace:
         return sparse.csr_array((vals[keep][order], col[order], indptr),
                                 shape=(self.size, self.size))
 
-    def mult_matrix(self, h: TrigPoly) -> sparse.csr_array:
-        """Compression of multiplication by h, M[m, k] = h_{m-k}: the
-        one-term ``_assemble`` with unit weights, cached per h."""
-        key = (h.cap, (h.coeffs + 0.0).tobytes())  # + 0.0 maps -0.0 to 0.0
-        hit = self._mult_cache.get(key)
-        if hit is None:
-            hit = self._mult_cache[key] = self._assemble([(h, np.ones(self.size))])
-        return hit
-
     def psi_matrix(self, xi: OneForm, eta: OneForm) -> sparse.csr_array:
         """Compression of psi(., xi, eta) = L + sum_i M(xi_i + conj eta_i) D_i.
 
@@ -167,7 +156,7 @@ class ModeSpace:
         if xi.dim != self.dim or eta.dim != self.dim:
             raise GeometryMismatch("noise lives on a different torus")
         terms = [(TrigPoly.one(self.dim, 0), -0.5 * np.sum(self._k ** 2, axis=1))]
-        terms += [(lifted_sum(xi.comps[i], eta.comps[i].conjugate()),
+        terms += [(xi.comps[i] + eta.comps[i].conjugate(),
                    1j * self._k[:, i]) for i in range(self.dim)]
         return self._assemble(terms)
 
@@ -175,8 +164,8 @@ class ModeSpace:
         """G[k,l] = <e_k v1, e_l v2> in L2 = (2 pi)^d (conj(v1) v2)_{k-l},
         the multiplication operator of the uncapped product conj(v1) v2."""
         self.check_dense(self.size ** 2, "gram matrix")
-        return TWO_PI ** self.dim * self.mult_matrix(
-            mul_free(v1.conjugate(), v2)).toarray()
+        h = mul_free(v1.conjugate(), v2)
+        return TWO_PI ** self.dim * self._assemble([(h, np.ones(self.size))]).toarray()
 
 
 def diagonal_entries(gen: sparse.csr_array) -> Optional[np.ndarray]:
@@ -204,7 +193,10 @@ def _propagate(gen: sparse.csr_array, dt: float, y: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class FlowProblem:
     """One flow evaluation: argument x, noise paths f (ket) and g (bra),
-    boundary functions u (bra) and v (ket), and the time horizon."""
+    boundary functions u (bra) and v (ket), and the time horizon.
+
+    The mode space is x's; u and v may sit at any cap, since they enter
+    only through uncapped products and pairings."""
 
     x: TrigPoly
     f: SimpleNoisePath
@@ -220,8 +212,6 @@ class FlowProblem:
         for name, p in (("u", self.u), ("v", self.v)):
             if p.dim != d:
                 raise GeometryMismatch(f"{name} lives on a different torus")
-            if p.cap != self.x.cap:
-                raise GeometryMismatch(f"{name} does not share the cap of x")
         for name, path in (("f", self.f), ("g", self.g)):
             if path.dim != d:
                 raise GeometryMismatch(f"path {name} lives on a different torus")
@@ -261,7 +251,10 @@ def texp_matrix_element(p: FlowProblem) -> complex:
     for dt, fc, gc in reversed(p.cells()):
         y = _propagate(space.psi_matrix(fc, gc), dt, y)
     y = space.from_vec(y)
-    return np.exp(noise_inner(p.g, p.f)) * p.u.l2_inner(mul_free(y, p.v))
+    # the pairing's dot runs over x's mode box, or u's support where that
+    # reaches further, so u's cap moves no bit of the value
+    u = p.u.with_cap(max(p.cap, p.u.max_abs_mode()))
+    return np.exp(noise_inner(p.g, p.f)) * u.l2_inner(mul_free(y, p.v))
 
 
 def _graded(cells: List[Tuple[float, sparse.csr_array]], start: np.ndarray,
@@ -457,15 +450,13 @@ def factorization_check(a1: TrigPoly, a2: TrigPoly,
     zero = SimpleNoisePath.zero(a1.dim, max(t, 1.0))
 
     def lhs_at(cap: int) -> complex:
-        va, vb = v1.with_cap(cap), v2.with_cap(cap)
-        pa = FlowProblem(a1.with_cap(cap), f1, zero, va, va, t)
-        pb = FlowProblem(a2.with_cap(cap), f2, zero, vb, vb, t)
+        pa = FlowProblem(a1.with_cap(cap), f1, zero, v1, v1, t)
+        pb = FlowProblem(a2.with_cap(cap), f2, zero, v2, v2, t)
         return flow_inner(pa, pb)
 
     def rhs_at(cap: int) -> complex:
         prod = mul_free(a1.conjugate(), a2).with_cap(cap)
-        return texp_matrix_element(FlowProblem(prod, f2, f1, v1.with_cap(cap),
-                                               v2.with_cap(cap), t))
+        return texp_matrix_element(FlowProblem(prod, f2, f1, v1, v2, t))
 
     cap = a1.cap
     lhs = lhs_at(cap)

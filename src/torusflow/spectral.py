@@ -12,7 +12,8 @@ than aliasing or projecting.
 
 Every product is one batched FFT pair (``mul_free``), exact at the
 lifted cap ra + rb, that keeps each mode no pair of nonzero coefficients
-reaches an exact zero; a smaller cap is applied by ``TrigPoly.with_cap``.
+reaches an exact zero, and every sum is exact at the larger of its
+operands' caps; a smaller cap is applied by ``TrigPoly.with_cap``.
 One dense budget (``check_dense``) bounds the array entries a call may
 allocate: a product's FFT stack, a sampled polynomial
 (``sampling.poly``) and the mode-space arrays of ``flow``.
@@ -35,8 +36,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product as iter_product
+from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -128,9 +130,9 @@ class TrigPoly:
     ``TrigPoly(dim, cap, {mode: coeff})`` places the given coefficients;
     a dense complex array of shape (2 cap + 1,)^d is adopted as the
     coefficient array itself (and made read-only).  Instances are
-    immutable; all arithmetic returns new objects.  Addition requires
-    both operands to share dimension and cap (the cap is part of the
-    truncation contract of a computation); ``*`` scales by a number only,
+    immutable; all arithmetic returns new objects.  A sum is taken at
+    the larger of the two caps, the smaller operand zero-padded, as a
+    product is taken at the lifted cap; ``*`` scales by a number only,
     and the product of two polynomials is ``mul_free``.
     """
 
@@ -238,23 +240,23 @@ class TrigPoly:
     # ------------------------------------------------------------------
     # ring structure
 
-    def _compat(self, other: "TrigPoly") -> None:
-        if not isinstance(other, TrigPoly):
-            raise TypeError(f"expected TrigPoly, got {type(other)!r}")
-        if self.dim != other.dim or self.cap != other.cap:
-            raise GeometryMismatch(
-                f"operands do not share geometry: (dim={self.dim}, cap={self.cap})"
-                f" vs (dim={other.dim}, cap={other.cap})"
-            )
-
     def _new(self, arr: np.ndarray) -> "TrigPoly":
         return TrigPoly(self.dim, self.cap, arr)
 
     def __add__(self, other):
+        """The sum at the larger of the two caps."""
         if isinstance(other, (int, float, complex)):
             other = TrigPoly.constant(other, self.dim, self.cap)
-        self._compat(other)
-        return self._new(self._a + other._a)
+        if not isinstance(other, TrigPoly):
+            raise TypeError(f"expected TrigPoly, got {type(other)!r}")
+        if self.dim != other.dim:
+            raise GeometryMismatch(f"summands live on tori of dimension "
+                                   f"{self.dim} and {other.dim}")
+        if self.cap == other.cap:
+            return self._new(self._a + other._a)
+        cap = max(self.cap, other.cap)
+        return TrigPoly(self.dim, cap, _recap(self._a, self.cap, cap)
+                        + _recap(other._a, other.cap, cap))
 
     __radd__ = __add__
 
@@ -397,18 +399,6 @@ def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
     return TrigPoly(a.dim, r, out.copy())
 
 
-def lifted_sum(*terms: TrigPoly) -> TrigPoly:
-    """Sum of polynomials on one torus, taken at the largest of their caps."""
-    dim = terms[0].dim
-    if any(t.dim != dim for t in terms):
-        raise GeometryMismatch("summands live on tori of different dimension")
-    cap = max(t.cap for t in terms)
-    out = np.zeros((2 * cap + 1,) * dim, dtype=complex)
-    for t in terms:
-        out[_box(dim, cap, t.cap)] += t._a
-    return TrigPoly(dim, cap, out)
-
-
 def l2_inner(f: TrigPoly, g: TrigPoly) -> complex:
     return f.l2_inner(g)
 
@@ -444,7 +434,7 @@ class CovariantTensor:
         self.comps = comps
 
     def component(self, idx: Tuple[int, ...]) -> TrigPoly:
-        return self.comps.get(tuple(idx)) or TrigPoly.zero(self.dim, self.cap)
+        return self.comps[tuple(idx)]
 
     def length_on_grid(self, n: int) -> np.ndarray:
         """ell(t) = sqrt(sum_I |t_I|^2) on the uniform n^d grid, from the
@@ -477,7 +467,7 @@ def tensor_inner(s: CovariantTensor, t: CovariantTensor) -> TrigPoly:
         raise RankMismatch(f"cannot contract rank {s.rank} against rank {t.rank}")
     if s.dim != t.dim:
         raise GeometryMismatch("tensors live on tori of different dimension")
-    return lifted_sum(*(mul_free(s.component(idx).conjugate(), t.component(idx))
+    return reduce(add, (mul_free(s.component(idx).conjugate(), t.component(idx))
                         for idx in iter_product(range(s.dim), repeat=s.rank)))
 
 
@@ -543,5 +533,5 @@ def form_inner(w: OneForm, e: OneForm) -> TrigPoly:
     """
     if w.dim != e.dim:
         raise GeometryMismatch("pairing one-forms of different dimension")
-    return lifted_sum(*(mul_free(a.conjugate(), b)
+    return reduce(add, (mul_free(a.conjugate(), b)
                         for a, b in zip(w.comps, e.comps)))

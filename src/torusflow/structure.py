@@ -22,6 +22,8 @@ The augmented vector norm puts the diagonal module norm on the form leg:
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import List, Sequence, Tuple
 
 from .errors import GeometryMismatch
@@ -33,7 +35,6 @@ from .spectral import (
     covariant_derivative,
     exterior_derivative,
     form_inner,
-    lifted_sum,
     mul_free,
     sup_grid_size,
 )
@@ -119,7 +120,7 @@ def kernel_eval(a1: TrigPoly, a2: TrigPoly, b1: TrigPoly, b2: TrigPoly,
         t2 = mul_free(f1s, mul_free(generator_L(mul_free(f2s, b2)), b1))
         t3 = mul_free(generator_L(mul_free(f12, b2)), b1)
         t4 = mul_free(f1s, generator_L(mul_free(f2s, g21)))
-        return lifted_sum(t1, t2, -t3, -t4).with_cap(working_cap)
+        return (t1 + t2 - t3 - t4).with_cap(working_cap)
     raise ValueError(f"unknown kernel route {route!r}")
 
 
@@ -142,7 +143,7 @@ def psi_map(x: TrigPoly, xi: OneForm, eta: OneForm) -> TrigPoly:
         terms.append(form_inner(delta(x.conjugate()), xi))
     if not eta.is_zero():
         terms.append(form_inner(eta, delta(x)))
-    return lifted_sum(*terms)
+    return reduce(add, terms)
 
 
 def phi_map(x: TrigPoly, xi: OneForm) -> TrigPoly:
@@ -233,7 +234,7 @@ def theta_apply(a: TrigPoly, v: AugmentedVector) -> AugmentedVector:
     da = exterior_derivative(a)
     t1 = mul_free(v.scalar_part, generator_L(a))
     t2 = mul_free(v.form_psi, form_inner(v.form_omega, da))
-    return AugmentedVector(lifted_sum(t1, t2), v.scalar_part, da)
+    return AugmentedVector(t1 + t2, v.scalar_part, da)
 
 
 # ----------------------------------------------------------------------

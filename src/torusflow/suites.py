@@ -20,7 +20,7 @@ from .flow import (FlowProblem, factorization_check, picard_terms,
 from .fock import SimpleNoisePath
 from .report import Record
 from .spectral import (TrigPoly, covariant_derivative, exterior_derivative,
-                       form_inner, lifted_sum, mul_free)
+                       form_inner, mul_free)
 from .structure import (AugmentedVector, delta, delta_squared, generator_L,
                         kernel_eval, nested_phi_growth, sobolev_w2inf_norm,
                         theta_apply)
@@ -79,8 +79,8 @@ SUITES: Dict[str, Suite] = {
             " nonnegative and the norm ratio stays under sup|x|",
         )),
     "trace": Suite(
-        lambda c, tol: run_trace(c.dim, c.cap, c.z, tol, c.theta_times,
-                                 c.flow_times), 1e-9,
+        lambda c, tol: run_trace(c.dim, c.z, tol, c.theta_times, c.flow_times),
+        1e-9,
         "heat trace vs theta resummation and flow recovery", (
             "theta_point: direct eigenvalue sum at a tail-safe cutoff matches the"
             " resummed theta series to 1e-10",
@@ -101,10 +101,6 @@ def _rel(residual: float, scale: float) -> float:
     return residual / max(1.0, scale)
 
 
-def _lifted_diff(a: TrigPoly, b: TrigPoly) -> float:
-    return lifted_sum(a, -b).l2_norm()
-
-
 def run_identities(dim: int, cap: int, tol: float, seed: int) -> List[Record]:
     rng = sampling.rng_for(seed)
     m = max(1, cap // 4)
@@ -118,7 +114,7 @@ def run_identities(dim: int, cap: int, tol: float, seed: int) -> List[Record]:
         rhs = generator_L(mul_free(xs, y)) \
             - mul_free(xs, generator_L(y)) \
             - mul_free(generator_L(x).conjugate(), y)
-        res = _rel(_lifted_diff(lhs, rhs), rhs.l2_norm())
+        res = _rel((lhs - rhs).l2_norm(), rhs.l2_norm())
         out.append(Record("identities", f"cocycle[{i}]", res <= tol, res, tol))
 
         v = AugmentedVector.product(
@@ -139,7 +135,7 @@ def run_identities(dim: int, cap: int, tol: float, seed: int) -> List[Record]:
         b2 = sampling.poly(rng, dim, cap, m)
         closed = kernel_eval(a1, a2, b1, b2, route="closed")
         oracle = kernel_eval(a1, a2, b1, b2, route="oracle")
-        res = _rel(_lifted_diff(closed, oracle), oracle.l2_norm())
+        res = _rel((closed - oracle).l2_norm(), oracle.l2_norm())
         out.append(Record("identities", f"kernel[{i}]", res <= tol, res, tol))
     return out
 
@@ -157,14 +153,14 @@ def run_growth(dim: int, cap: int, tol: float, seed: int) -> List[Record]:
         res = 0.0
         for ax in range(dim):
             other = mul_free(x.partial(ax), y) + mul_free(x, y.partial(ax))
-            res = max(res, _lifted_diff(dxy.comps[ax], other))
+            res = max(res, (dxy.comps[ax] - other).l2_norm())
         res = _rel(res, xy.l2_norm())
         out.append(Record("growth", f"product_rule[{i}]", res <= tol, res, tol))
 
         grad_lap = covariant_derivative(x.laplacian(), 1)
         lap_grad = covariant_derivative(x, 1)
-        res = max(_lifted_diff(grad_lap.component((ax,)),
-                               lap_grad.component((ax,)).laplacian())
+        res = max((grad_lap.component((ax,))
+                   - lap_grad.component((ax,)).laplacian()).l2_norm()
                   for ax in range(dim))
         out.append(Record("growth", f"commutation[{i}]", res <= tol, res, tol))
 
@@ -271,7 +267,7 @@ def run_flow(dim: int, cap: int, tol: float, seed: int) -> List[Record]:
     return out
 
 
-def run_trace(dim: int, cap: int, z: float, tol: float,
+def run_trace(dim: int, z: float, tol: float,
               theta_times: Sequence[float] = (0.05, 0.1, 0.5, 1.0),
               flow_times: Sequence[float] = (0.25, 1.0)) -> List[Record]:
     out = []
@@ -287,7 +283,7 @@ def run_trace(dim: int, cap: int, z: float, tol: float,
                            "abs_err": err}))
     for t in flow_times:
         direct = heat_trace_direct(t, z, dim)
-        flow_val = heat_trace_via_flow(t, z, dim, cap=cap)
+        flow_val = heat_trace_via_flow(t, z, dim)
         theta = theta_reference(t, dim)
         err = abs(flow_val - direct)
         out.append(Record("trace", f"flow_point[t={t}]", err <= tol,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -151,26 +151,21 @@ def z_for_tail(t: float, dim: int, tol: float = 1e-12) -> int:
     return bisect_left(range(hi), True, hi // 2 + 1, key=lambda z: tail(z) < tol)
 
 
-def heat_trace_via_flow(t: float, z: float, dim: int,
-                        cap: Optional[int] = None) -> float:
+def heat_trace_via_flow(t: float, z: float, dim: int) -> float:
     """Trace read off the flow's zero-noise propagator.
 
     The flow transports x by e^{tL} = e^{-t Laplacian / 2}, so the heat
     trace at time t is read off at flow time 2t: the sum over |k| <= z of
     the diagonal entries <phi_k, j_{2t}(phi_k) 1> / ||phi_k||^2 of the
     propagator exp(2t Psi(0, 0)) on the modes |k|_inf <= floor(z), the
-    only ones the sum reads (``cap`` bounds that cutoff and allocates
-    nothing).  That generator is diagonal, so its exponential is taken
-    entrywise.
+    only ones the sum reads.  That generator is diagonal, so its
+    exponential is taken entrywise.
     """
     if t <= 0:
         raise GeometryMismatch("heat trace needs t > 0")
     if z < 0:
         raise GeometryMismatch("cutoff must be nonnegative")
     m = math.floor(z)
-    cap = m if cap is None else cap
-    if cap < m:
-        raise CapExceeded(f"cutoff z={z:g} needs modes up to {m}, past the cap {cap}")
     space = ModeSpace(dim, m)
     zero = OneForm.zero(dim, 0)
     diag = diagonal_entries(space.psi_matrix(zero, zero))

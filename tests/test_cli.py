@@ -197,6 +197,10 @@ def test_load_config_file_errors(tmp_path):
     bad.write_text("this line has no equals\n")
     with pytest.raises(ConfigInvalid):
         load_config_file(str(bad))
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("dim = 1\ncap = 6\n# dim = 3\ndim=2\n")
+    with pytest.raises(ConfigInvalid, match="config: line 4 repeats key 'dim'"):
+        load_config_file(str(twice))
 
 
 def test_cli_overrides_win_over_file(tmp_path):

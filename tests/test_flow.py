@@ -100,11 +100,12 @@ def test_mode_space_operators_match_column_builds(dim, cap):
         assert gen.nnz == np.count_nonzero(want)
     # noise reaching past the cap: escaping modes are dropped
     h = poly(rng, dim, 2 * cap, cap + 1)
-    got = space.mult_matrix(h).toarray()
+    got = space._assemble([(h, np.ones(space.size))]).toarray()
     assert np.array_equal(got, _mult_loop(space, h))
     nil = TrigPoly.zero(dim, 2 * cap)
     empty = np.zeros((space.size, space.size), dtype=complex)
-    assert np.array_equal(space.mult_matrix(nil).toarray(), empty)
+    assert np.array_equal(space._assemble([(nil, np.ones(space.size))]).toarray(),
+                          empty)
     v1 = poly(rng, dim, cap, 1)
     v2 = poly(rng, dim, cap, 2)
     assert _rel_gap(space.gram_matrix(v1, v2),
@@ -189,9 +190,6 @@ def test_flow_problem_validation():
     with pytest.raises(GeometryMismatch):
         FlowProblem(cos1(), zero_path(), zero_path(), cos1(),
                     TrigPoly.one(1, 4), -0.5)
-    with pytest.raises(GeometryMismatch):
-        FlowProblem(cos1(), zero_path(), zero_path(), cos1(3),
-                    TrigPoly.one(1, 4), 1.0)
     f = SimpleNoisePath.indicator(dform(cos1()), 0.0, 2.0)
     with pytest.raises(GeometryMismatch):
         FlowProblem(cos1(), f, zero_path(), cos1(), TrigPoly.one(1, 4), 1.0)
@@ -378,8 +376,7 @@ def test_engine_zero_noise_reproduces_vacuum():
         got = flow_inner(FlowProblem(x1, zero, zero, v1, v1, t),
                          FlowProblem(x2, zero, zero, v2, v2, t))
         prod = mul_free(x1.conjugate(), x2)
-        want = vacuum_expectation(prod, v1.with_cap(prod.cap),
-                                  v2.with_cap(prod.cap), t)
+        want = vacuum_expectation(prod, v1, v2, t)
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -428,6 +425,26 @@ def test_engine_pairings_pinned_at_every_order(dim, cap):
                else series.partial_sum(n_max))
         assert got == pytest.approx(_PINNED_ENGINE[dim, n_max], rel=1e-12)
     assert flow_inner(pa, pb) == pytest.approx(_PINNED_PAIRING[dim], rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,cap", [(1, 3), (2, 2)])
+def test_flow_problem_takes_u_and_v_at_any_cap(dim, cap):
+    # u and v enter only through uncapped products and pairings, so
+    # moving them off x's cap changes no value
+    pa, pb, u, g = _engine_problems(dim, cap)
+    aligned = FlowProblem(pa.x, pa.f, g, u, pa.v, pa.horizon)
+    want = (texp_matrix_element(aligned), picard_terms(aligned, 3).terms,
+            flow_inner(pa, pb))
+    for other in (1, cap + 3):
+        def moved(p, bra):
+            return FlowProblem(p.x, p.f, p.g, bra.with_cap(other),
+                               p.v.with_cap(other), p.horizon)
+        qa, qb = moved(pa, pa.v), moved(pb, pb.v)
+        coherent = moved(aligned, u)
+        assert qa.v.cap == other != pa.v.cap
+        got = (texp_matrix_element(coherent), picard_terms(coherent, 3).terms,
+               flow_inner(qa, qb))
+        assert got == want
 
 
 def test_engine_pairing_matches_texp_oracle():

@@ -11,7 +11,7 @@ from torusflow.flow import ModeSpace
 from torusflow.spectral import (OneForm, TrigPoly, _radius,
                                 covariant_derivative, exterior_derivative,
                                 flat_index, form_inner, l2_inner,
-                                lifted_sum, mul_free,
+                                mul_free,
                                 pointwise_length_sq, sup_norm, tensor_inner)
 
 TWO_PI = 2.0 * math.pi
@@ -82,6 +82,25 @@ def test_geometry_validation():
         TrigPoly(0, 3)
     with pytest.raises(GeometryMismatch):
         mul_free(TrigPoly.one(1, 2), TrigPoly.one(2, 2))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sum_lifts_to_the_larger_cap(dim):
+    rng = np.random.default_rng(30 + dim)
+    f = random_poly(rng, dim, 2, 2)
+    g = random_poly(rng, dim, 4, 3)
+    padded = np.zeros((9,) * dim, dtype=complex)
+    padded[(slice(2, 7),) * dim] = f.coeffs
+    for got, want in ((f + g, padded + g.coeffs), (g + f, g.coeffs + padded),
+                      (f - g, padded + -g.coeffs), (g - f, g.coeffs + -padded)):
+        assert got.cap == 4
+        assert np.array_equal(got.coeffs, want)
+    # equal caps keep the single array add
+    assert np.array_equal((g + g).coeffs, g.coeffs + g.coeffs)
+    with pytest.raises(GeometryMismatch):
+        f + random_poly(rng, dim % 3 + 1, 2, 1)
+    with pytest.raises(TypeError):
+        f + g.coeffs.tolist()
 
 
 def _pairwise_product(a, b):
@@ -173,7 +192,7 @@ def test_cached_radius_matches_the_coefficients():
             mul_free(f, g).with_cap(4), mul_free(f, f), f.with_cap(3),
             f.with_cap(7),
             f.conjugate(), f.partial(0), f.partial(1), f.heat(0.1),
-            f.heat(100.0), lifted_sum(f, g.with_cap(6)), f + g, 2.0 * f,
+            f.heat(100.0), f + g.with_cap(6), f + g, 2.0 * f,
             TrigPoly(2, 4, np.array(f.coeffs))]
     radii = [p.max_abs_mode() for p in made]
     assert radii == [_radius(p.coeffs, p.cap) for p in made]

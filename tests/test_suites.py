@@ -68,7 +68,7 @@ def test_factorization_record_certifies(seed):
 
 
 def test_trace_records_pin_column_layout():
-    recs = run_trace(1, 6, 6.0, SUITES["trace"].tol)
+    recs = run_trace(1, 6.0, SUITES["trace"].tol)
     assert len(recs) == 6  # four theta points, two flow points
     assert all(r.passed for r in recs)
     first = recs[0]
