@@ -192,22 +192,37 @@ def test_flow_trace_dim3_at_default_cap(tmp_path, capsys):
     for t in (0.25, 1.0):
         got = heat_trace_via_flow(t, 6.0, 3)
         assert abs(got - heat_trace_direct(t, 6.0, 3)) <= 1e-9
+    out = tmp_path / "trace.csv"
+    code = cli.main(["run", "--suite", "trace", "--dim", "3",
+                     "--format", "csv", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 6
+    assert all(row.split(",")[2] == "true" for row in rows)
+
+
+def test_flow_trace_allocates_for_the_cutoff_not_the_cap(tmp_path, capsys):
     # the flow route builds its modes at floor(z): a cap of 1000 allocates
     # no (2001)^3 mode box and changes no byte of the report
+    heat_trace_via_flow(0.5, 2.0, 3)  # keeps first-use imports out of the peak
     reports = []
     for cap in ("8", "1000"):
         out = tmp_path / f"trace{cap}.csv"
         start = time.perf_counter()
-        code = cli.main(["run", "--suite", "trace", "--dim", "3", "--cap", cap,
-                         "--format", "csv", "--out", str(out)])
+        tracemalloc.start()
+        try:
+            code = cli.main(["run", "--suite", "trace", "--dim", "3", "--cap", cap,
+                             "--format", "csv", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert time.perf_counter() - start < 5.0
         assert code == 0
+        assert peak < 2 ** 20
         reports.append(out.read_bytes())
     capsys.readouterr()
     assert reports[1] == reports[0]
-    rows = reports[0].decode().splitlines()[1:]
-    assert len(rows) == 6
-    assert all(row.split(",")[2] == "true" for row in rows)
 
 
 def test_flow_trace_needs_positive_time():
