@@ -18,35 +18,42 @@ piecewise constant one-form noise:
   contributes the exact global factor exp(<f1, f2>).  The factorization
   check compares it with the first route.
 
-Two expansions serve these routes.  The exponential routes sum each
-cell's generator and propagate a vector through its exponential.  The
+Two expansions serve these routes.  The exponential routes propagate a
+vector, or the pairing kernel, through each cell's exponential.  The
 Picard series runs one Taylor recursion per cell (``_graded``) over the
 orders already present and drops the orders past n_max.  It propagates
-the argument vector, so each order is an N-vector and each step a sparse
+the argument vector, so each order is an N-vector and each step a
 mat-vec, and every order's term is read off one functional, conj(v) u.
 The N x N order blocks and their operator norms are computed only when
 read (``PicardSeries.blocks``, ``block_norms``), by the same recursion
 started from the identity, and only then charged against the dense
-budget.
+budget.  Each cell's generator is built when its step runs, so one is
+held at a time.
 
 Everything is Galerkin-compressed onto the modes |k|_inf <= cap; both
 sides of every cross-check share that compression.  On that mode space
 the generator has the closed form Psi(xi, eta) = L + sum_i
-M(xi_i + conj eta_i) D_i (``ModeSpace.psi_matrix``), stored sparse:
-zero-noise propagators are diagonal and exponentiate entrywise, noisy
-ones act on vectors through ``expm_multiply`` (Al-Mohy & Higham, SIAM
-J. Sci. Comput. 33(2), 2011).  One index computation builds every
-mode-space operator, sum_j M(c_j) diag(w_j) with entry
-[m, k] = sum_j c_j[m-k] w_j[k] (``ModeSpace._assemble``): the
-multiplication operator M(h)[m, k] = h_{m-k}, unit weights; the Gram matrix
+M(xi_i + conj eta_i) D_i (``ModeSpace.psi_matrix``), one dense N x N
+array.  One index computation builds every mode-space operator,
+sum_j M(c_j) diag(w_j) with entry [m, k] = sum_j c_j[m-k] w_j[k]
+(``ModeSpace._assemble``): the multiplication operator
+M(h)[m, k] = h_{m-k}, unit weights; the Gram matrix
 <e_k v1, e_l v2> = (2 pi)^d (conj(v1) v2)_{k-l} of the pairing, the
 multiplication operator of conj(v1) v2; and Psi, with L the weights
 -|k|^2/2 on M(1) and D_i the weights i k_i.
 
-scipy is imported only where a mode-space operator is built or
-exponentiated, never at module level: ``scipy.sparse`` is about half of
-the CLI import time, and only the runs that build an operator (the
-``trace`` and ``flow`` suites) need it.
+A cell whose multipliers xi_i + conj eta_i are all constant, zero noise
+included, has a diagonal generator, read off the coefficients
+(``ModeSpace.diagonal``) and exponentiated entrywise; nothing N x N is
+built for it.  Every other cell propagates by ``_expm_action``,
+algorithm 3.2 of Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2), 2011):
+shift by the mean diagonal, take the Taylor degree m and the step count
+s from a 1-norm bound, and stop each step's series once its terms fall
+below the unit roundoff.  The pairing applies its generator to the
+N x N kernel without storing the N^2 x N^2 superoperator.  Before a
+call allocates anything N x N it reads (m, s) off a 1-norm bound taken
+from the noise coefficients and charges m s applications against one
+work budget (``spectral.check_work``).
 """
 
 from __future__ import annotations
@@ -54,21 +61,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import BasisMismatch, GeometryMismatch, NotPositive
 from .fock import SimpleNoisePath, TimeMesh, noise_inner
-from .spectral import (TWO_PI, OneForm, TrigPoly, check_dense,
+from .spectral import (TWO_PI, OneForm, TrigPoly, check_dense, check_work,
                        exterior_derivative, flat_index, mode_grid, mul_free)
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "ModeSpace",
-    "diagonal_entries",
     "FlowProblem",
     "texp_matrix_element",
     "PicardSeries",
@@ -86,7 +89,7 @@ class ModeSpace:
 
     A vector is the C-order ravel of a ``TrigPoly`` coefficient array at
     this cap (``spectral.mode_grid`` lists the modes in that order), so
-    operators are built by index arithmetic and stored as sparse CSR.
+    operators are built by index arithmetic as dense N x N arrays.
     """
 
     __slots__ = ("dim", "cap", "_k")
@@ -116,13 +119,13 @@ class ModeSpace:
         shape = (2 * self.cap + 1,) * self.dim
         return TrigPoly(self.dim, self.cap, np.array(v, dtype=complex).reshape(shape))
 
-    def _assemble(self, terms: List[Tuple[TrigPoly, np.ndarray]]
-                  ) -> sparse.csr_array:
+    def _assemble(self, terms: List[Tuple[TrigPoly, np.ndarray]],
+                  what: str) -> np.ndarray:
         """sum_j M(c_j) diag(w_j) for ``terms`` = [(c_j, w_j)]: entry
         [m, k] = sum_j c_j[m - k] w_j[k] over the union of the c_j
-        supports, with the modes escaping the cap and the zero entries
-        dropped, in one CSR construction."""
-        from scipy import sparse  # deferred: scipy.sparse is half the CLI import
+        supports, with the modes escaping the cap dropped, in one dense
+        array charged against the dense budget as ``what``."""
+        self.check_dense(self.size ** 2, what)
         lift = max(c.cap for c, _ in terms)
         coeffs = np.stack([c.with_cap(lift).coeffs for c, _ in terms])
         support = np.any(coeffs != 0, axis=0)
@@ -132,19 +135,23 @@ class ModeSpace:
         vals = np.zeros(col.size, dtype=complex)
         for c, (_, w) in zip(coeffs[:, support], terms):
             vals += c[shift] * w[col]
-        keep = vals != 0
-        col = col[keep]
-        rows = flat_index(self._k[col] + mu[shift[keep]], self.cap)
-        # a (row, column) pair occurs once (distinct shifts of a column
-        # land on distinct rows), so sorting by row, then column, is the
-        # canonical CSR order
-        order = np.lexsort((col, rows))
-        indptr = np.zeros(self.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.size), out=indptr[1:])
-        return sparse.csr_array((vals[keep][order], col[order], indptr),
-                                shape=(self.size, self.size))
+        out = np.zeros((self.size, self.size), dtype=complex)
+        # a (row, column) pair occurs once: distinct shifts of a column
+        # land on distinct rows
+        out[flat_index(self._k[col] + mu[shift], self.cap), col] = vals
+        return out
 
-    def psi_matrix(self, xi: OneForm, eta: OneForm) -> sparse.csr_array:
+    def _laplacian(self) -> np.ndarray:
+        """The weights -|k|^2/2 of L = -Delta/2 on this space's modes."""
+        return -0.5 * np.sum(self._k ** 2, axis=1)
+
+    def _multipliers(self, xi: OneForm, eta: OneForm) -> List[TrigPoly]:
+        """xi_i + conj eta_i, the multiplier of the partial d_i in Psi."""
+        if xi.dim != self.dim or eta.dim != self.dim:
+            raise GeometryMismatch("noise lives on a different torus")
+        return [xi.comps[i] + eta.comps[i].conjugate() for i in range(self.dim)]
+
+    def psi_matrix(self, xi: OneForm, eta: OneForm) -> np.ndarray:
         """Compression of psi(., xi, eta) = L + sum_i M(xi_i + conj eta_i) D_i.
 
         <d(x*), xi> = sum_i xi_i d_i x and <eta, dx> = sum_i conj(eta_i) d_i x,
@@ -153,41 +160,83 @@ class ModeSpace:
         generator is one ``_assemble``; with xi = eta = 0 it is the
         diagonal L = -Delta/2.
         """
-        if xi.dim != self.dim or eta.dim != self.dim:
-            raise GeometryMismatch("noise lives on a different torus")
-        terms = [(TrigPoly.one(self.dim, 0), -0.5 * np.sum(self._k ** 2, axis=1))]
-        terms += [(xi.comps[i] + eta.comps[i].conjugate(),
-                   1j * self._k[:, i]) for i in range(self.dim)]
-        return self._assemble(terms)
+        terms = [(TrigPoly.one(self.dim, 0), self._laplacian())]
+        terms += [(c, 1j * self._k[:, i])
+                  for i, c in enumerate(self._multipliers(xi, eta))]
+        return self._assemble(terms, "mode-space generator")
+
+    def diagonal(self, xi: OneForm, eta: OneForm) -> Tuple[np.ndarray, float]:
+        """(diag, spread), read off the coefficients of the multipliers c_i:
+        the diagonal L + sum_i c_i[0] i k_i of ``psi_matrix(xi, eta)``,
+        entry for entry, and spread = cap sum_i ||c_i - c_i[0]||_l1, which
+        bounds the l1 norm of every row and column of the rest.  A zero
+        spread means constant multipliers and a diagonal generator."""
+        diag = self._laplacian().astype(complex)
+        spread = 0.0
+        for i, c in enumerate(self._multipliers(xi, eta)):
+            c0 = c.coeff((0,) * self.dim)
+            diag += c0 * (1j * self._k[:, i])
+            spread += self.cap * (c - TrigPoly.constant(c0, self.dim, 0)).coeff_l1()
+        return diag, spread
 
     def gram_matrix(self, v1: TrigPoly, v2: TrigPoly) -> np.ndarray:
         """G[k,l] = <e_k v1, e_l v2> in L2 = (2 pi)^d (conj(v1) v2)_{k-l},
         the multiplication operator of the uncapped product conj(v1) v2."""
-        self.check_dense(self.size ** 2, "gram matrix")
         h = mul_free(v1.conjugate(), v2)
-        return TWO_PI ** self.dim * self._assemble([(h, np.ones(self.size))]).toarray()
+        return TWO_PI ** self.dim * self._assemble([(h, np.ones(self.size))],
+                                                   "gram matrix")
 
 
-def diagonal_entries(gen: sparse.csr_array) -> Optional[np.ndarray]:
-    """The diagonal of a sparse generator, or None if any off-diagonal
-    entry is nonzero."""
-    coo = gen.tocoo()
-    if np.any((coo.row != coo.col) & (coo.data != 0)):
-        return None
-    return gen.diagonal()
+#: theta_m: m Taylor terms of exp(A) meet double precision on a step with
+#: ||A||_1 <= theta_m.  m <= 30 from table A.3 of Higham & Al-Mohy,
+#: "Computing matrix functions", Acta Numerica 19 (2010), the rest from
+#: table 3.1 of Al-Mohy & Higham (2011); the values scipy's
+#: ``sparse.linalg._expm_multiply`` lists.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
 
 
-def _propagate(gen: sparse.csr_array, dt: float, y: np.ndarray) -> np.ndarray:
-    """exp(dt gen) y: elementwise for a diagonal generator, otherwise the
-    action of the exponential (Al-Mohy & Higham 2011) without forming it."""
-    diag = diagonal_entries(gen)
-    if diag is not None:
-        return np.exp(dt * diag) * y
-    # imported on first use: scipy.sparse.linalg pulls in scipy.linalg,
-    # about 0.1 s more than the operator builders' scipy.sparse, and only
-    # noisy generators need it
-    from scipy.sparse.linalg import expm_multiply
-    return expm_multiply(dt * gen, y)
+def _taylor_steps(norm1: float) -> Tuple[int, int]:
+    """(m, s), the Taylor degree and the step count that minimise m s
+    with s = ceil(norm1 / theta_m); (0, 1) for a zero norm."""
+    if norm1 == 0:
+        return 0, 1
+    return min(((m, math.ceil(norm1 / theta)) for m, theta in _THETA.items()),
+               key=lambda ms: ms[0] * ms[1])
+
+
+def _expm_action(apply: Callable[[np.ndarray], np.ndarray], norm1: float,
+                 mu: complex, b: np.ndarray) -> np.ndarray:
+    """exp(mu + A) b, where ``apply(x)`` = A x and ``norm1`` >= ||A||_1.
+
+    Algorithm 3.2 of Al-Mohy & Higham (2011) as scipy's ``expm_multiply``
+    runs it: s steps of m Taylor terms each (``_taylor_steps``), a step
+    ending early once two consecutive terms are below 2^-53 of the sum
+    in the max norm, and e^{mu / s} multiplied in per step.  A larger
+    ``norm1`` costs terms, not accuracy.
+    """
+    m, s = _taylor_steps(norm1)
+    eta = np.exp(mu / s)
+    f = b
+    for _ in range(s):
+        c1 = np.abs(b).max()
+        for j in range(m):
+            b = (1.0 / (s * (j + 1))) * apply(b)
+            c2 = np.abs(b).max()
+            f = f + b
+            if c1 + c2 <= 2.0 ** -53 * np.abs(f).max():
+                break
+            c1 = c2
+        f = eta * f
+        b = f
+    return f
 
 
 @dataclass(frozen=True)
@@ -239,17 +288,41 @@ class FlowProblem:
         return out
 
 
+def _propagate(a: np.ndarray, dt: float, y: np.ndarray) -> np.ndarray:
+    """exp(dt a) y for a dense generator ``a``, scaled and shifted by its
+    mean diagonal in place; the steps are chosen at its exact 1-norm."""
+    a *= dt
+    mu = np.trace(a) / a.shape[0]
+    a.flat[:: a.shape[0] + 1] -= mu
+    return _expm_action(a.__matmul__, float(np.abs(a).sum(axis=0).max()), mu, y)
+
+
 def texp_matrix_element(p: FlowProblem) -> complex:
     """exp(<g,f>) <u, (E_1 ... E_m)(x) v> with E_j = exp(dt_j Psi_j).
 
     The earliest interval sits outermost, so the latest propagator hits x
     first.  The final multiplication by v and the pairing against u are
-    taken uncapped; only the evolution itself is compressed.
+    taken uncapped; only the evolution itself is compressed.  A cell
+    with a diagonal generator propagates entrywise; every other cell's
+    Taylor steps are charged against the work budget, at N^2 per
+    mat-vec, and its arrays against the dense budget, before any
+    generator is built.
     """
     space = ModeSpace(p.dim, p.cap)
+    size = space.size
+    cells = [(dt, fc, gc) + space.diagonal(fc, gc) for dt, fc, gc in p.cells()]
+    # m s mat-vecs per noisy cell, at ||Psi - mu||_1 <= max |diag - mu| + spread
+    steps = sum(math.prod(_taylor_steps(dt * (np.abs(d - d.mean()).max() + spread)))
+                for dt, _, _, d, spread in cells if spread)
+    if steps:  # a noisy cell's generator and its absolute values
+        space.check_dense(2 * size ** 2, "coherent propagation")
+    check_work(steps * size ** 2, "coherent propagation", p.cap, p.dim)
     y = space.to_vec(p.x)
-    for dt, fc, gc in reversed(p.cells()):
-        y = _propagate(space.psi_matrix(fc, gc), dt, y)
+    for dt, fc, gc, diag, spread in reversed(cells):
+        if spread:
+            y = _propagate(space.psi_matrix(fc, gc), dt, y)
+        else:
+            y = np.exp(dt * diag) * y
     y = space.from_vec(y)
     # the pairing's dot runs over x's mode box, or u's support where that
     # reaches further, so u's cap moves no bit of the value
@@ -257,17 +330,20 @@ def texp_matrix_element(p: FlowProblem) -> complex:
     return np.exp(noise_inner(p.g, p.f)) * u.l2_inner(mul_free(y, p.v))
 
 
-def _graded(cells: List[Tuple[float, sparse.csr_array]], start: np.ndarray,
-            n_max: int) -> List[np.ndarray]:
+def _graded(space: ModeSpace, cells: List[Tuple[float, OneForm, OneForm]],
+            start: np.ndarray, n_max: int) -> List[np.ndarray]:
     """Orders 0..n_max of E_1 ... E_m start, E_j = exp(dt_j Psi_j), by
     Taylor recursion, latest cell first so the earliest sits outermost.
 
-    ``start`` is a vector or a matrix of columns.  Each cell's loop moves
-    the orders present up one order per step, adds the step into them in
-    place and drops the orders past n_max, which is what ends it.
+    ``cells`` are (width, xi, eta) and ``start`` is a vector or a matrix
+    of columns.  Each cell's generator is built when its loop runs.  The
+    loop moves the orders present up one order per step, adds the step
+    into them in place and drops the orders past n_max, which is what
+    ends it.
     """
     graded = [start]
-    for dt, psi in reversed(cells):
+    for dt, xi, eta in reversed(cells):
+        psi = space.psi_matrix(xi, eta)
         term = graded  # term[j] is of order j + k
         k = 0
         while term:
@@ -297,7 +373,7 @@ class PicardSeries:
     ``blocks[n]`` is the order-n block before pairing, and
     ``block_norms[n]`` its operator norm; both are computed on first read,
     the blocks by the terms' Taylor recursion run from the identity on the
-    kept ``cells`` (width, generator), earliest first, on ``space``.  The
+    kept ``cells`` (width, xi, eta), earliest first, on ``space``.  The
     first read charges the blocks against the dense budget: the blocks,
     one Taylor step's terms and the product being formed.  Scalar terms
     can dip through zero by cancellation, so decay diagnostics should read
@@ -308,14 +384,14 @@ class PicardSeries:
     s_const: float
     prefactor: float
     space: ModeSpace = field(repr=False)
-    cells: List[Tuple[float, sparse.csr_array]] = field(repr=False)
+    cells: List[Tuple[float, OneForm, OneForm]] = field(repr=False)
 
     @cached_property
     def blocks(self) -> List[np.ndarray]:
         size = self.space.size
         self.space.check_dense(2 * len(self.terms) * size ** 2,
                                "picard graded blocks")
-        return _graded(self.cells, np.eye(size, dtype=complex),
+        return _graded(self.space, self.cells, np.eye(size, dtype=complex),
                        len(self.terms) - 1)
 
     @cached_property
@@ -340,7 +416,7 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
     latest interval first so the earliest sits outermost, as in the
     exponential route.  The recursion (``_graded``) propagates the
     argument vector x, so order n is the N-vector y_n = block_n x and each
-    step is a sparse mat-vec; the N x N blocks are formed, and charged
+    step is a mat-vec; the N x N blocks are formed, and charged
     against the dense budget, only when read (``PicardSeries.blocks``).
     Every term is read off one functional: <u, y v> = <conj(v) u, y>, so
     w = conj(v) u is formed once and terms[n] = exp(<g, f>) <w, y_n>.
@@ -348,17 +424,17 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
     if n_max < 0:
         raise GeometryMismatch("n_max must be nonnegative")
     space = ModeSpace(p.dim, p.cap)
-    # each cell's generator is densified for its SVD, beside the SVD's copy
+    # one cell's generator at a time, beside its SVD's copy
     space.check_dense(2 * space.size ** 2, "picard generator SVD")
-    cells = [(dt, space.psi_matrix(fc, gc)) for dt, fc, gc in p.cells()]
+    cells = p.cells()
     s_const = 0.0
-    for dt, psi in cells:
-        s_const += dt * float(np.linalg.norm(psi.toarray(), 2))
+    for dt, fc, gc in cells:
+        s_const += dt * float(np.linalg.norm(space.psi_matrix(fc, gc), 2))
     xv = space.to_vec(p.x)
     coh = np.exp(noise_inner(p.g, p.f))
     w = mul_free(p.v.conjugate(), p.u)
     terms = [coh * w.l2_inner(space.from_vec(y))
-             for y in _graded(cells, xv, n_max)]
+             for y in _graded(space, cells, xv, n_max)]
     prefactor = (abs(coh) * p.u.l2_norm() * p.v.l2_norm()
                  * math.sqrt(space.size) * float(np.linalg.norm(xv)))
     return PicardSeries(terms, s_const, prefactor, space, cells)
@@ -386,9 +462,19 @@ def flow_inner(p1: FlowProblem, p2: FlowProblem) -> complex:
     since the partials are diagonal.  The coherent residues contribute
     exp(<f1, f2>) globally.
 
-    The kernel, and with it each cell's summed superoperator entries
-    (nnz(kron(A, B)) = nnz(A) nnz(B)), is checked against the dense
-    budget before the kernel or any superoperator is allocated.
+    A cell propagates W by W -> A^H W + W B + K o W with A = dt Psi(f1, f2),
+    B = dt Psi(f2, f1) and K = dt k.l, applied to the N x N kernel; the
+    N^2 x N^2 superoperator is never stored.  Its mean diagonal is
+    mu = (N (tr A^H + tr B) + sum K) / N^2, where sum K = |sum_k k|^2 = 0.
+    The Taylor steps are chosen at its exact 1-norm after the shift,
+    read column by column off A, B and K.  With constant multipliers A
+    and B are diagonal and so is the superoperator: it acts entrywise.
+
+    The kernel is checked against the dense budget, and every cell's
+    Taylor steps against the work budget, before anything N x N is
+    allocated: at 2 N^3 + N^2 multiply-adds per application and at the
+    1-norm bound ||A^H||_1 + ||B||_inf + max |K - mu|, with ||A||_inf
+    read off the coefficients (``ModeSpace.diagonal``).
     """
     if p1.dim != p2.dim or p1.cap != p2.cap:
         raise BasisMismatch("flow problems use different mode spaces")
@@ -396,25 +482,42 @@ def flow_inner(p1: FlowProblem, p2: FlowProblem) -> complex:
         raise BasisMismatch("flow problems use different time meshes")
     space = ModeSpace(p1.dim, p1.cap)
     size = space.size
-    space.check_dense(size ** 2, "flow pairing kernel")
+    # the kernel, k.l, the generators and a Taylor step's terms: at most a
+    # dozen N x N arrays at once
+    space.check_dense(12 * size ** 2, "flow pairing kernel")
+    reach = p1.dim * p1.cap ** 2  # k.l runs over [-reach, reach], both ends
     cells = []
+    steps = 0
     for (dt, f1c, _), (_, f2c, _) in zip(p1.cells(), p2.cells()):
-        a = space.psi_matrix(f1c, f2c)
-        b = a if p2.f is p1.f else space.psi_matrix(f2c, f1c)
-        space.check_dense(2 * size ** 2 + size * (a.nnz + b.nnz),
-                          "flow pairing cell")
-        cells.append((dt, a, b))
-    from scipy import sparse  # deferred: scipy.sparse is half the CLI import
-    eye = sparse.eye_array(size, dtype=complex, format="csr")
+        (da, sa), (db, sb) = space.diagonal(f1c, f2c), space.diagonal(f2c, f1c)
+        mu = dt * (da.sum().conjugate() + db.sum()) / size
+        if sa + sb:
+            # ||A^H||_1 = ||A||_inf <= max |diag A| + spread, B alike
+            steps += math.prod(_taylor_steps(
+                dt * (np.abs(da).max() + sa + np.abs(db).max() + sb)
+                + max(abs(dt * reach - mu), abs(dt * reach + mu))))
+        cells.append((dt, f1c, f2c, da, db, mu, sa + sb))
+    check_work(steps * (2 * size ** 3 + size ** 2), "flow pairing propagation",
+               p1.cap, p1.dim)
     k = space._k
-    legs = sparse.diags_array((k @ k.T).ravel().astype(complex)).tocsr()
-    w = space.gram_matrix(p1.v, p2.v).reshape(-1)
-    for dt, a, b in cells:
-        gen = (sparse.kron(a.conj().T, eye, format="csr")
-               + sparse.kron(eye, b.T, format="csr") + legs)
-        w = _propagate(gen, dt, w)
+    kl = (k @ k.T).astype(complex)
+    w = space.gram_matrix(p1.v, p2.v)
+    for dt, f1c, f2c, da, db, mu, spread in cells:
+        if not spread:
+            w = np.exp(dt * ((da.conj()[:, None] + db) + kl)) * w
+            continue
+        a = dt * space.psi_matrix(f1c, f2c)
+        b = a if p2.f is p1.f else dt * space.psi_matrix(f2c, f1c)
+        ah = a.conj().T
+        shifted = dt * kl - mu
+        # the shifted superoperator's exact 1-norm: its column (k, l) holds
+        # row k of A and row l of B off their diagonals, and one diagonal entry
+        off_a, off_b = (np.abs(m).sum(axis=1) - np.abs(np.diag(m)) for m in (a, b))
+        cols = off_a[:, None] + off_b + np.abs(np.diag(a).conj()[:, None] + np.diag(b) + shifted)
+        w = _expm_action(lambda x: ah @ x + x @ b + shifted * x,
+                         float(cols.max()), mu, w)
     x1, x2 = space.to_vec(p1.x), space.to_vec(p2.x)
-    total = complex(np.vdot(x1, w.reshape(size, size) @ x2))
+    total = complex(np.vdot(x1, w @ x2))
     return np.exp(noise_inner(p1.f, p2.f)) * total
 
 
@@ -426,7 +529,6 @@ class FactorizationReport:
     rhs: complex
     residual: float
     bound: float
-    cap_sensitivity: float
 
 
 def factorization_check(a1: TrigPoly, a2: TrigPoly,
@@ -438,8 +540,9 @@ def factorization_check(a1: TrigPoly, a2: TrigPoly,
     The identity is exact for the uncompressed flow, so the residual of
     the two full-series routes is compression error.  The reported bound
     is four times the measured sensitivity of both routes to raising the
-    mode cap by two, plus a float slop.  Every pairing, the cap + 2 pass
-    included, checks its entries against the dense budget before
+    mode cap by two, plus a float slop.  Every pairing and matrix
+    element, the cap + 2 pass included, checks its kernel against the
+    dense budget and its Taylor steps against the work budget before
     allocating.
     """
     if not (a1.is_selfadjoint() and a2.is_selfadjoint()):
@@ -465,7 +568,7 @@ def factorization_check(a1: TrigPoly, a2: TrigPoly,
     scale = max(1.0, abs(lhs), abs(rhs))
     residual = abs(lhs - rhs)
     bound = 4 * cap_sens + 1e-9 * scale
-    return FactorizationReport(lhs, rhs, residual, bound, cap_sens)
+    return FactorizationReport(lhs, rhs, residual, bound)
 
 
 @dataclass

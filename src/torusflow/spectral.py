@@ -16,7 +16,9 @@ reaches an exact zero, and every sum is exact at the larger of its
 operands' caps; a smaller cap is applied by ``TrigPoly.with_cap``.
 One dense budget (``check_dense``) bounds the array entries a call may
 allocate: a product's FFT stack, a sampled polynomial
-(``sampling.poly``) and the mode-space arrays of ``flow``.
+(``sampling.poly``) and the mode-space arrays of ``flow``; one work
+budget (``check_work``) bounds the multiply-adds of a ``flow``
+propagation.
 
 A supremum is a bracket read off one exact grid (``TrigPoly.sup_norm``).
 Where the sup sits on the bound side, callers take the grid max
@@ -51,8 +53,14 @@ TWO_PI = 2.0 * math.pi
 
 #: hard budget on the array entries one call allocates: a product's FFT
 #: stack, a sampled coefficient box, and the mode-space arrays of ``flow``
-#: (Picard blocks, Gram matrices, pairing kernels with their superoperators)
+#: (generators, Picard blocks, Gram matrices, pairing kernels)
 _DENSE_BUDGET = 1 << 24
+
+#: hard budget on the complex multiply-adds of one ``flow`` call's
+#: propagations, Taylor terms times the cost of one generator application
+#: (a call at the budget ran about 0.5 s as a pairing, 2-6 s as mat-vecs,
+#: on a 2-core host with one BLAS thread)
+_WORK_BUDGET = 1 << 33
 
 
 def check_dense(entries: int, what: str, cap: int, dim: int) -> None:
@@ -62,6 +70,16 @@ def check_dense(entries: int, what: str, cap: int, dim: int) -> None:
         raise CapExceeded(
             f"{what} needs {entries} dense entries at cap {cap}, "
             f"dim {dim} (budget {_DENSE_BUDGET}); lower the cap"
+        )
+
+
+def check_work(work: int, what: str, cap: int, dim: int) -> None:
+    """Refuse a propagation of ``work`` multiply-adds past the budget,
+    naming the cap and the dim that set its size."""
+    if work > _WORK_BUDGET:
+        raise CapExceeded(
+            f"{what} needs {work} multiply-adds at cap {cap}, "
+            f"dim {dim} (work budget {_WORK_BUDGET}); lower the cap"
         )
 
 

@@ -28,7 +28,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import CapExceeded, GeometryMismatch
-from .flow import ModeSpace, diagonal_entries
+from .flow import ModeSpace
 from .spectral import OneForm, mode_grid
 
 __all__ = [
@@ -158,8 +158,9 @@ def heat_trace_via_flow(t: float, z: float, dim: int) -> float:
     trace at time t is read off at flow time 2t: the sum over |k| <= z of
     the diagonal entries <phi_k, j_{2t}(phi_k) 1> / ||phi_k||^2 of the
     propagator exp(2t Psi(0, 0)) on the modes |k|_inf <= floor(z), the
-    only ones the sum reads.  That generator is diagonal, so its
-    exponential is taken entrywise.
+    only ones the sum reads.  That generator is diagonal, -|k|^2/2 read
+    off the mode grid (``ModeSpace.diagonal``) with nothing N x N built,
+    so its exponential is taken entrywise.
     """
     if t <= 0:
         raise GeometryMismatch("heat trace needs t > 0")
@@ -168,9 +169,7 @@ def heat_trace_via_flow(t: float, z: float, dim: int) -> float:
     m = math.floor(z)
     space = ModeSpace(dim, m)
     zero = OneForm.zero(dim, 0)
-    diag = diagonal_entries(space.psi_matrix(zero, zero))
-    if diag is None:
-        raise GeometryMismatch("the zero-noise generator is not diagonal")
+    diag, _ = space.diagonal(zero, zero)
     keep = np.sum(mode_grid(dim, m) ** 2, axis=1) <= z * z + 1e-12
     vals = np.exp(2.0 * t * diag)[keep]
     if np.any(np.abs(vals.imag) > 1e-10 * np.maximum(1.0, np.abs(vals.real))):

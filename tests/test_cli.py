@@ -336,8 +336,8 @@ def test_main_reports_bad_tol_syntax(capsys):
 
 
 def test_cli_import_loads_no_heavy_scipy_module(tmp_path):
-    # each of these adds a large share of the CLI start-up time; only a run
-    # that builds a mode-space operator (here the flow suite) may load them
+    # the package needs numpy only: neither the import nor a run that
+    # builds and exponentiates mode-space operators loads any scipy module
     src = Path(__file__).resolve().parents[1] / "src"
     path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
                          if p]
@@ -346,19 +346,45 @@ def test_cli_import_loads_no_heavy_scipy_module(tmp_path):
     code = textwrap.dedent("""
         import json, sys
         import torusflow.cli as cli
-        heavy = ("scipy.sparse", "scipy.signal", "scipy.linalg")
+        def scipy_modules():
+            return [m for m in sys.modules if m.split(".")[0] == "scipy"]
         cfg, out = sys.argv[1:]
-        seen = [[m for m in heavy if m in sys.modules]]
+        seen = [scipy_modules()]
         seen.append(cli.main(["run", "--config", cfg, "--out", out,
                               "--suite", "identities"]))
-        seen.append([m for m in heavy if m in sys.modules])
-        seen.append(cli.main(["run", "--config", cfg, "--out", out,
-                              "--suite", "flow"]))
-        seen.append("scipy.sparse" in sys.modules)
+        seen.append(scipy_modules())
+        for suite in ("flow", "trace"):
+            seen.append(cli.main(["run", "--config", cfg, "--out", out,
+                                  "--suite", suite]))
+        seen.append(scipy_modules())
         print(json.dumps(seen))
     """)
     out = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "r.csv")],
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
                          check=True)
-    assert json.loads(out.stdout.splitlines()[-1]) == [[], 0, [], 0, True]
+    assert json.loads(out.stdout.splitlines()[-1]) == [[], 0, [], 0, 0, []]
+
+
+def test_every_suite_runs_with_scipy_unimportable(tmp_path):
+    # a subprocess that cannot import scipy writes, at d = 1, 2, 3, the
+    # bytes a run in this process writes
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                         if p]
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None  # any import of scipy now raises
+        import torusflow.cli as cli
+        for d in ("1", "2", "3"):
+            out = sys.argv[1] + d + ".csv"
+            assert cli.main(["run", "--suite", "all", "--dim", d, "--out", out]) == 0
+    """)
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "blocked")],
+                   capture_output=True, text=True,
+                   env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                   check=True)
+    for d in ("1", "2", "3"):
+        normal = tmp_path / f"normal{d}.csv"
+        assert main(["run", "--suite", "all", "--dim", d, "--out", str(normal)]) == 0
+        assert (tmp_path / f"blocked{d}.csv").read_bytes() == normal.read_bytes()

@@ -4,14 +4,16 @@ import math
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from torusflow import (BasisMismatch, CapExceeded, GeometryMismatch,
                        NotPositive)
-from torusflow.flow import (FlowProblem, ModeSpace, factorization_check,
-                            flow_inner, picard_terms, positivity_probe,
-                            texp_matrix_element, vacuum_expectation)
+from torusflow.flow import (FlowProblem, ModeSpace, _expm_action,
+                            factorization_check, flow_inner, picard_terms,
+                            positivity_probe, texp_matrix_element,
+                            vacuum_expectation)
 from torusflow.fock import SimpleNoisePath, TimeMesh, noise_inner
 from torusflow.sampling import noise_path, one_form, poly, rng_for
 from torusflow.spectral import (OneForm, TrigPoly, exterior_derivative,
@@ -36,7 +38,7 @@ def zero_path(dim=1, t=1.0):
 
 # ------------------------------------------------------------- mode space
 # The loops below are the column-by-column reference builds that the
-# closed-form sparse operators replace.
+# closed-form dense operators replace.
 
 def _modes(space):
     return [tuple(k) for k in mode_grid(space.dim, space.cap).tolist()]
@@ -93,18 +95,14 @@ def test_mode_space_operators_match_column_builds(dim, cap):
     for x, e in ((xi, eta), (xi, zero), (wide, eta), (xi, narrow)):
         gen = space.psi_matrix(x, e)
         want = _psi_columns(space, x, e)
-        assert _rel_gap(gen.toarray(), want) <= 1e-13
-        # one canonical CSR with no stored zeros
-        assert gen.has_canonical_format
-        assert (gen.data != 0).all()
-        assert gen.nnz == np.count_nonzero(want)
+        assert _rel_gap(gen, want) <= 1e-13
     # noise reaching past the cap: escaping modes are dropped
     h = poly(rng, dim, 2 * cap, cap + 1)
-    got = space._assemble([(h, np.ones(space.size))]).toarray()
+    got = space._assemble([(h, np.ones(space.size))], "multiplier")
     assert np.array_equal(got, _mult_loop(space, h))
     nil = TrigPoly.zero(dim, 2 * cap)
     empty = np.zeros((space.size, space.size), dtype=complex)
-    assert np.array_equal(space._assemble([(nil, np.ones(space.size))]).toarray(),
+    assert np.array_equal(space._assemble([(nil, np.ones(space.size))], "multiplier"),
                           empty)
     v1 = poly(rng, dim, cap, 1)
     v2 = poly(rng, dim, cap, 2)
@@ -116,10 +114,13 @@ def test_mode_space_operators_match_column_builds(dim, cap):
 def test_zero_noise_generator_is_the_diagonal_laplacian():
     space = ModeSpace(2, 3)
     zero = OneForm.zero(2, 0)
-    gen = space.psi_matrix(zero, zero)
-    assert gen.count_nonzero() == sum(1 for k in _modes(space) if k != (0, 0))
-    want = [-0.5 * (a * a + b * b) for a, b in _modes(space)]
-    assert np.array_equal(gen.diagonal(), np.array(want, dtype=complex))
+    want = np.array([-0.5 * (a * a + b * b) for a, b in _modes(space)],
+                    dtype=complex)
+    assert np.array_equal(space.psi_matrix(zero, zero), np.diag(want))
+    # the diagonal path reads the same vector off the mode grid
+    diag, spread = space.diagonal(zero, zero)
+    assert spread == 0
+    assert np.array_equal(diag, want)
 
 
 def test_dense_budget_refuses_before_allocating():
@@ -469,6 +470,51 @@ def test_engine_pairing_matches_texp_oracle():
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def _mp_expm_action(a, b):
+    """exp(a) b at 30 digits."""
+    with mpmath.workdps(30):
+        out = mpmath.expm(mpmath.matrix(a.tolist())) * mpmath.matrix(b.tolist())
+        return np.array([complex(z) for z in out], dtype=complex)
+
+
+@pytest.mark.parametrize("cap,cells,horizon", [(1, 2, 0.6), (2, 2, 0.6), (2, 1, 10.0)])
+def test_propagators_match_mpmath_on_the_kron_superoperator(cap, cells, horizon):
+    # the pairing's generator written out as the N^2 x N^2 superoperator
+    # kron(A^H, 1) + kron(1, B^T) + diag(k.l) on the row-major kernel; the
+    # long horizon takes the 1-norm past 63, where scipy would switch to
+    # power-norm estimates and this propagator only takes more steps
+    rng = rng_for(60 + cap)
+    f1 = noise_path(rng, 1, cap, cells, horizon=horizon, max_mode=1, scale=0.4)
+    f2 = noise_path(rng, 1, cap, cells, horizon=horizon, max_mode=1, scale=0.4)
+    x1, x2, v1, v2 = (poly(rng, 1, cap, 1) for _ in range(4))
+    zero = zero_path(1, horizon)
+    pa = FlowProblem(x1, f1, zero, v1, v1, horizon)
+    pb = FlowProblem(x2, f2, zero, v2, v2, horizon)
+    space = ModeSpace(1, cap)
+    size = space.size
+    eye = np.eye(size)
+    k = mode_grid(1, cap)
+    w = space.gram_matrix(v1, v2).ravel()
+    big = 0.0
+    for (dt, c1, _), (_, c2, _) in zip(pa.cells(), pb.cells()):
+        gen = dt * (np.kron(space.psi_matrix(c1, c2).conj().T, eye)
+                    + np.kron(eye, space.psi_matrix(c2, c1).T)
+                    + np.diag((k @ k.T).ravel()))
+        want = _mp_expm_action(gen, w)
+        mu = np.trace(gen) / size ** 2
+        shifted = gen - mu * np.eye(size ** 2)
+        norm1 = np.abs(shifted).sum(axis=0).max()
+        big = max(big, norm1)
+        got = _expm_action(shifted.__matmul__, norm1, mu, w)
+        assert _rel_gap(got, want) <= 1e-13
+        w = want
+    assert (big > 63) == (horizon > 1)
+    want = np.exp(noise_inner(f1, f2)) * np.vdot(space.to_vec(x1),
+                                                  w.reshape(size, size)
+                                                  @ space.to_vec(x2))
+    assert abs(flow_inner(pa, pb) - want) <= 1e-13 * abs(want)
+
+
 def test_engine_gates():
     # one entry budget: d=3, cap 8 is refused before anything is built
     x = TrigPoly.one(3, 8)
@@ -481,13 +527,12 @@ def test_engine_gates():
             flow_inner(p, p)
         with pytest.raises(CapExceeded, match=r"cap 8, dim 3"):
             factorization_check(x, x, f, f, x, x, 0.25)
-        # at cap 4 the kernel fits, but not with a noisy cell's
-        # superoperators summed on top of it
+        # at cap 4 the kernel fits, but not a noisy cell's Taylor steps
         rng = rng_for(9)
         x = TrigPoly.one(3, 4)
         f = noise_path(rng, 3, 4, 1, horizon=0.25, max_mode=1, scale=0.3)
         p = FlowProblem(x, f, zero_path(3, 0.25), x, x, 0.25)
-        with pytest.raises(CapExceeded, match=r"flow pairing cell .* cap 4, dim 3"):
+        with pytest.raises(CapExceeded, match=r"flow pairing propagation .* cap 4, dim 3"):
             flow_inner(p, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
