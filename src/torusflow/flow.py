@@ -324,10 +324,7 @@ def texp_matrix_element(p: FlowProblem) -> complex:
         else:
             y = np.exp(dt * diag) * y
     y = space.from_vec(y)
-    # the pairing's dot runs over x's mode box, or u's support where that
-    # reaches further, so u's cap moves no bit of the value
-    u = p.u.with_cap(max(p.cap, p.u.max_abs_mode()))
-    return np.exp(noise_inner(p.g, p.f)) * u.l2_inner(mul_free(y, p.v))
+    return np.exp(noise_inner(p.g, p.f)) * p.u.l2_inner(mul_free(y, p.v))
 
 
 def _graded(space: ModeSpace, cells: List[Tuple[float, OneForm, OneForm]],

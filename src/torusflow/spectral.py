@@ -8,7 +8,9 @@ C-order ravel of that array is the mode-space vector layout of
 ``flow.ModeSpace`` (see ``mode_grid``), so this module alone decides the
 layout.  Every value carries a hard mode cap: an operation whose exact
 result needs a mode with |k|_inf above the cap raises CapExceeded rather
-than aliasing or projecting.
+than aliasing or projecting.  No value depends on the cap: pairings,
+norms, sup brackets and grids read the box of the mode radius
+(``TrigPoly._support``), which no cap moves.
 
 Every product is one batched FFT pair (``mul_free``), exact at the
 lifted cap ra + rb, that keeps each mode no pair of nonzero coefficients
@@ -104,6 +106,14 @@ def _mode_sq(dim: int, cap: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _mode_inf(dim: int, cap: int) -> np.ndarray:
+    """|k|_inf over the coefficient array, in the smallest integer type."""
+    out = reduce(np.maximum, map(np.abs, _axis_modes(dim, cap))).astype(np.min_scalar_type(cap))
+    out.flags.writeable = False
+    return out
+
+
 def mode_grid(dim: int, cap: int) -> np.ndarray:
     """The modes |k|_inf <= cap as rows of an (N, dim) array, in the
     C-order ravel of the coefficient array (lexicographic order)."""
@@ -129,17 +139,7 @@ def _box(dim: int, cap: int, inner: int) -> Tuple[slice, ...]:
 
 def _radius(arr: np.ndarray, cap: int) -> int:
     """Largest |k|_inf of a nonzero entry (0 if there is none)."""
-    return int(np.abs(np.array(np.nonzero(arr)) - cap).max(initial=0))
-
-
-def _recap(arr: np.ndarray, cap: int, new_cap: int) -> np.ndarray:
-    """The same modes in a cap ``new_cap`` array: zero padding, or a crop
-    that the caller has checked drops only zeros."""
-    if new_cap <= cap:
-        return arr[_box(arr.ndim, cap, new_cap)]
-    out = np.zeros((2 * new_cap + 1,) * arr.ndim, dtype=complex)
-    out[_box(arr.ndim, new_cap, cap)] = arr
-    return out
+    return int(_mode_inf(arr.ndim, cap).max(initial=0, where=arr != 0))
 
 
 class TrigPoly:
@@ -252,8 +252,13 @@ class TrigPoly:
             self._r = _radius(self._a, self.cap)
         return self._r
 
+    def _support(self, r: Optional[int] = None) -> np.ndarray:
+        """A view of the coefficients on the box |k|_inf <= r <= cap, by
+        default the box of the mode radius, which no cap moves."""
+        return self._a[_box(self.dim, self.cap, self.max_abs_mode() if r is None else r)]
+
     def coeff_l1(self) -> float:
-        return float(np.abs(self._a).sum())
+        return float(np.abs(self._support()).sum())
 
     # ------------------------------------------------------------------
     # ring structure
@@ -273,8 +278,7 @@ class TrigPoly:
         if self.cap == other.cap:
             return self._new(self._a + other._a)
         cap = max(self.cap, other.cap)
-        return TrigPoly(self.dim, cap, _recap(self._a, self.cap, cap)
-                        + _recap(other._a, other.cap, cap))
+        return TrigPoly(self.dim, cap, self.with_cap(cap)._a + other.with_cap(cap)._a)
 
     __radd__ = __add__
 
@@ -302,11 +306,14 @@ class TrigPoly:
         larger array alive."""
         if cap == self.cap:
             return self
-        if cap < self.cap and self.max_abs_mode() > cap:
-            raise CapExceeded(
-                f"mode radius {self.max_abs_mode()} exceeds cap {cap}")
-        out = _recap(self._a, self.cap, cap)
-        return TrigPoly(self.dim, cap, out if out.base is None else out.copy())
+        if cap < self.cap:
+            if self.max_abs_mode() > cap:
+                raise CapExceeded(
+                    f"mode radius {self.max_abs_mode()} exceeds cap {cap}")
+            return TrigPoly(self.dim, cap, self._support(cap).copy())
+        out = np.zeros((2 * cap + 1,) * self.dim, dtype=complex)
+        out[_box(self.dim, cap, self.cap)] = self._a
+        return TrigPoly(self.dim, cap, out)
 
     # ------------------------------------------------------------------
     # analysis
@@ -333,11 +340,12 @@ class TrigPoly:
         return self._new(self._a * np.exp(rate * _mode_sq(self.dim, self.cap) + 0j))
 
     def l2_inner(self, other: "TrigPoly") -> complex:
-        """(2*pi)^d sum_k conj(a_k) b_k; conjugate linear in self."""
+        """(2*pi)^d sum_k conj(a_k) b_k, conjugate linear in self, over the
+        box of the smaller mode radius: every mode where both are nonzero."""
         if self.dim != other.dim:
             raise GeometryMismatch("l2 pairing across different dimensions")
-        cap = min(self.cap, other.cap)
-        dot = np.vdot(_recap(self._a, self.cap, cap), _recap(other._a, other.cap, cap))
+        r = min(self.max_abs_mode(), other.max_abs_mode())
+        dot = np.vdot(self._support(r), other._support(r))
         return complex(dot) * TWO_PI ** self.dim
 
     def l2_norm(self) -> float:
@@ -354,7 +362,7 @@ class TrigPoly:
             raise ValueError(f"grid size {n} too small for modes up to {r}")
         bins = np.arange(-r, r + 1) % n
         arr = np.zeros((n,) * self.dim, dtype=complex)
-        arr[np.ix_(*([bins] * self.dim))] = _recap(self._a, self.cap, r)
+        arr[np.ix_(*([bins] * self.dim))] = self._support()
         return np.fft.ifftn(arr) * (n ** self.dim)
 
     def _sup_grid(self) -> Tuple[np.ndarray, float]:
@@ -362,8 +370,9 @@ class TrigPoly:
         (pi / n) sum_k |k|_1 |c_k| by which |f| can move off a node: each
         coordinate is within pi / n of one and |d_i f| <= sum |k_i c_k|."""
         n = sup_grid_size(self.max_abs_mode())
-        k1 = sum(np.abs(k) for k in _axis_modes(self.dim, self.cap))
-        return self.values_on_grid(n), math.pi / n * float(np.sum(k1 * np.abs(self._a)))
+        k1 = sum(np.abs(k) for k in _axis_modes(self.dim, self.max_abs_mode()))
+        slack = math.pi / n * float(np.sum(k1 * np.abs(self._support())))
+        return self.values_on_grid(n), slack
 
     def sup_norm(self) -> Tuple[float, float]:
         """(lower, upper) around sup |f|: the grid max, and the grid max
@@ -405,8 +414,8 @@ def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
         return TrigPoly(a.dim, r)  # no pair reaches any mode
     stack = np.zeros((4,) + shape, dtype=complex)
     # each support box sits at the origin corner
-    stack[(0,) + _box(a.dim, ra, ra)] = _recap(a._a, a.cap, ra)
-    stack[(1,) + _box(a.dim, rb, rb)] = _recap(b._a, b.cap, rb)
+    stack[(0,) + _box(a.dim, ra, ra)] = a._support()
+    stack[(1,) + _box(a.dim, rb, rb)] = b._support()
     stack[2:] = stack[:2] != 0
     # NumPy 2 warns without ``axes``; ``s`` spares it a shape lookup per call
     f = np.fft.fftn(stack, s=shape, axes=axes)
@@ -425,10 +434,6 @@ def sup_grid_size(radius: int) -> int:
     """The smallest power of two above 2 * radius: the grid on which the
     modes |k|_inf <= radius land in distinct FFT bins."""
     return 1 << (2 * radius).bit_length()
-
-
-def sup_norm(f: TrigPoly) -> Tuple[float, float]:
-    return f.sup_norm()
 
 
 # ----------------------------------------------------------------------
@@ -524,9 +529,6 @@ class OneForm:
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(c.is_zero(tol) for c in self.comps)
-
-    def scale(self, z: complex) -> "OneForm":
-        return OneForm(tuple(z * a for a in self.comps))
 
     def k0_inner(self, other: "OneForm") -> complex:
         """Hilbert inner product on L2 one-forms: integral of <w, e> over M."""

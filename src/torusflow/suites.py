@@ -267,9 +267,8 @@ def run_flow(dim: int, cap: int, tol: float, seed: int) -> List[Record]:
     return out
 
 
-def run_trace(dim: int, z: float, tol: float,
-              theta_times: Sequence[float] = (0.05, 0.1, 0.5, 1.0),
-              flow_times: Sequence[float] = (0.25, 1.0)) -> List[Record]:
+def run_trace(dim: int, z: float, tol: float, theta_times: Sequence[float],
+              flow_times: Sequence[float]) -> List[Record]:
     out = []
     for t in theta_times:
         zt = float(z_for_tail(t, dim))

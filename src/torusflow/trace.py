@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapExceeded, GeometryMismatch
 from .flow import ModeSpace
-from .spectral import OneForm, mode_grid
+from .spectral import OneForm
 
 __all__ = [
     "shell_counts",
@@ -170,7 +170,7 @@ def heat_trace_via_flow(t: float, z: float, dim: int) -> float:
     space = ModeSpace(dim, m)
     zero = OneForm.zero(dim, 0)
     diag, _ = space.diagonal(zero, zero)
-    keep = np.sum(mode_grid(dim, m) ** 2, axis=1) <= z * z + 1e-12
+    keep = -2 * diag.real <= z * z + 1e-12
     vals = np.exp(2.0 * t * diag)[keep]
     if np.any(np.abs(vals.imag) > 1e-10 * np.maximum(1.0, np.abs(vals.real))):
         raise GeometryMismatch(f"the trace terms over |k| <= {z:g} are not real: {vals}")

@@ -241,8 +241,8 @@ def test_run_is_deterministic(tmp_path):
     pb = json.loads(jb.read_text())
     del pa["metadata"]["wall_time_s"], pb["metadata"]["wall_time_s"]
     assert pa == pb
-    # the flow suite builds every operator in one sparse assembly from
-    # index arithmetic, the growth suite its products from FFTs; a rerun
+    # the flow suite builds every operator as one dense array from index
+    # arithmetic, the growth suite its products from FFTs; a rerun
     # must reproduce each report byte for byte too
     for suite in ("flow", "growth"):
         fa = tmp_path / f"{suite}_a.csv"

@@ -241,8 +241,8 @@ def test_picard_order_zero():
 
 def test_picard_order_one_single_interval():
     t = 0.6
-    wf = dform(cos1(4)).scale(0.5)
-    wg = dform(TrigPoly.sine((1,), 1, 4)).scale(0.3)
+    wf = dform(0.5 * cos1(4))
+    wg = dform(0.3 * TrigPoly.sine((1,), 1, 4))
     f = SimpleNoisePath.indicator(wf, 0.0, t)
     g = SimpleNoisePath.indicator(wg, 0.0, t)
     x, u, v = cos1(4), cos1(4), TrigPoly.one(1, 4)
@@ -542,7 +542,7 @@ def test_engine_gates():
     one = TrigPoly.one(1, 5)
     c = TrigPoly.cosine((1,), 1, 5)
     fine = SimpleNoisePath(TimeMesh([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]),
-                           tuple(dform(c).scale(0.3) for _ in range(5)))
+                           tuple(dform(0.3 * c) for _ in range(5)))
     rep = factorization_check(c + 2.0, c + 2.0, fine, fine, one, one, 1.0)
     assert rep.residual <= rep.bound
     # kernels need one mode space and one time mesh
@@ -560,7 +560,7 @@ def test_engine_gates():
 
 def test_factorization_constant_first_argument():
     one = TrigPoly.one(1, 2)
-    f = SimpleNoisePath.indicator(dform(cos1(2)).scale(0.4), 0.0, 0.25)
+    f = SimpleNoisePath.indicator(dform(0.4 * cos1(2)), 0.0, 0.25)
     rep = factorization_check(one, cos1(2) + 2.0, f, f, one, one, 0.25)
     assert rep.residual <= rep.bound
 

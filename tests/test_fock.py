@@ -81,7 +81,8 @@ def test_noise_inner_examples():
 
 def test_noise_inner_conjugates_first_argument():
     w = dcos()
-    f = SimpleNoisePath.indicator(w.scale(1j), 0.0, 1.0)
+    f = SimpleNoisePath.indicator(
+        exterior_derivative(1j * TrigPoly.cosine((1,), 1, 2)), 0.0, 1.0)
     g = SimpleNoisePath.indicator(w, 0.0, 1.0)
     assert noise_inner(f, g) == pytest.approx(-1j * math.pi)
     assert noise_inner(g, f) == pytest.approx(1j * math.pi)

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from torusflow import CapExceeded, GeometryMismatch, RankMismatch
 from torusflow.flow import ModeSpace
+from torusflow.sampling import one_form, poly, rng_for
 from torusflow.spectral import (OneForm, TrigPoly, _radius,
                                 covariant_derivative, exterior_derivative,
                                 flat_index, form_inner, l2_inner,
                                 mul_free,
-                                pointwise_length_sq, sup_norm, tensor_inner)
+                                pointwise_length_sq, tensor_inner)
 
 TWO_PI = 2.0 * math.pi
 
@@ -353,12 +354,33 @@ def test_l2_norm_cos():
     assert c.l2_norm() == pytest.approx(math.sqrt(math.pi))
 
 
+@settings(max_examples=40, derandomize=True)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3))
+def test_scalars_do_not_depend_on_the_cap(seed, dim):
+    # every scalar is summed over a support box, which no cap moves, so
+    # lifting an operand to a larger cap changes no bit of it
+    rng = rng_for(seed)
+    f, g = (poly(rng, dim, 3, int(rng.integers(0, 4))) for _ in range(2))
+    w, e = (one_form(rng, dim, 3, int(rng.integers(0, 4))) for _ in range(2))
+    for cap in (4, 5, 7, 9):
+        fl, gl = f.with_cap(cap), g.with_cap(cap)
+        wl, el = (OneForm(tuple(c.with_cap(cap) for c in v.comps)) for v in (w, e))
+        pair, k0 = f.l2_inner(g), w.k0_inner(e)
+        assert fl.l2_inner(g) == f.l2_inner(gl) == fl.l2_inner(gl) == pair
+        assert wl.k0_inner(e) == w.k0_inner(el) == wl.k0_inner(el) == k0
+        assert fl.l2_norm() == f.l2_norm()
+        assert fl.coeff_l1() == f.coeff_l1()
+        assert fl.sup_norm() == f.sup_norm()
+        # the grid slack alone, which the l1 end of the bracket can hide
+        assert fl._sup_grid()[1] == f._sup_grid()[1]
+
+
 def test_sup_norm_examples():
-    lower, upper = sup_norm(TrigPoly.cosine((1,), 1, 1))
+    lower, upper = TrigPoly.cosine((1,), 1, 1).sup_norm()
     assert lower == pytest.approx(1.0, abs=1e-12)
     assert lower <= upper + 1e-15 and upper >= 1.0 - 1e-15
-    assert sup_norm(TrigPoly.one(1, 1)) == pytest.approx((1.0, 1.0))
-    assert sup_norm(TrigPoly.zero(2, 3)) == (0.0, 0.0)
+    assert TrigPoly.one(1, 1).sup_norm() == pytest.approx((1.0, 1.0))
+    assert TrigPoly.zero(2, 3).sup_norm() == (0.0, 0.0)
 
 
 def _dense_sup(f, n):
@@ -369,7 +391,7 @@ def test_sup_norm_brackets_an_off_grid_peak():
     # cos(x - 0.3) peaks at x = 0.3, between the nodes of its 4-point grid
     f = (math.cos(0.3) * TrigPoly.cosine((1,), 1, 1)
          + math.sin(0.3) * TrigPoly.sine((1,), 1, 1))
-    lower, upper = sup_norm(f)
+    lower, upper = f.sup_norm()
     true_sup = _dense_sup(f, 4096)
     assert lower == pytest.approx(math.cos(0.3), abs=1e-12)   # 0.955
     assert true_sup == pytest.approx(1.0, abs=1e-6)
@@ -381,7 +403,7 @@ def test_sup_norm_brackets_random_polys(dim, n_ref):
     rng = np.random.default_rng(606 + dim)
     for _ in range(40):
         f = random_poly(rng, dim, 4, int(rng.integers(1, 5)))
-        lower, upper = sup_norm(f)
+        lower, upper = f.sup_norm()
         true_sup = _dense_sup(f, n_ref)
         assert lower <= true_sup * (1 + 1e-12) + 1e-12
         assert true_sup <= upper * (1 + 1e-12) + 1e-12
@@ -483,7 +505,7 @@ def test_iterated_laplacian_growth():
     g = f
     for k in range(1, 9):
         g = g.laplacian()
-        assert sup_norm(g)[1] <= c_const * k_const ** k + 1e-9
+        assert g.sup_norm()[1] <= c_const * k_const ** k + 1e-9
 
 
 def test_sobolev_sup_bound():
@@ -491,4 +513,4 @@ def test_sobolev_sup_bound():
     rng = np.random.default_rng(8)
     for _ in range(10):
         f = random_poly(rng, 1, 5, 3)
-        assert sup_norm(f)[1] <= f.coeff_l1() + 1e-9
+        assert f.sup_norm()[1] <= f.coeff_l1() + 1e-9

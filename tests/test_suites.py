@@ -8,7 +8,7 @@ from torusflow import CapExceeded
 from torusflow.cli import RunConfig, run
 from torusflow.report import render_csv, render_json
 from torusflow.suites import (SUITES, run_action, run_flow, run_growth,
-                              run_identities, run_trace)
+                              run_identities)
 
 
 def test_every_suite_is_described():
@@ -68,7 +68,7 @@ def test_factorization_record_certifies(seed):
 
 
 def test_trace_records_pin_column_layout():
-    recs = run_trace(1, 6.0, SUITES["trace"].tol)
+    recs = SUITES["trace"].run(RunConfig(dim=1, z=6.0), SUITES["trace"].tol)
     assert len(recs) == 6  # four theta points, two flow points
     assert all(r.passed for r in recs)
     first = recs[0]
