@@ -22,7 +22,9 @@ allocate: a product's FFT stack, a sampled polynomial
 budget (``check_work``) bounds the multiply-adds of a ``flow``
 propagation.
 
-A supremum is a bracket read off one exact grid (``TrigPoly.sup_norm``).
+Integrals and identities are read off the coefficients (Parseval,
+``TrigPoly.l2_inner``); a grid is read only for a supremum, as a bracket
+off one exact grid (``TrigPoly.sup_norm``).
 Where the sup sits on the bound side, callers take the grid max
 (``structure.sobolev_w2inf_norm``, ``flow.positivity_probe``); where it
 is compared against a bound, the certified upper end
@@ -424,10 +426,6 @@ def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
     # ``out`` is a view into the inverse-FFT stack: copy it, so the
     # product does not keep that stack alive
     return TrigPoly(a.dim, r, out.copy())
-
-
-def l2_inner(f: TrigPoly, g: TrigPoly) -> complex:
-    return f.l2_inner(g)
 
 
 def sup_grid_size(radius: int) -> int:

@@ -28,7 +28,6 @@ from typing import List, Sequence, Tuple
 
 from .errors import GeometryMismatch
 from .spectral import (
-    TWO_PI,
     CovariantTensor,
     OneForm,
     TrigPoly,
@@ -203,20 +202,13 @@ class AugmentedVector:
         return tuple(mul_free(self.form_psi, w) for w in self.form_omega.comps)
 
     def norm_sq(self) -> float:
-        """|scalar|^2 + (2 pi)^d mean(|psi|^2 sum_i |omega_i|^2), the mean
-        taken on one grid past twice the integrand's mode radius (exact)."""
-        psi, omega = self.form_psi, self.form_omega.comps
-        n = sup_grid_size(psi.max_abs_mode() + max(w.max_abs_mode() for w in omega))
-        dens = abs(psi.values_on_grid(n)) ** 2 * sum(abs(w.values_on_grid(n)) ** 2
-                                                      for w in omega)
-        return self.scalar_part.l2_norm() ** 2 + TWO_PI ** psi.dim * float(dens.mean())
+        """|scalar|^2 + sum_i |psi omega_i|^2, each L2 norm read off the
+        coefficients by Parseval."""
+        return sum(p.l2_norm() ** 2
+                   for p in (self.scalar_part,) + self.form_sections())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.scalar_part.is_zero(tol) and all(
-            s.is_zero(tol) for s in self.form_sections())
 
     def __repr__(self):
         return (f"AugmentedVector(scalar={self.scalar_part!r}, "

@@ -60,7 +60,9 @@ SUITES: Dict[str, Suite] = {
         "derivative, Sobolev, and iterated-map growth bounds", (
             "product_rule: d(xy) = dx y + x dy componentwise, exactly",
             "commutation: the Laplacian commutes with the gradient, exactly",
-            "lap_vs_hessian: |Laplacian f| <= sqrt(d) |Hessian f| pointwise on grids",
+            "lap_vs_hessian: the Laplacian equals minus the Hessian's trace,"
+            " exactly, so |Laplacian f| <= sqrt(d) |Hessian f| at every point"
+            " by Cauchy-Schwarz on the trace",
             "sobolev_theta: ||Theta(a) v|| <= 4 d ||a||_{W2,inf} ||v||",
             "heat_contraction: the heat semigroup does not increase the L2 norm",
             "nested_phi: iterated Phi applications stay under the l1 cascade bound",
@@ -164,12 +166,12 @@ def run_growth(dim: int, cap: int, tol: float, seed: int) -> List[Record]:
                   for ax in range(dim))
         out.append(Record("growth", f"commutation[{i}]", res <= tol, res, tol))
 
+        # Delta f = -trace nabla^2 f, exactly; Cauchy-Schwarz on the trace
+        # then gives |Delta f| <= sqrt(d) |nabla^2 f| at every point
         f = sampling.poly(rng, dim, cap, m)
-        n = 4 * max(1, f.max_abs_mode()) + 3
-        lap_vals = np.abs(f.laplacian().values_on_grid(n))
-        hess_vals = covariant_derivative(f, 2).length_on_grid(n)
-        res = float(np.max(lap_vals - math.sqrt(dim) * hess_vals))
-        res = max(res, 0.0)
+        lap, hess = f.laplacian(), covariant_derivative(f, 2)
+        res = _rel(sum((hess.component((ax, ax)) for ax in range(dim)),
+                       lap).l2_norm(), lap.l2_norm())
         out.append(Record("growth", f"lap_vs_hessian[{i}]",
                           res <= tol, res, tol))
 
@@ -200,7 +202,8 @@ def run_flow(dim: int, cap: int, tol: float, seed: int) -> List[Record]:
     rng = sampling.rng_for(seed + 2)
     # the working cap and the per-d record set stay fixed: the benchmark
     # checks the record names each d emits and reports are compared byte
-    # for byte; what a pairing may allocate is flow_inner's entry budget
+    # for byte; what a pairing may allocate and compute is bounded by the
+    # dense budget and the work budget
     wcap = min(cap, 4 if dim == 1 else 2)
     m = 1
     out = []

@@ -19,7 +19,7 @@ from torusflow.flow import (FlowProblem, factorization_check, picard_terms,
 from torusflow.fock import SimpleNoisePath
 from torusflow.sampling import noise_path, one_form, poly, rng_for
 from torusflow.spectral import (TrigPoly, covariant_derivative,
-                                exterior_derivative, form_inner, l2_inner,
+                                exterior_derivative, form_inner,
                                 mul_free, pointwise_length_sq)
 from torusflow.structure import (AugmentedVector, delta, delta_squared,
                                  generator_L, kernel_eval,
@@ -48,7 +48,7 @@ def test_criterion_1_vacuum_identity(capsys):
         v = poly(rng, 1, 6, 6, scale=0.5)
         for t in (0.1, 0.5, 1.0, 2.0):
             got = vacuum_expectation(x, u, v, t)
-            want = l2_inner(u, mul_free(x.heat(t, halved=True), v))
+            want = u.l2_inner(mul_free(x.heat(t, halved=True), v))
             worst = max(worst, abs(got - want))
     elapsed = time.monotonic() - started
     _verdict(capsys, 1, "vacuum identity", worst <= 1e-10,

@@ -17,7 +17,7 @@ from torusflow.flow import (FlowProblem, ModeSpace, _expm_action,
 from torusflow.fock import SimpleNoisePath, TimeMesh, noise_inner
 from torusflow.sampling import noise_path, one_form, poly, rng_for
 from torusflow.spectral import (OneForm, TrigPoly, exterior_derivative,
-                                l2_inner, mode_grid, mul_free)
+                                mode_grid, mul_free)
 from torusflow.structure import psi_map
 
 E_HALF_PI = 1.9054722647301798    # e^{-1/2} pi
@@ -160,7 +160,7 @@ def test_texp_unital():
     u = poly(rng, 1, 3, 1)
     v = poly(rng, 1, 3, 1)
     p = FlowProblem(TrigPoly.one(1, 3), f, g, u, v, t)
-    want = np.exp(noise_inner(g, f)) * l2_inner(u, v)
+    want = np.exp(noise_inner(g, f)) * u.l2_inner(v)
     assert texp_matrix_element(p) == pytest.approx(want, rel=1e-12)
 
 
@@ -169,7 +169,7 @@ def test_texp_zero_horizon():
     v = TrigPoly.one(1, 4)
     x = TrigPoly.mode((2,), 1, 4)
     p = FlowProblem(x, zero_path(), zero_path(), u, v, 0.0)
-    assert texp_matrix_element(p) == pytest.approx(l2_inner(u, mul_free(x, v)))
+    assert texp_matrix_element(p) == pytest.approx(u.l2_inner(mul_free(x, v)))
 
 
 def test_texp_ordering_sensitivity():
@@ -202,10 +202,10 @@ def test_vacuum_expectation_examples():
     one = TrigPoly.one(1, 4)
     u = poly(rng_for(0), 1, 4, 2)
     v = poly(rng_for(1), 1, 4, 2)
-    assert vacuum_expectation(one, u, v, 2.0) == pytest.approx(l2_inner(u, v))
+    assert vacuum_expectation(one, u, v, 2.0) == pytest.approx(u.l2_inner(v))
     x = poly(rng_for(2), 1, 4, 2)
     got = vacuum_expectation(x, u, v, 0.0)
-    assert got == pytest.approx(l2_inner(u, mul_free(x, v)))
+    assert got == pytest.approx(u.l2_inner(mul_free(x, v)))
     e2 = TrigPoly.mode((2,), 1, 4)
     val = vacuum_expectation(e2, e2, one, 1.0)
     assert val.real == pytest.approx(E_TWO_2PI, abs=1e-12)
@@ -220,7 +220,7 @@ def test_vacuum_identity_matches_heat_semigroup():
         v = poly(rng, 1, 6, 6)
         for t in one_t:
             got = vacuum_expectation(x, u, v, t)
-            want = l2_inner(u, mul_free(x.heat(t, halved=True), v))
+            want = u.l2_inner(mul_free(x.heat(t, halved=True), v))
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
@@ -235,7 +235,7 @@ def test_picard_order_zero():
     u = poly(rng, 1, 3, 1)
     v = poly(rng, 1, 3, 1)
     series = picard_terms(FlowProblem(x, f, g, u, v, t), 0)
-    want = np.exp(noise_inner(g, f)) * l2_inner(u, mul_free(x, v))
+    want = np.exp(noise_inner(g, f)) * u.l2_inner(mul_free(x, v))
     assert series.terms[0] == pytest.approx(want, rel=1e-12)
 
 
@@ -249,7 +249,7 @@ def test_picard_order_one_single_interval():
     series = picard_terms(FlowProblem(x, f, g, u, v, t), 1)
     coh = np.exp(noise_inner(g, f))
     psi_x = psi_map(x, wf, wg)
-    want = coh * t * l2_inner(u, mul_free(psi_x, v))
+    want = coh * t * u.l2_inner(mul_free(psi_x, v))
     assert series.terms[1] == pytest.approx(want, rel=1e-11)
 
 
@@ -334,7 +334,7 @@ def test_picard_zero_horizon_collapses_to_order_zero():
     x, u, v = cos1(), cos1(), TrigPoly.one(1, 4)
     zero = SimpleNoisePath(TimeMesh([0.0]), (), dim=1)
     series = picard_terms(FlowProblem(x, zero, zero, u, v, 0.0), 4)
-    assert series.terms[0] == pytest.approx(l2_inner(u, mul_free(x, v)))
+    assert series.terms[0] == pytest.approx(u.l2_inner(mul_free(x, v)))
     assert all(term == 0 for term in series.terms[1:])
     assert series.s_const == 0.0
 
@@ -359,7 +359,7 @@ def test_engine_unital_argument():
     u = poly(rng, 1, 3, 1)
     g = noise_path(rng, 1, 3, 2, horizon=t, max_mode=1, scale=0.4)
     got = texp_matrix_element(FlowProblem(one, f, g, u, v, t))
-    want = np.exp(noise_inner(g, f)) * l2_inner(u, v)
+    want = np.exp(noise_inner(g, f)) * u.l2_inner(v)
     assert got == pytest.approx(want, rel=1e-11)
     p = FlowProblem(one, f, zero_path(1, t), v, v, t)
     want_sq = np.exp(noise_inner(f, f).real) * v.l2_norm() ** 2

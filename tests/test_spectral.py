@@ -11,8 +11,7 @@ from torusflow.flow import ModeSpace
 from torusflow.sampling import one_form, poly, rng_for
 from torusflow.spectral import (OneForm, TrigPoly, _radius,
                                 covariant_derivative, exterior_derivative,
-                                flat_index, form_inner, l2_inner,
-                                mul_free,
+                                flat_index, form_inner, mul_free,
                                 pointwise_length_sq, tensor_inner)
 
 TWO_PI = 2.0 * math.pi
@@ -340,12 +339,12 @@ def test_form_inner_examples():
 def test_l2_inner_orthogonality():
     e1 = TrigPoly.mode((1,), 1, 2)
     e2 = TrigPoly.mode((2,), 1, 2)
-    assert l2_inner(e1, e1) == pytest.approx(TWO_PI)
-    assert l2_inner(e1, e2) == 0
+    assert e1.l2_inner(e1) == pytest.approx(TWO_PI)
+    assert e1.l2_inner(e2) == 0
     # first argument conjugated
     f = 1j * e1
-    assert l2_inner(f, e1) == pytest.approx(-1j * TWO_PI)
-    assert l2_inner(e1, f) == pytest.approx(1j * TWO_PI)
+    assert f.l2_inner(e1) == pytest.approx(-1j * TWO_PI)
+    assert e1.l2_inner(f) == pytest.approx(1j * TWO_PI)
 
 
 def test_l2_norm_cos():

@@ -2,12 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from torusflow import GeometryMismatch
 from torusflow.sampling import one_form, poly, rng_for
 from torusflow.spectral import (OneForm, TrigPoly, exterior_derivative,
-                                form_inner, mul_free)
+                                form_inner, mul_free, sup_grid_size)
 from torusflow.structure import (AugmentedVector, delta, delta_squared,
                                  generator_L, kernel_eval, nested_phi_growth,
                                  phi_map, psi_map, sobolev_w2inf_norm,
@@ -165,7 +166,8 @@ def test_theta_annihilates_constants():
     v = AugmentedVector.product(cos1(), 1.0 + 0.5j,
                                 exterior_derivative(sin1()))
     out = theta_apply(TrigPoly.one(1, 4), v)
-    assert out.is_zero(1e-15)
+    assert out.scalar_part.is_zero(1e-15)
+    assert all(s.is_zero(1e-15) for s in out.form_sections())
     assert out.norm() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -211,7 +213,8 @@ def test_augmented_vector_norm_decomposition():
     direct += sum(s.l2_norm() ** 2 for s in v.form_sections())
     assert v.norm_sq() == pytest.approx(direct)
     assert v.norm() == pytest.approx(math.sqrt(direct))
-    # seeded vectors: the grid norm against the convolved form sections
+    # seeded vectors: the Parseval norm against quadrature of the density
+    # |psi|^2 sum_i |omega_i|^2 on a grid where its mean is exact
     rng = rng_for(17)
     for dim in (1, 2, 3):
         for _ in range(3):
@@ -220,8 +223,13 @@ def test_augmented_vector_norm_decomposition():
                 complex(rng.standard_normal(), rng.standard_normal()),
                 one_form(rng, dim, 4, 3),
             )
+            psi, omega = v.form_psi, v.form_omega.comps
+            n = sup_grid_size(psi.max_abs_mode()
+                              + max(w.max_abs_mode() for w in omega))
+            dens = np.abs(psi.values_on_grid(n)) ** 2 * sum(
+                np.abs(w.values_on_grid(n)) ** 2 for w in omega)
             direct = v.scalar_part.l2_norm() ** 2
-            direct += sum(s.l2_norm() ** 2 for s in v.form_sections())
+            direct += (2.0 * math.pi) ** dim * float(dens.mean())
             assert v.norm_sq() == pytest.approx(direct, rel=1e-12)
 
 

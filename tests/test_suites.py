@@ -7,6 +7,7 @@ import pytest
 from torusflow import CapExceeded
 from torusflow.cli import RunConfig, run
 from torusflow.report import render_csv, render_json
+from torusflow.spectral import TrigPoly
 from torusflow.suites import (SUITES, run_action, run_flow, run_growth,
                               run_identities)
 
@@ -42,6 +43,17 @@ def test_growth_records_dim3_default_cap():
     recs = run_growth(3, 8, SUITES["growth"].tol, seed=0)
     assert len(recs) == 72
     assert all(r.passed for r in recs)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lap_vs_hessian_fails_with_a_halved_laplacian(monkeypatch, dim):
+    laplacian = TrigPoly.laplacian
+    monkeypatch.setattr(TrigPoly, "laplacian",
+                        lambda self: 0.5 * laplacian(self))
+    recs = run_growth(dim, 4, SUITES["growth"].tol, seed=0)
+    lap = [r for r in recs if r.name.startswith("lap_vs_hessian")]
+    assert len(lap) == 12
+    assert not any(r.passed for r in lap)
 
 
 def test_flow_records():
