@@ -328,19 +328,23 @@ def texp_matrix_element(p: FlowProblem) -> complex:
 
 
 def _graded(space: ModeSpace, cells: List[Tuple[float, OneForm, OneForm]],
-            start: np.ndarray, n_max: int) -> List[np.ndarray]:
+            start: np.ndarray, n_max: int,
+            norms: Optional[List[float]] = None) -> List[np.ndarray]:
     """Orders 0..n_max of E_1 ... E_m start, E_j = exp(dt_j Psi_j), by
     Taylor recursion, latest cell first so the earliest sits outermost.
 
     ``cells`` are (width, xi, eta) and ``start`` is a vector or a matrix
-    of columns.  Each cell's generator is built when its loop runs.  The
-    loop moves the orders present up one order per step, adds the step
-    into them in place and drops the orders past n_max, which is what
-    ends it.
+    of columns.  Each cell's generator is built when its loop runs; given
+    a list ``norms``, its operator norm ||Psi_j||_2 is appended there, so
+    latest cell first.  The loop moves the orders present up one order
+    per step, adds the step into them in place and drops the orders past
+    n_max, which is what ends it.
     """
     graded = [start]
     for dt, xi, eta in reversed(cells):
         psi = space.psi_matrix(xi, eta)
+        if norms is not None:
+            norms.append(float(np.linalg.norm(psi, 2)))
         term = graded  # term[j] is of order j + k
         k = 0
         while term:
@@ -415,6 +419,8 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
     argument vector x, so order n is the N-vector y_n = block_n x and each
     step is a mat-vec; the N x N blocks are formed, and charged
     against the dense budget, only when read (``PicardSeries.blocks``).
+    The recursion also hands back each generator's operator norm, which
+    s_const sums in cell order, so each generator is built once.
     Every term is read off one functional: <u, y v> = <conj(v) u, y>, so
     w = conj(v) u is formed once and terms[n] = exp(<g, f>) <w, y_n>.
     """
@@ -424,14 +430,15 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
     # one cell's generator at a time, beside its SVD's copy
     space.check_dense(2 * space.size ** 2, "picard generator SVD")
     cells = p.cells()
-    s_const = 0.0
-    for dt, fc, gc in cells:
-        s_const += dt * float(np.linalg.norm(space.psi_matrix(fc, gc), 2))
     xv = space.to_vec(p.x)
+    norms: List[float] = []
+    graded = _graded(space, cells, xv, n_max, norms)
+    s_const = 0.0
+    for (dt, _, _), norm in zip(cells, reversed(norms)):
+        s_const += dt * norm
     coh = np.exp(noise_inner(p.g, p.f))
     w = mul_free(p.v.conjugate(), p.u)
-    terms = [coh * w.l2_inner(space.from_vec(y))
-             for y in _graded(space, cells, xv, n_max)]
+    terms = [coh * w.l2_inner(space.from_vec(y)) for y in graded]
     prefactor = (abs(coh) * p.u.l2_norm() * p.v.l2_norm()
                  * math.sqrt(space.size) * float(np.linalg.norm(xv)))
     return PicardSeries(terms, s_const, prefactor, space, cells)

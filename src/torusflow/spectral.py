@@ -12,10 +12,13 @@ than aliasing or projecting.  No value depends on the cap: pairings,
 norms, sup brackets and grids read the box of the mode radius
 (``TrigPoly._support``), which no cap moves.
 
-Every product is one batched FFT pair (``mul_free``), exact at the
-lifted cap ra + rb, that keeps each mode no pair of nonzero coefficients
-reaches an exact zero, and every sum is exact at the larger of its
-operands' caps; a smaller cap is applied by ``TrigPoly.with_cap``.
+Every product is one FFT pair on its two data boxes (``mul_free``),
+exact at the lifted cap ra + rb, that keeps each mode no pair of nonzero
+coefficients reaches an exact zero; which modes a pair of supports
+reaches is read off one bounded table keyed by the two support patterns
+(``_reach``), so the 0/1 masks are transformed once per pattern pair.
+Every sum is exact at the larger of its operands' caps; a smaller cap is
+applied by ``TrigPoly.with_cap``.
 One dense budget (``check_dense``) bounds the array entries a call may
 allocate: a product's FFT stack, a sampled polynomial
 (``sampling.poly``) and the mode-space arrays of ``flow``; one work
@@ -137,6 +140,25 @@ def flat_index(modes, cap: int) -> np.ndarray:
 def _box(dim: int, cap: int, inner: int) -> Tuple[slice, ...]:
     """The modes |k|_inf <= inner inside a cap ``cap`` array."""
     return (slice(cap - inner, cap + inner + 1),) * dim
+
+
+@lru_cache(maxsize=None)
+def _ik(dim: int, cap: int, axis: int) -> np.ndarray:
+    """i k_axis, the factor of d/dx_axis over the coefficient array."""
+    out = 1j * _axis_modes(dim, cap)[axis]
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _grid_index(dim: int, r: int, n: int) -> Tuple[np.ndarray, ...]:
+    """The ``np.ix_`` index that scatters the modes |k|_inf <= r into
+    their bins of an n^d FFT grid."""
+    bins = np.arange(-r, r + 1) % n
+    out = np.ix_(*([bins] * dim))
+    for b in out:
+        b.flags.writeable = False
+    return out
 
 
 def _radius(arr: np.ndarray, cap: int) -> int:
@@ -324,7 +346,7 @@ class TrigPoly:
         """Coordinate partial derivative d/dx_axis (mode caps unchanged)."""
         if not (0 <= axis < self.dim):
             raise GeometryMismatch(f"axis {axis} out of range for dim {self.dim}")
-        return self._new(self._a * (1j * _axis_modes(self.dim, self.cap)[axis]))
+        return self._new(self._a * _ik(self.dim, self.cap, axis))
 
     def laplacian(self) -> "TrigPoly":
         """Nonnegative Laplacian: coeff(k) -> |k|^2 coeff(k)."""
@@ -362,9 +384,8 @@ class TrigPoly:
         r = self.max_abs_mode()
         if n <= 2 * r:
             raise ValueError(f"grid size {n} too small for modes up to {r}")
-        bins = np.arange(-r, r + 1) % n
         arr = np.zeros((n,) * self.dim, dtype=complex)
-        arr[np.ix_(*([bins] * self.dim))] = self._support()
+        arr[_grid_index(self.dim, r, n)] = self._support()
         return np.fft.ifftn(arr) * (n ** self.dim)
 
     def _sup_grid(self) -> Tuple[np.ndarray, float]:
@@ -392,40 +413,87 @@ class TrigPoly:
 # module-level operations (the public op surface)
 
 
+def _fft_product(dim: int, ra: int, rb: int, box_a, box_b) -> np.ndarray:
+    """The linear convolution of two boxes of radii ra and rb on the
+    (2r + 1)^d box, r = ra + rb, which holds it without wrap: both boxes
+    sit at its origin corner in one stack, transformed together, and
+    their product is transformed back."""
+    r = ra + rb
+    shape, axes = (2 * r + 1,) * dim, tuple(range(1, dim + 1))
+    stack = np.zeros((2,) + shape, dtype=complex)
+    stack[(0,) + _box(dim, ra, ra)] = box_a
+    stack[(1,) + _box(dim, rb, rb)] = box_b
+    # NumPy 2 warns without ``axes``; ``s`` spares it a shape lookup per call
+    f = np.fft.fftn(stack, s=shape, axes=axes)
+    return np.fft.ifftn(f[0] * f[1], s=shape, axes=tuple(range(dim)))
+
+
+def _pattern(box: np.ndarray) -> Optional[bytes]:
+    """The 0/1 pattern of a support box: None when every entry is nonzero."""
+    return None if np.count_nonzero(box) == box.size else (box != 0).tobytes()
+
+
+#: the reach table's bound: at most this many reaches, each of at most
+#: _DENSE_BUDGET / _REACH_ENTRIES entries
+_REACH_ENTRIES = 256
+
+
+@lru_cache(maxsize=_REACH_ENTRIES)
+def _reach(dim: int, ra: int, rb: int, pattern_a: Optional[bytes],
+           pattern_b: Optional[bytes]) -> Optional[np.ndarray]:
+    """The modes of the product box that some pair of nonzero
+    coefficients reaches, as a read-only bool array; None when both
+    support boxes are full (``_pattern``), so every mode is reached.
+
+    The product of the two 0/1 masks counts the pairs that reach each
+    mode, and a count below 0.5 is none.  The reach depends on the
+    patterns alone, and the suites draw few of them, so this one bounded
+    table answers almost every product.  ``mul_free`` stores only boxes
+    of at most _DENSE_BUDGET / _REACH_ENTRIES entries, so the stored bool
+    reaches and their pattern keys hold at most 3 _DENSE_BUDGET bytes
+    (48 MB); the suites' tables hold at most 66 KB (d = 3).
+    """
+    if pattern_a is None and pattern_b is None:
+        return None
+    masks = [True if p is None
+             else np.frombuffer(p, dtype=bool).reshape((2 * ri + 1,) * dim)
+             for ri, p in ((ra, pattern_a), (rb, pattern_b))]
+    reach = _fft_product(dim, ra, rb, *masks).real >= 0.5
+    reach.flags.writeable = False
+    return reach
+
+
 def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
     """Pointwise product at the lifted cap ra + rb (the cap never makes it
     raise CapExceeded; only the dense budget does, below); ``with_cap``
     applies a smaller cap.
 
-    One batched FFT pair on the (2r + 1)^d box, r = ra + rb, which holds
-    the linear convolution without wrap; the stack of four such boxes is
-    charged against the dense budget before it is allocated.  The 0/1
-    support masks ride along and their product counts the pairs that
-    reach each mode.  A mode none reaches is set to exact 0, so the radius
-    follows from the supports alone; a reached mode that cancels holds
-    round-off.  A zero factor reaches no mode: its product is the exact
-    zero at cap r, formed with no FFT.
+    One FFT pair on the two support boxes (``_fft_product``).  A mode no
+    pair reaches is set to exact 0, so the radius follows from the
+    supports alone; a reached mode that cancels holds round-off.  The
+    reach is read off the table (``_reach``); a pair of support patterns
+    it has not seen, or a box too large to store, sends the 0/1 masks
+    through a second FFT pair, so four (2r + 1)^d boxes are charged
+    against the dense budget before anything is allocated.  A zero
+    factor reaches no mode: its product is the exact zero at cap r,
+    formed with no FFT.
     """
     if a.dim != b.dim:
         raise GeometryMismatch("operands live on tori of different dimension")
-    ra, rb = a.max_abs_mode(), b.max_abs_mode()
+    dim, ra, rb = a.dim, a.max_abs_mode(), b.max_abs_mode()
     r = ra + rb
-    shape, axes = (2 * r + 1,) * a.dim, tuple(range(1, a.dim + 1))
-    check_dense(4 * (2 * r + 1) ** a.dim, "product FFT stack", r, a.dim)
-    if a.is_zero() or b.is_zero():
-        return TrigPoly(a.dim, r)  # no pair reaches any mode
-    stack = np.zeros((4,) + shape, dtype=complex)
-    # each support box sits at the origin corner
-    stack[(0,) + _box(a.dim, ra, ra)] = a._support()
-    stack[(1,) + _box(a.dim, rb, rb)] = b._support()
-    stack[2:] = stack[:2] != 0
-    # NumPy 2 warns without ``axes``; ``s`` spares it a shape lookup per call
-    f = np.fft.fftn(stack, s=shape, axes=axes)
-    out, reach = np.fft.ifftn(f[0::2] * f[1::2], s=shape, axes=axes)
-    out[reach.real < 0.5] = 0
-    # ``out`` is a view into the inverse-FFT stack: copy it, so the
-    # product does not keep that stack alive
-    return TrigPoly(a.dim, r, out.copy())
+    check_dense(4 * (2 * r + 1) ** dim, "product FFT stack", r, dim)
+    sa, sb = a._support(), b._support()
+    if not (sa.any() and sb.any()):
+        return TrigPoly(dim, r)  # no pair reaches any mode
+    out = _fft_product(dim, ra, rb, sa, sb)
+    # a larger box recomputes its reach, so the table's bytes stay bounded
+    small = out.size <= _DENSE_BUDGET // _REACH_ENTRIES
+    reach = (_reach if small else _reach.__wrapped__)(
+        dim, ra, rb, _pattern(sa), _pattern(sb))
+    if reach is not None:
+        out[~reach] = 0
+    return TrigPoly(dim, r, out)
 
 
 def sup_grid_size(radius: int) -> int:

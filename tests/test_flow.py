@@ -330,6 +330,32 @@ def test_picard_terms_propagate_vectors_not_blocks():
     assert series.block_norms[0] == 1.0
 
 
+def test_picard_terms_build_each_generator_once(monkeypatch):
+    # s_const's norms come from the generators the recursion builds
+    rng = rng_for(31)
+    t = 0.8
+    f = noise_path(rng, 1, 3, 3, horizon=t, max_mode=1, scale=0.35)
+    g = noise_path(rng, 1, 3, 2, horizon=t, max_mode=1, scale=0.35)
+    p = FlowProblem(poly(rng, 1, 3, 1), f, g, poly(rng, 1, 3, 1),
+                    poly(rng, 1, 3, 1), t)
+    built = []
+    build = ModeSpace.psi_matrix
+
+    def counted(space, xi, eta):
+        built.append(1)
+        return build(space, xi, eta)
+
+    monkeypatch.setattr(ModeSpace, "psi_matrix", counted)
+    series = picard_terms(p, 6)
+    cells = p.cells()
+    assert len(built) == len(cells) > 1
+    space = ModeSpace(1, 3)
+    s_const = 0.0
+    for dt, fc, gc in cells:
+        s_const += dt * float(np.linalg.norm(build(space, fc, gc), 2))
+    assert series.s_const == s_const
+
+
 def test_picard_zero_horizon_collapses_to_order_zero():
     x, u, v = cos1(), cos1(), TrigPoly.one(1, 4)
     zero = SimpleNoisePath(TimeMesh([0.0]), (), dim=1)

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from torusflow import CapExceeded, GeometryMismatch, RankMismatch
 from torusflow.flow import ModeSpace
 from torusflow.sampling import one_form, poly, rng_for
-from torusflow.spectral import (OneForm, TrigPoly, _radius,
+from torusflow import spectral
+from torusflow.spectral import (OneForm, TrigPoly, _box, _radius,
                                 covariant_derivative, exterior_derivative,
                                 flat_index, form_inner, mul_free,
                                 pointwise_length_sq, tensor_inner)
@@ -180,6 +181,103 @@ def test_products_own_their_coefficients():
     p = mul_free(e, einv).with_cap(1)  # r = 2 cropped to cap 1
     assert p.coeffs.base is None
     assert (p - TrigPoly.one(2, 1)).is_zero()
+
+
+def _four_box_product(a, b):
+    """The product with the support masks in the same FFT batch as the
+    data, every product transforming four boxes: the reference that the
+    reach table must reproduce bit for bit."""
+    ra, rb = a.max_abs_mode(), b.max_abs_mode()
+    r = ra + rb
+    shape, axes = (2 * r + 1,) * a.dim, tuple(range(1, a.dim + 1))
+    if a.is_zero() or b.is_zero():
+        return TrigPoly(a.dim, r)
+    stack = np.zeros((4,) + shape, dtype=complex)
+    stack[(0,) + _box(a.dim, ra, ra)] = a._support()
+    stack[(1,) + _box(a.dim, rb, rb)] = b._support()
+    stack[2:] = stack[:2] != 0
+    f = np.fft.fftn(stack, s=shape, axes=axes)
+    out, reach = np.fft.ifftn(f[0::2] * f[1::2], s=shape, axes=axes)
+    out[reach.real < 0.5] = 0
+    return TrigPoly(a.dim, r, out.copy())
+
+
+def _support_zoo(rng, dim):
+    """Factors of radius up to 4 with every kind of support the suites
+    multiply: full boxes, random sparse masks, partials (one plane
+    dropped), Laplacians (origin dropped), conjugates and pure modes."""
+    full4, full2 = random_poly(rng, dim, 4, 4), random_poly(rng, dim, 4, 2)
+    mask = rng.random((9,) * dim) < 0.4
+    mask[(8,) + (4,) * (dim - 1)] = True  # keep radius 4
+    sparse = TrigPoly(dim, 4, full4.coeffs * mask)
+    return [full4, full2, sparse, _scattered_poly(rng, dim, 4, 3),
+            full4.partial(dim - 1), full2.partial(0), full4.laplacian(),
+            sparse.conjugate(), TrigPoly.mode((-3,) + (1,) * (dim - 1), dim, 4),
+            TrigPoly.one(dim, 4)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_reach_table_products_match_four_box_products(dim):
+    rng = np.random.default_rng(70 + dim)
+    zoo = _support_zoo(rng, dim)
+    pairs = [(a, b) for i, a in enumerate(zoo) for b in zoo[i:]]
+    pairs.append((TrigPoly.zero(dim, 4), zoo[0]))
+    pairs.append((zoo[2], TrigPoly.zero(dim, 4)))
+    # (1 + e^{2ix}) (1 - e^{2ix}): mode 2 is reached by two pairs that
+    # cancel, so it keeps its round-off
+    one, e2 = TrigPoly.one(dim, 4), TrigPoly.mode((2,) + (0,) * (dim - 1), dim, 4)
+    pairs.append((one + e2, one - e2))
+    for a, b in pairs:
+        want = _four_box_product(a, b)
+        spectral._reach.cache_clear()
+        first = mul_free(a, b)
+        misses = spectral._reach.cache_info().misses
+        second = mul_free(a, b)
+        info = spectral._reach.cache_info()
+        if not (a.is_zero() or b.is_zero()):
+            assert (misses, info.misses, info.hits) == (1, 1, 1)
+        for got in (first, second):
+            assert np.array_equal(got.coeffs, want.coeffs)
+            assert got.cap == want.cap
+            assert got.max_abs_mode() == want.max_abs_mode()
+
+
+def test_reach_table_stays_within_its_bound():
+    # every draw is a new d=2 support pattern, so the table must evict
+    rng = np.random.default_rng(79)
+    bound = spectral._reach.cache_info().maxsize
+    spectral._reach.cache_clear()
+    full = random_poly(rng, 2, 4, 4)
+    for _ in range(bound + 40):
+        mask = rng.random((9, 9)) < 0.5
+        mask[0, 0] = True
+        sparse = TrigPoly(2, 4, full.coeffs * mask)
+        assert np.array_equal(mul_free(sparse, full).coeffs,
+                              _four_box_product(sparse, full).coeffs)
+        assert spectral._reach.cache_info().currsize <= bound
+    assert spectral._reach.cache_info().misses > bound
+    # a stored reach is shared, so it cannot be written
+    reach = spectral._reach(2, 4, 4, mask.tobytes(), None)
+    assert reach is spectral._reach(2, 4, 4, mask.tobytes(), None)
+    assert not reach.flags.writeable
+
+
+def test_reach_table_leaves_large_boxes_out(monkeypatch):
+    # at an 8192-entry dense budget only boxes of at most 32 entries are
+    # stored: the 289-entry box of a radius 4 * 4 product at d=2 is not
+    monkeypatch.setattr(spectral, "_DENSE_BUDGET", 1 << 13)
+    rng = np.random.default_rng(80)
+    full = random_poly(rng, 2, 4, 4)
+    spectral._reach.cache_clear()
+    for a, b in ((full.laplacian(), full), (full.partial(0), full.laplacian())):
+        for _ in range(2):
+            assert np.array_equal(mul_free(a, b).coeffs,
+                                  _four_box_product(a, b).coeffs)
+    assert spectral._reach.cache_info().currsize == 0
+    # a radius 1 * 1 product (25 entries) is stored
+    small = random_poly(rng, 2, 4, 1).laplacian()
+    mul_free(small, small)
+    assert spectral._reach.cache_info().currsize == 1
 
 
 def test_cached_radius_matches_the_coefficients():
