@@ -12,11 +12,13 @@ than aliasing or projecting.  No value depends on the cap: pairings,
 norms, sup brackets and grids read the box of the mode radius
 (``TrigPoly._support``), which no cap moves.
 
-Every product is one FFT pair on its two data boxes (``mul_free``),
-exact at the lifted cap ra + rb, that keeps each mode no pair of nonzero
-coefficients reaches an exact zero; which modes a pair of supports
-reaches is read off one bounded table keyed by the two support patterns
-(``_reach``), so the 0/1 masks are transformed once per pattern pair.
+Every product (``mul_free``) is exact at the lifted cap ra + rb and keeps
+each mode no pair of nonzero coefficients reaches an exact zero.  A small
+product is a direct sum over the pairs (``_direct_product``), where such
+a mode sums exact zeros; a large one is one FFT pair on its two data
+boxes (``_fft_product``), and the modes it reaches are read off one
+bounded table keyed by the two support patterns (``_reach``), so the 0/1
+masks are transformed once per pattern pair.
 Every sum is exact at the larger of its operands' caps; a smaller cap is
 applied by ``TrigPoly.with_cap``.
 One dense budget (``check_dense``) bounds the array entries a call may
@@ -428,6 +430,30 @@ def _fft_product(dim: int, ra: int, rb: int, box_a, box_b) -> np.ndarray:
     return np.fft.ifftn(f[0] * f[1], s=shape, axes=tuple(range(dim)))
 
 
+#: the crossover of the two product kernels: a product whose direct sums
+#: take at most this many multiply-adds, (2 ra + 1)(2 rb + 1) w^(2d - 2),
+#: is summed directly, a larger one goes through the FFT (per-product
+#: timings in BENCH_direct_product.json)
+_DIRECT_MACS = 1 << 18
+
+
+def _direct_product(dim: int, ra: int, rb: int, box_a, box_b) -> np.ndarray:
+    """The same convolution as ``_fft_product``, as direct sums over the
+    pairs: each box is laid out in rows of the product's width w = 2r + 1
+    and cut after its last entry, so the 1-D convolution of the two
+    ravels is the d-D one, w^d entries long (a pair's indices add to at
+    most w - 1 along each axis, so no sum spills into the next row).  The
+    result is copied so that it owns its entries."""
+    w = 2 * (ra + rb) + 1
+    flat = []
+    for ri, box in ((ra, box_a), (rb, box_b)):
+        n = 2 * ri + 1
+        rows = np.zeros((n,) + (w,) * (dim - 1), dtype=complex)
+        rows[(slice(None),) + (slice(n),) * (dim - 1)] = box
+        flat.append(rows.ravel()[:2 * ri * sum(w ** j for j in range(dim)) + 1])
+    return np.convolve(*flat).reshape((w,) * dim).copy()
+
+
 def _pattern(box: np.ndarray) -> Optional[bytes]:
     """The 0/1 pattern of a support box: None when every entry is nonzero."""
     return None if np.count_nonzero(box) == box.size else (box != 0).tobytes()
@@ -451,7 +477,9 @@ def _reach(dim: int, ra: int, rb: int, pattern_a: Optional[bytes],
     table answers almost every product.  ``mul_free`` stores only boxes
     of at most _DENSE_BUDGET / _REACH_ENTRIES entries, so the stored bool
     reaches and their pattern keys hold at most 3 _DENSE_BUDGET bytes
-    (48 MB); the suites' tables hold at most 66 KB (d = 3).
+    (48 MB).  Only products past the direct sums' crossover read it: at
+    the default config the suites at d <= 2 never do, and at d = 3 their
+    table holds 16 reaches, 57 KB over four seeds.
     """
     if pattern_a is None and pattern_b is None:
         return None
@@ -468,15 +496,19 @@ def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
     raise CapExceeded; only the dense budget does, below); ``with_cap``
     applies a smaller cap.
 
-    One FFT pair on the two support boxes (``_fft_product``).  A mode no
-    pair reaches is set to exact 0, so the radius follows from the
-    supports alone; a reached mode that cancels holds round-off.  The
-    reach is read off the table (``_reach``); a pair of support patterns
-    it has not seen, or a box too large to store, sends the 0/1 masks
-    through a second FFT pair, so four (2r + 1)^d boxes are charged
-    against the dense budget before anything is allocated.  A zero
+    A mode no pair reaches is an exact 0, so the radius follows from the
+    supports alone.  A product of at most _DIRECT_MACS multiply-adds is
+    direct sums over the pairs (``_direct_product``): a mode no pair
+    reaches sums exact zeros, and each mode's error is bounded term by
+    term.  A larger one is one FFT pair on the two support boxes
+    (``_fft_product``), where a reached mode that cancels holds
+    round-off; its reach is read off the table (``_reach``), and a pair
+    of support patterns the table has not seen, or a box too large to
+    store, sends the 0/1 masks through a second FFT pair.  So four
+    (2r + 1)^d boxes are charged against the dense budget before
+    anything is allocated; the direct sums allocate about three.  A zero
     factor reaches no mode: its product is the exact zero at cap r,
-    formed with no FFT.
+    formed with no sum.
     """
     if a.dim != b.dim:
         raise GeometryMismatch("operands live on tori of different dimension")
@@ -486,6 +518,8 @@ def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
     sa, sb = a._support(), b._support()
     if not (sa.any() and sb.any()):
         return TrigPoly(dim, r)  # no pair reaches any mode
+    if (2 * ra + 1) * (2 * rb + 1) * (2 * r + 1) ** (2 * dim - 2) <= _DIRECT_MACS:
+        return TrigPoly(dim, r, _direct_product(dim, ra, rb, sa, sb))
     out = _fft_product(dim, ra, rb, sa, sb)
     # a larger box recomputes its reach, so the table's bytes stay bounded
     small = out.size <= _DENSE_BUDGET // _REACH_ENTRIES

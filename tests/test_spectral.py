@@ -217,7 +217,8 @@ def _support_zoo(rng, dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_reach_table_products_match_four_box_products(dim):
+def test_reach_table_products_match_four_box_products(monkeypatch, dim):
+    monkeypatch.setattr(spectral, "_DIRECT_MACS", 0)  # every product by FFT
     rng = np.random.default_rng(70 + dim)
     zoo = _support_zoo(rng, dim)
     pairs = [(a, b) for i, a in enumerate(zoo) for b in zoo[i:]]
@@ -242,7 +243,8 @@ def test_reach_table_products_match_four_box_products(dim):
             assert got.max_abs_mode() == want.max_abs_mode()
 
 
-def test_reach_table_stays_within_its_bound():
+def test_reach_table_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(spectral, "_DIRECT_MACS", 0)  # every product by FFT
     # every draw is a new d=2 support pattern, so the table must evict
     rng = np.random.default_rng(79)
     bound = spectral._reach.cache_info().maxsize
@@ -266,6 +268,7 @@ def test_reach_table_leaves_large_boxes_out(monkeypatch):
     # at an 8192-entry dense budget only boxes of at most 32 entries are
     # stored: the 289-entry box of a radius 4 * 4 product at d=2 is not
     monkeypatch.setattr(spectral, "_DENSE_BUDGET", 1 << 13)
+    monkeypatch.setattr(spectral, "_DIRECT_MACS", 0)  # every product by FFT
     rng = np.random.default_rng(80)
     full = random_poly(rng, 2, 4, 4)
     spectral._reach.cache_clear()
@@ -278,6 +281,74 @@ def test_reach_table_leaves_large_boxes_out(monkeypatch):
     small = random_poly(rng, 2, 4, 1).laplacian()
     mul_free(small, small)
     assert spectral._reach.cache_info().currsize == 1
+
+
+def _long_double_product(a, b):
+    """The product and |a| * |b| (the convolution of the magnitudes),
+    summed pair by pair in long double."""
+    ra, rb = a.max_abs_mode(), b.max_abs_mode()
+    shape = (2 * (ra + rb) + 1,) * a.dim
+    out = np.zeros(shape, dtype=np.clongdouble)
+    mag = np.zeros(shape, dtype=np.longdouble)
+    sa, sb = a._support(), b._support().astype(np.clongdouble)
+    for idx in zip(*np.nonzero(sa)):
+        at = tuple(slice(i, i + 2 * rb + 1) for i in idx)
+        out[at] += np.clongdouble(sa[idx]) * sb
+        mag[at] += abs(np.clongdouble(sa[idx])) * np.abs(sb)
+    return out, mag
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_direct_products_are_sums_over_the_pairs(monkeypatch, dim):
+    # every product by direct sums, past the crossover too
+    monkeypatch.setattr(spectral, "_DIRECT_MACS", 1 << 62)
+    u = np.finfo(float).eps / 2
+    rng = np.random.default_rng(90 + dim)
+    zoo = _support_zoo(rng, dim)
+    pairs = [(a, b) for i, a in enumerate(zoo) for b in zoo[i:]]
+    one, e2 = TrigPoly.one(dim, 4), TrigPoly.mode((2,) + (0,) * (dim - 1), dim, 4)
+    pairs.append((one + e2, one - e2))
+    for a, b in pairs:
+        ra, rb = a.max_abs_mode(), b.max_abs_mode()
+        w = 2 * (ra + rb) + 1
+        p = mul_free(a, b)
+        assert p.cap == ra + rb and p.coeffs.base is None
+        ref, mag = _long_double_product(a, b)
+        # a mode no pair reaches sums exact zeros
+        assert not p.coeffs[mag == 0].any()
+        # each mode is a dot product of at most n terms, the rows of the
+        # smaller box laid out at width w: with sqrt(2) gamma_2 per complex
+        # product, its error is at most gamma_{n+2} |a| * |b| (Higham 2002,
+        # sec. 3.1 and 3.6); the bound doubles that for the reference
+        n = (2 * min(ra, rb) + 1) * w ** (dim - 1)
+        err = np.abs(p.coeffs - ref).astype(float)
+        assert np.all(err <= 2 * (n + 2) * u * mag.astype(float))
+        # the FFT's error is normwise: at most a small multiple of
+        # N u max |a| * |b| at every mode of its N = w^d box
+        fft = _four_box_product(a, b).coeffs
+        assert np.abs(p.coeffs - fft).max() <= 4 * w ** dim * u * float(mag.max())
+    # (1 + e^{2ix}) (1 - e^{2ix}) = 1 - e^{4ix}: the odd modes are not
+    # reached, and the two pairs that reach mode 2 cancel exactly
+    p = mul_free(one + e2, one - e2)
+    assert p.items() == [((0,) * dim, 1), ((4,) + (0,) * (dim - 1), -1)]
+    assert p.max_abs_mode() == 4
+
+
+@pytest.mark.parametrize("dim, small, large", [(1, 4, 256), (2, 4, 8), (3, 2, 4)])
+def test_products_take_direct_sums_below_the_crossover(dim, small, large):
+    # two full boxes of radius ``small`` multiply below the crossover and
+    # two of radius ``large`` above it; the two kernels differ at
+    # round-off, so the bits tell which one made the product
+    rng = np.random.default_rng(100 + dim)
+    for r, direct in ((small, True), (large, False)):
+        macs = (2 * r + 1) ** 2 * (4 * r + 1) ** (2 * dim - 2)
+        assert (macs <= spectral._DIRECT_MACS) == direct
+        a, b = random_poly(rng, dim, r, r), random_poly(rng, dim, r, r)
+        by_sums = spectral._direct_product(dim, r, r, a.coeffs, b.coeffs)
+        by_fft = _four_box_product(a, b).coeffs
+        assert not np.array_equal(by_sums, by_fft)
+        assert np.array_equal(mul_free(a, b).coeffs,
+                              by_sums if direct else by_fft)
 
 
 def test_cached_radius_matches_the_coefficients():
