@@ -27,8 +27,18 @@ mat-vec, and every order's term is read off one functional, conj(v) u.
 The N x N order blocks and their operator norms are computed only when
 read (``PicardSeries.blocks``, ``block_norms``), by the same recursion
 started from the identity, and only then charged against the dense
-budget.  Each cell's generator is built when its step runs, so one is
-held at a time.
+budget.  The recursion builds each cell's generator when its step runs
+and keeps none past it.
+
+Every route reads a cell's data off the problem's mode space
+(``FlowProblem.space``), which lives as long as the problem.  Each noise
+pair's multipliers xi_i + conj eta_i are computed once, as coefficient
+arrays, and the diagonal, the spread and the generator are read off
+them (``ModeSpace._cell``).  The space also holds the last generator a
+pairing read, one N x N array that the routes charge against the dense
+budget, and a matrix element of the same problem takes it over instead
+of building it, so the pairing and the matrix element of one problem
+(``positivity_probe``) build its generator once.
 
 Everything is Galerkin-compressed onto the modes |k|_inf <= cap; both
 sides of every cross-check share that compression.  On that mode space
@@ -49,7 +59,8 @@ built for it.  Every other cell propagates by ``_expm_action``,
 algorithm 3.2 of Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2), 2011):
 shift by the mean diagonal, take the Taylor degree m and the step count
 s from a 1-norm bound, and stop each step's series once its terms fall
-below the unit roundoff.  The pairing applies its generator to the
+below the unit roundoff, taking the sum's norm only where that stop can
+pass.  The pairing applies its generator to the
 N x N kernel without storing the N^2 x N^2 superoperator.  Before a
 call allocates anything N x N it reads (m, s) off a 1-norm bound taken
 from the noise coefficients and charges m s applications against one
@@ -61,7 +72,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -84,15 +96,33 @@ __all__ = [
     "positivity_probe",
 ]
 
+class _Cell(NamedTuple):
+    """One noise pair's multipliers c_i = xi_i + conj eta_i as a
+    (d,) + (2r + 1,)^d coefficient stack at the larger cap r of xi and
+    eta, with the diagonal and spread that ``ModeSpace.diagonal`` reads
+    off them."""
+
+    mult: np.ndarray
+    diag: np.ndarray
+    spread: float
+
+
 class ModeSpace:
     """The lattice modes |k|_inf <= cap as a vector space.
 
     A vector is the C-order ravel of a ``TrigPoly`` coefficient array at
     this cap (``spectral.mode_grid`` lists the modes in that order), so
     operators are built by index arithmetic as dense N x N arrays.
+
+    A space computes each noise pair's multipliers once, on first use,
+    and keeps them, with the diagonal and spread read off them, as long
+    as it lives: a few N-vectors per pair, keyed by the pair's one-form
+    objects.  It also keeps the last generator a pairing read
+    (``_generator``), one N x N array, for a matrix element of the same
+    pair to take over.
     """
 
-    __slots__ = ("dim", "cap", "_k")
+    __slots__ = ("dim", "cap", "_k", "_cells", "_held")
 
     def __init__(self, dim: int, cap: int):
         if dim < 1 or cap < 0:
@@ -100,6 +130,8 @@ class ModeSpace:
         self.dim = dim
         self.cap = cap
         self._k = mode_grid(dim, cap)
+        self._cells: Dict[Tuple[OneForm, OneForm], _Cell] = {}
+        self._held: Optional[Tuple[Tuple[OneForm, OneForm], np.ndarray]] = None
 
     @property
     def size(self) -> int:
@@ -119,21 +151,21 @@ class ModeSpace:
         shape = (2 * self.cap + 1,) * self.dim
         return TrigPoly(self.dim, self.cap, np.array(v, dtype=complex).reshape(shape))
 
-    def _assemble(self, terms: List[Tuple[TrigPoly, np.ndarray]],
+    def _assemble(self, coeffs: np.ndarray, weights: Sequence[np.ndarray],
                   what: str) -> np.ndarray:
-        """sum_j M(c_j) diag(w_j) for ``terms`` = [(c_j, w_j)]: entry
+        """sum_j M(c_j) diag(w_j) for the coefficient arrays c_j =
+        ``coeffs[j]``, all at one cap, and the ``weights`` w_j: entry
         [m, k] = sum_j c_j[m - k] w_j[k] over the union of the c_j
         supports, with the modes escaping the cap dropped, in one dense
         array charged against the dense budget as ``what``."""
         self.check_dense(self.size ** 2, what)
-        lift = max(c.cap for c, _ in terms)
-        coeffs = np.stack([c.with_cap(lift).coeffs for c, _ in terms])
+        lift = coeffs.shape[1] // 2
         support = np.any(coeffs != 0, axis=0)
         mu = np.argwhere(support) - lift
         shift, col = np.nonzero(
             np.abs(self._k + mu[:, None]).max(axis=2) <= self.cap)
         vals = np.zeros(col.size, dtype=complex)
-        for c, (_, w) in zip(coeffs[:, support], terms):
+        for c, w in zip(coeffs[:, support], weights):
             vals += c[shift] * w[col]
         out = np.zeros((self.size, self.size), dtype=complex)
         # a (row, column) pair occurs once: distinct shifts of a column
@@ -145,11 +177,33 @@ class ModeSpace:
         """The weights -|k|^2/2 of L = -Delta/2 on this space's modes."""
         return -0.5 * np.sum(self._k ** 2, axis=1)
 
-    def _multipliers(self, xi: OneForm, eta: OneForm) -> List[TrigPoly]:
-        """xi_i + conj eta_i, the multiplier of the partial d_i in Psi."""
+    def _cell(self, xi: OneForm, eta: OneForm) -> _Cell:
+        """The pair's multipliers c_i = xi_i + conj eta_i, the multiplier
+        of the partial d_i in Psi, summed as coefficient arrays at one
+        cap (conj eta_i is eta_i's array flipped and conjugated), with
+        the diagonal and spread read off them; computed on the pair's
+        first use and kept."""
+        cell = self._cells.get((xi, eta))
+        if cell is not None:
+            return cell
         if xi.dim != self.dim or eta.dim != self.dim:
             raise GeometryMismatch("noise lives on a different torus")
-        return [xi.comps[i] + eta.comps[i].conjugate() for i in range(self.dim)]
+        r = max(xi.cap, eta.cap)
+        xs, es = (np.stack([c.with_cap(r).coeffs for c in form.comps])
+                  for form in (xi, eta))
+        mult = xs + np.flip(es, axis=tuple(range(1, self.dim + 1))).conj()
+        centre = (slice(None),) + (r,) * self.dim
+        diag = self._laplacian().astype(complex)
+        for i, c0 in enumerate(mult[centre]):
+            diag += c0 * (1j * self._k[:, i])
+        # the off-centre entries summed as they are: sum |c| - |c_0|
+        # would round a tiny coupling beside a unit centre down to 0
+        off = np.abs(mult)
+        off[centre] = 0
+        for a in (mult, diag):
+            a.flags.writeable = False
+        cell = self._cells[xi, eta] = _Cell(mult, diag, self.cap * float(off.sum()))
+        return cell
 
     def psi_matrix(self, xi: OneForm, eta: OneForm) -> np.ndarray:
         """Compression of psi(., xi, eta) = L + sum_i M(xi_i + conj eta_i) D_i.
@@ -157,33 +211,47 @@ class ModeSpace:
         <d(x*), xi> = sum_i xi_i d_i x and <eta, dx> = sum_i conj(eta_i) d_i x,
         so only the multiplier of each partial depends on the noise.  L is
         M(1) with weights -|k|^2/2 and D_i the weights i k_i, so the
-        generator is one ``_assemble``; with xi = eta = 0 it is the
-        diagonal L = -Delta/2.
+        generator is one ``_assemble`` of the pair's multipliers
+        (``_cell``); with xi = eta = 0 it is the diagonal L = -Delta/2.
         """
-        terms = [(TrigPoly.one(self.dim, 0), self._laplacian())]
-        terms += [(c, 1j * self._k[:, i])
-                  for i, c in enumerate(self._multipliers(xi, eta))]
-        return self._assemble(terms, "mode-space generator")
+        mult = self._cell(xi, eta).mult
+        one = np.zeros((1,) + mult.shape[1:], dtype=complex)
+        one[(0,) + (mult.shape[1] // 2,) * self.dim] = 1.0
+        weights = [self._laplacian()] + [1j * self._k[:, i] for i in range(self.dim)]
+        return self._assemble(np.concatenate([one, mult]), weights,
+                              "mode-space generator")
+
+    def _generator(self, xi: OneForm, eta: OneForm, keep: bool) -> np.ndarray:
+        """``psi_matrix(xi, eta)``, built only when the space does not
+        hold it.  With ``keep`` the space holds it until the next read,
+        and the caller must not write it; without, the space lets it go
+        and the caller may overwrite it.  The space holds one generator
+        at a time, which the routes charge against the dense budget."""
+        # the old generator goes before a new one is built
+        held, self._held = self._held, None
+        if held is not None and held[0] == (xi, eta):
+            psi = held[1]
+        else:
+            psi = self.psi_matrix(xi, eta)
+        if keep:
+            self._held = ((xi, eta), psi)
+        return psi
 
     def diagonal(self, xi: OneForm, eta: OneForm) -> Tuple[np.ndarray, float]:
-        """(diag, spread), read off the coefficients of the multipliers c_i:
-        the diagonal L + sum_i c_i[0] i k_i of ``psi_matrix(xi, eta)``,
-        entry for entry, and spread = cap sum_i ||c_i - c_i[0]||_l1, which
-        bounds the l1 norm of every row and column of the rest.  A zero
-        spread means constant multipliers and a diagonal generator."""
-        diag = self._laplacian().astype(complex)
-        spread = 0.0
-        for i, c in enumerate(self._multipliers(xi, eta)):
-            c0 = c.coeff((0,) * self.dim)
-            diag += c0 * (1j * self._k[:, i])
-            spread += self.cap * (c - TrigPoly.constant(c0, self.dim, 0)).coeff_l1()
-        return diag, spread
+        """(diag, spread), read off the multipliers c_i of the pair
+        (``_cell``, so computed once per pair and kept): the diagonal
+        L + sum_i c_i[0] i k_i of ``psi_matrix(xi, eta)``, entry for
+        entry and read-only, and spread = cap sum_i ||c_i - c_i[0]||_l1,
+        which bounds the l1 norm of every row and column of the rest.  A
+        zero spread means constant multipliers and a diagonal generator."""
+        cell = self._cell(xi, eta)
+        return cell.diag, cell.spread
 
     def gram_matrix(self, v1: TrigPoly, v2: TrigPoly) -> np.ndarray:
         """G[k,l] = <e_k v1, e_l v2> in L2 = (2 pi)^d (conj(v1) v2)_{k-l},
         the multiplication operator of the uncapped product conj(v1) v2."""
         h = mul_free(v1.conjugate(), v2)
-        return TWO_PI ** self.dim * self._assemble([(h, np.ones(self.size))],
+        return TWO_PI ** self.dim * self._assemble(h.coeffs[None], [np.ones(self.size)],
                                                    "gram matrix")
 
 
@@ -221,18 +289,32 @@ def _expm_action(apply: Callable[[np.ndarray], np.ndarray], norm1: float,
     ending early once two consecutive terms are below 2^-53 of the sum
     in the max norm, and e^{mu / s} multiplied in per step.  A larger
     ``norm1`` costs terms, not accuracy.
+
+    The sum's max norm is taken only when the stop can pass.  ``bound``
+    is at least the computed ||f||_inf: it starts at c1, since a step
+    starts with f = b, and grows by each term's norm times 1 + 2^-48,
+    which covers the complex add, the 1 ulp of ``np.abs`` and its own
+    rounding, plus the least normal number, which covers subnormal
+    round-off.  While c1 + c2 exceeds 2^-53 bound, the stop fails as it
+    would on the exact norm; otherwise the exact norm decides and
+    replaces the bound.  So every break, and every bit, is as with the
+    norm taken at each term.
     """
     m, s = _taylor_steps(norm1)
     eta = np.exp(mu / s)
+    tiny = float(np.finfo(float).tiny)
     f = b
     for _ in range(s):
-        c1 = np.abs(b).max()
+        c1 = bound = float(np.abs(b).max())
         for j in range(m):
             b = (1.0 / (s * (j + 1))) * apply(b)
-            c2 = np.abs(b).max()
+            c2 = float(np.abs(b).max())
             f = f + b
-            if c1 + c2 <= 2.0 ** -53 * np.abs(f).max():
-                break
+            bound = (bound + c2) * (1.0 + 2.0 ** -48) + tiny
+            if c1 + c2 <= 2.0 ** -53 * bound:
+                bound = float(np.abs(f).max())
+                if c1 + c2 <= 2.0 ** -53 * bound:
+                    break
             c1 = c2
         f = eta * f
         b = f
@@ -277,15 +359,25 @@ class FlowProblem:
     def cap(self) -> int:
         return self.x.cap
 
+    @cached_property
+    def space(self) -> ModeSpace:
+        """x's mode space, made on first read and kept with the problem,
+        so the routes run on one problem share what it keeps: each noise
+        pair's multipliers and the last generator a pairing read."""
+        return ModeSpace(self.dim, self.cap)
+
     def mesh(self) -> TimeMesh:
         return self.f.mesh.merged(self.g.mesh).refined_to(self.horizon)
 
+    @cached_property
+    def _cells(self) -> Tuple[Tuple[float, OneForm, OneForm], ...]:
+        return tuple((b - a, self.f.value_at(a), self.g.value_at(a))
+                     for a, b in self.mesh().cells())
+
     def cells(self) -> List[Tuple[float, OneForm, OneForm]]:
-        """(width, f value, g value) per cell, earliest first."""
-        out = []
-        for a, b in self.mesh().cells():
-            out.append((b - a, self.f.value_at(a), self.g.value_at(a)))
-        return out
+        """(width, f value, g value) per cell, earliest first; the same
+        one-form objects on every call, so they key the space's memo."""
+        return list(self._cells)
 
 
 def _propagate(a: np.ndarray, dt: float, y: np.ndarray) -> np.ndarray:
@@ -306,9 +398,12 @@ def texp_matrix_element(p: FlowProblem) -> complex:
     with a diagonal generator propagates entrywise; every other cell's
     Taylor steps are charged against the work budget, at N^2 per
     mat-vec, and its arrays against the dense budget, before any
-    generator is built.
+    generator is built.  The diagonals and generators come from the
+    problem's space (``FlowProblem.space``): a generator the space holds
+    from a pairing of this problem is taken over, not built again, and
+    none is left held.
     """
-    space = ModeSpace(p.dim, p.cap)
+    space = p.space
     size = space.size
     cells = [(dt, fc, gc) + space.diagonal(fc, gc) for dt, fc, gc in p.cells()]
     # m s mat-vecs per noisy cell, at ||Psi - mu||_1 <= max |diag - mu| + spread
@@ -320,7 +415,7 @@ def texp_matrix_element(p: FlowProblem) -> complex:
     y = space.to_vec(p.x)
     for dt, fc, gc, diag, spread in reversed(cells):
         if spread:
-            y = _propagate(space.psi_matrix(fc, gc), dt, y)
+            y = _propagate(space._generator(fc, gc, keep=False), dt, y)
         else:
             y = np.exp(dt * diag) * y
     y = space.from_vec(y)
@@ -376,7 +471,8 @@ class PicardSeries:
     the blocks by the terms' Taylor recursion run from the identity on the
     kept ``cells`` (width, xi, eta), earliest first, on ``space``.  The
     first read charges the blocks against the dense budget: the blocks,
-    one Taylor step's terms and the product being formed.  Scalar terms
+    one Taylor step's terms, the product being formed and a generator
+    the space holds (``ModeSpace._generator``).  Scalar terms
     can dip through zero by cancellation, so decay diagnostics should read
     the block norms instead.
     """
@@ -390,7 +486,7 @@ class PicardSeries:
     @cached_property
     def blocks(self) -> List[np.ndarray]:
         size = self.space.size
-        self.space.check_dense(2 * len(self.terms) * size ** 2,
+        self.space.check_dense((2 * len(self.terms) + 1) * size ** 2,
                                "picard graded blocks")
         return _graded(self.space, self.cells, np.eye(size, dtype=complex),
                        len(self.terms) - 1)
@@ -426,9 +522,10 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
     """
     if n_max < 0:
         raise GeometryMismatch("n_max must be nonnegative")
-    space = ModeSpace(p.dim, p.cap)
-    # one cell's generator at a time, beside its SVD's copy
-    space.check_dense(2 * space.size ** 2, "picard generator SVD")
+    space = p.space
+    # one cell's generator at a time, beside its SVD's copy and a
+    # generator the problem's space holds
+    space.check_dense(3 * space.size ** 2, "picard generator SVD")
     cells = p.cells()
     xv = space.to_vec(p.x)
     norms: List[float] = []
@@ -478,17 +575,20 @@ def flow_inner(p1: FlowProblem, p2: FlowProblem) -> complex:
     Taylor steps against the work budget, before anything N x N is
     allocated: at 2 N^3 + N^2 multiply-adds per application and at the
     1-norm bound ||A^H||_1 + ||B||_inf + max |K - mu|, with ||A||_inf
-    read off the coefficients (``ModeSpace.diagonal``).
+    read off the coefficients (``ModeSpace.diagonal``).  The diagonals
+    and generators come from p1's space (``FlowProblem.space``), so a
+    pair (f1, f2) is read once per cell when f1 is f2, and the space
+    keeps the last generator read for a matrix element of p1 to take.
     """
     if p1.dim != p2.dim or p1.cap != p2.cap:
         raise BasisMismatch("flow problems use different mode spaces")
     if p1.mesh() != p2.mesh():
         raise BasisMismatch("flow problems use different time meshes")
-    space = ModeSpace(p1.dim, p1.cap)
+    space = p1.space
     size = space.size
-    # the kernel, k.l, the generators and a Taylor step's terms: at most a
-    # dozen N x N arrays at once
-    space.check_dense(12 * size ** 2, "flow pairing kernel")
+    # the kernel, k.l, the generators and a Taylor step's terms, and the
+    # generator the space holds: at most 13 N x N arrays at once
+    space.check_dense(13 * size ** 2, "flow pairing kernel")
     reach = p1.dim * p1.cap ** 2  # k.l runs over [-reach, reach], both ends
     cells = []
     steps = 0
@@ -510,8 +610,8 @@ def flow_inner(p1: FlowProblem, p2: FlowProblem) -> complex:
         if not spread:
             w = np.exp(dt * ((da.conj()[:, None] + db) + kl)) * w
             continue
-        a = dt * space.psi_matrix(f1c, f2c)
-        b = a if p2.f is p1.f else dt * space.psi_matrix(f2c, f1c)
+        a = dt * space._generator(f1c, f2c, keep=True)
+        b = a if f2c is f1c else dt * space._generator(f2c, f1c, keep=True)
         ah = a.conj().T
         shifted = dt * kl - mu
         # the shifted superoperator's exact 1-norm: its column (k, l) holds
@@ -589,7 +689,11 @@ def positivity_probe(x: TrigPoly, t: float, samples: int = 8,
 
     theta ranges over random coherent states v E(f) with exact one-form
     noise: the pairing is the coherent matrix element
-    ``texp_matrix_element`` and the norm the kernel pairing ``flow_inner``.  x must be
+    ``texp_matrix_element`` and the norm the kernel pairing ``flow_inner``,
+    both of one problem (x, f, f, v, v, t), since the pairing ignores the
+    bra path: the pairing builds the sample's generator Psi(f, f), and
+    the matrix element takes it over from the problem's space, so it is
+    built once per sample and held by nothing after it.  x must be
     pointwise nonnegative: certified on x's sup grid as grid minimum
     minus slack >= -1e-12 (``TrigPoly._sup_grid``; NotPositive otherwise,
     so an x touching 0 is refused).  The flow then keeps the pairings
@@ -621,9 +725,9 @@ def positivity_probe(x: TrigPoly, t: float, samples: int = 8,
             h = h + TrigPoly.cosine(k, d, x.cap) * rng.normal() * 0.4 \
                 + TrigPoly.sine(k, d, x.cap) * rng.normal() * 0.4
         f = SimpleNoisePath.indicator(exterior_derivative(h), 0.0, t)
-        pairing = texp_matrix_element(FlowProblem(x, f, f, v, v, t))
-        prob = FlowProblem(x, f, SimpleNoisePath.zero(d, t), v, v, t)
+        prob = FlowProblem(x, f, f, v, v, t)
         norm_sq = flow_inner(prob, prob).real
+        pairing = texp_matrix_element(prob)
         theta_sq = math.exp(noise_inner(f, f).real) * v.l2_norm() ** 2
         ratio = math.sqrt(max(norm_sq, 0.0) / theta_sq)
         min_pair = min(min_pair, pairing.real)

@@ -442,8 +442,11 @@ def _direct_product(dim: int, ra: int, rb: int, box_a, box_b) -> np.ndarray:
     pairs: each box is laid out in rows of the product's width w = 2r + 1
     and cut after its last entry, so the 1-D convolution of the two
     ravels is the d-D one, w^d entries long (a pair's indices add to at
-    most w - 1 along each axis, so no sum spills into the next row).  The
-    result is copied so that it owns its entries."""
+    most w - 1 along each axis, so no sum spills into the next row).  At
+    d = 1 the boxes already are the ravels and are convolved as they
+    are.  The result owns its entries."""
+    if dim == 1:
+        return np.convolve(box_a, box_b)
     w = 2 * (ra + rb) + 1
     flat = []
     for ri, box in ((ra, box_a), (rb, box_b)):

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from torusflow import (BasisMismatch, CapExceeded, GeometryMismatch,
-                       NotPositive)
+                       NotPositive, flow)
 from torusflow.flow import (FlowProblem, ModeSpace, _expm_action,
-                            factorization_check, flow_inner, picard_terms,
-                            positivity_probe, texp_matrix_element,
-                            vacuum_expectation)
+                            _taylor_steps, factorization_check, flow_inner,
+                            picard_terms, positivity_probe,
+                            texp_matrix_element, vacuum_expectation)
 from torusflow.fock import SimpleNoisePath, TimeMesh, noise_inner
 from torusflow.sampling import noise_path, one_form, poly, rng_for
-from torusflow.spectral import (OneForm, TrigPoly, exterior_derivative,
-                                mode_grid, mul_free)
+from torusflow.spectral import (TWO_PI, OneForm, TrigPoly,
+                                exterior_derivative, mode_grid, mul_free)
 from torusflow.structure import psi_map
 
 E_HALF_PI = 1.9054722647301798    # e^{-1/2} pi
@@ -98,12 +98,12 @@ def test_mode_space_operators_match_column_builds(dim, cap):
         assert _rel_gap(gen, want) <= 1e-13
     # noise reaching past the cap: escaping modes are dropped
     h = poly(rng, dim, 2 * cap, cap + 1)
-    got = space._assemble([(h, np.ones(space.size))], "multiplier")
+    got = space._assemble(h.coeffs[None], [np.ones(space.size)], "multiplier")
     assert np.array_equal(got, _mult_loop(space, h))
     nil = TrigPoly.zero(dim, 2 * cap)
     empty = np.zeros((space.size, space.size), dtype=complex)
-    assert np.array_equal(space._assemble([(nil, np.ones(space.size))], "multiplier"),
-                          empty)
+    assert np.array_equal(
+        space._assemble(nil.coeffs[None], [np.ones(space.size)], "multiplier"), empty)
     v1 = poly(rng, dim, cap, 1)
     v2 = poly(rng, dim, cap, 2)
     assert _rel_gap(space.gram_matrix(v1, v2),
@@ -330,6 +330,19 @@ def test_picard_terms_propagate_vectors_not_blocks():
     assert series.block_norms[0] == 1.0
 
 
+def _count_builds(monkeypatch):
+    """Record the noise pair of every generator ``psi_matrix`` builds."""
+    built = []
+    build = ModeSpace.psi_matrix
+
+    def counted(space, xi, eta):
+        built.append((xi, eta))
+        return build(space, xi, eta)
+
+    monkeypatch.setattr(ModeSpace, "psi_matrix", counted)
+    return built
+
+
 def test_picard_terms_build_each_generator_once(monkeypatch):
     # s_const's norms come from the generators the recursion builds
     rng = rng_for(31)
@@ -338,22 +351,64 @@ def test_picard_terms_build_each_generator_once(monkeypatch):
     g = noise_path(rng, 1, 3, 2, horizon=t, max_mode=1, scale=0.35)
     p = FlowProblem(poly(rng, 1, 3, 1), f, g, poly(rng, 1, 3, 1),
                     poly(rng, 1, 3, 1), t)
-    built = []
-    build = ModeSpace.psi_matrix
-
-    def counted(space, xi, eta):
-        built.append(1)
-        return build(space, xi, eta)
-
-    monkeypatch.setattr(ModeSpace, "psi_matrix", counted)
+    built = _count_builds(monkeypatch)
     series = picard_terms(p, 6)
     cells = p.cells()
     assert len(built) == len(cells) > 1
     space = ModeSpace(1, 3)
     s_const = 0.0
     for dt, fc, gc in cells:
-        s_const += dt * float(np.linalg.norm(build(space, fc, gc), 2))
+        s_const += dt * float(np.linalg.norm(space.psi_matrix(fc, gc), 2))
     assert series.s_const == s_const
+
+
+def test_routes_on_one_problem_build_each_generator_once(monkeypatch):
+    built = _count_builds(monkeypatch)
+    # the probe's norm and matrix element share each sample's Psi(f, f)
+    positivity_probe(cos1(2) + 2.0, 0.25, samples=4)
+    assert len(built) == 4
+    # a pairing of a problem with itself reads Psi(f, f) once per cell
+    # and each cell's diagonal once
+    rng = rng_for(33)
+    t = 0.8
+    f = noise_path(rng, 1, 3, 3, horizon=t, max_mode=1, scale=0.35)
+    v = poly(rng, 1, 3, 1)
+    p = FlowProblem(poly(rng, 1, 3, 1), f, f, v, v, t)
+    built.clear()
+    flow_inner(p, p)
+    assert built == [(fc, fc) for _, fc, _ in p.cells()]
+    assert len(p.space._cells) == len(built) == 3
+    # the matrix element of the same problem takes over the generator
+    # the pairing read last, the latest cell's, and builds the others
+    built.clear()
+    texp_matrix_element(p)
+    assert built == [(fc, fc) for _, fc, _ in p.cells()[:-1]][::-1]
+    assert p.space._held is None
+
+
+def test_a_tiny_coupling_beside_a_unit_centre_is_noise(monkeypatch):
+    # |1| + |1e-300| - |1| rounds to 0; the off-centre sum does not, so
+    # the cell is propagated as noisy, not read off the diagonal
+    xi = OneForm([TrigPoly(1, 2, {(0,): 1.0, (1,): 1e-300})])
+    zero = OneForm.zero(1, 0)
+    _, spread = ModeSpace(1, 3).diagonal(xi, zero)
+    assert spread > 0
+    calls = []
+    propagate = flow._expm_action
+
+    def counted(*args):
+        calls.append(1)
+        return propagate(*args)
+
+    monkeypatch.setattr(flow, "_expm_action", counted)
+    path = SimpleNoisePath.indicator(xi, 0.0, 0.5)
+    x = cos1(3)
+    one = TrigPoly.one(1, 3)
+    got = texp_matrix_element(FlowProblem(x, path, zero_path(1, 0.5), x, one, 0.5))
+    assert calls == [1]
+    # the coupling is far below round-off: the drift is the shift i k
+    want = sum(0.25 * TWO_PI * np.exp(-0.25 + 0.5j * k) for k in (1, -1))
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_picard_zero_horizon_collapses_to_order_zero():
@@ -539,6 +594,106 @@ def test_propagators_match_mpmath_on_the_kron_superoperator(cap, cells, horizon)
                                                   w.reshape(size, size)
                                                   @ space.to_vec(x2))
     assert abs(flow_inner(pa, pb) - want) <= 1e-13 * abs(want)
+
+
+def _expm_action_norm_every_term(apply, norm1, mu, b):
+    """``_expm_action`` with the sum's max norm taken at every term: the
+    reference its stopping test must reproduce bit for bit."""
+    m, s = _taylor_steps(norm1)
+    eta = np.exp(mu / s)
+    f = b
+    for _ in range(s):
+        c1 = np.abs(b).max()
+        for j in range(m):
+            b = (1.0 / (s * (j + 1))) * apply(b)
+            c2 = np.abs(b).max()
+            f = f + b
+            if c1 + c2 <= 2.0 ** -53 * np.abs(f).max():
+                break
+            c1 = c2
+        f = eta * f
+        b = f
+    return f
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(
+        got.view(np.uint64), want.view(np.uint64))
+
+
+def _both_expm_actions(apply, norm1, mu, b):
+    """(result, applications) of the propagator and of the reference."""
+    out = []
+    for run in (_expm_action, _expm_action_norm_every_term):
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return apply(x)
+
+        out.append((run(counted, norm1, mu, b), len(calls)))
+    return out
+
+
+@pytest.mark.parametrize("dim,cap", [(1, 4), (2, 2), (3, 1)])
+def test_taylor_stop_takes_the_norm_only_where_it_can_pass(dim, cap):
+    # generators scaled to 1-norms from 0 to 30, on N-vectors and on
+    # N x N pairing kernels: every break and every bit as the reference
+    rng = rng_for(70 + dim)
+    space = ModeSpace(dim, cap)
+    size = space.size
+    kl = (space._k @ space._k.T).astype(complex)
+    for target in (0.0, 1e-3, 0.3, 2.0, 7.5, 30.0):
+        xi, eta = (one_form(rng, dim, cap, 1, scale=0.5) for _ in range(2))
+        a = space.psi_matrix(xi, eta)
+        a *= target / max(np.abs(a).sum(axis=0).max(), 1e-300)
+        mu = np.trace(a) / size
+        a.flat[:: size + 1] -= mu
+        norm1 = float(np.abs(a).sum(axis=0).max())
+        b = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        (got, n_got), (want, n_want) = _both_expm_actions(a.__matmul__, norm1, mu, b)
+        assert n_got == n_want and _same_bits(got, want)
+        # the pairing kernel under W -> A^H W + W B + (t k.l - mu) o W
+        c = space.psi_matrix(eta, xi) * (target / 4)
+        ah = (a * 0.5).conj().T
+        shifted = 1e-2 * target * kl - mu
+        w = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        (got, n_got), (want, n_want) = _both_expm_actions(
+            lambda x: ah @ x + x @ c + shifted * x, 2 * norm1 + 1.0, mu, w)
+        assert n_got == n_want and _same_bits(got, want)
+
+
+def test_taylor_stop_edge_cases():
+    rng = rng_for(75)
+    size = 9
+    a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    norm1 = float(np.abs(a).sum(axis=0).max())
+    # a zero start stops at the first term
+    zero = np.zeros(size, dtype=complex)
+    (got, n_got), (want, n_want) = _both_expm_actions(a.__matmul__, norm1, 0.5, zero)
+    assert n_got == n_want and _same_bits(got, want) and not got.any()
+    # a nilpotent generator: the terms vanish exactly after size - 1 steps
+    shift = np.diag(np.full(size - 1, 3.0 + 1j), k=1)
+    b = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    (got, n_got), (want, n_want) = _both_expm_actions(
+        shift.__matmul__, float(np.abs(shift).sum(axis=0).max()), 0.0, b)
+    assert n_got == n_want and _same_bits(got, want)
+    # terms that meet the stop with equality: 2^-54 + 2^-54 against
+    # 2^-53 ||1 + 2^-54 + 2^-54|| = 2^-53, so the bound on the sum must
+    # not fall below the sum itself, or the stop is missed
+    def scripted(x):
+        # the terms 1, 2^-54 and 0.5 * 2^-53 = 2^-54
+        step = {1.0: 2.0 ** -54, 2.0 ** -54: 2.0 ** -53}.get(float(x[0].real), 0.0)
+        return np.full(1, step, dtype=complex)
+
+    (got, n_got), (want, n_want) = _both_expm_actions(
+        scripted, 1.0, 0.0, np.ones(1, dtype=complex))
+    assert n_got == n_want == 2 and _same_bits(got, want) and got[0] == 1.0
+    # a NaN entry: neither side ever breaks
+    b[3] = np.nan
+    (got, n_got), (want, n_want) = _both_expm_actions(a.__matmul__, norm1, 0.0, b)
+    m, s = _taylor_steps(norm1)
+    assert n_got == n_want == m * s and _same_bits(got, want)
 
 
 def test_engine_gates():

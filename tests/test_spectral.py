@@ -351,6 +351,33 @@ def test_products_take_direct_sums_below_the_crossover(dim, small, large):
                               by_sums if direct else by_fft)
 
 
+def _row_layout_product(dim, ra, rb, box_a, box_b):
+    """The direct sums with every box laid out in zero-padded rows of the
+    product's width, as every d once took them."""
+    w = 2 * (ra + rb) + 1
+    flat = []
+    for ri, box in ((ra, box_a), (rb, box_b)):
+        n = 2 * ri + 1
+        rows = np.zeros((n,) + (w,) * (dim - 1), dtype=complex)
+        rows[(slice(None),) + (slice(n),) * (dim - 1)] = box
+        flat.append(rows.ravel()[:2 * ri * sum(w ** j for j in range(dim)) + 1])
+    return np.convolve(*flat).reshape((w,) * dim).copy()
+
+
+def test_d1_products_convolve_the_boxes_themselves():
+    # at d=1 the rows are the boxes, so the products skip the buffers
+    # and keep every bit; the factors sit at caps above their radii, so
+    # the boxes are views into larger arrays
+    rng = np.random.default_rng(77)
+    zoo = _support_zoo(rng, 1) + [random_poly(rng, 1, 9, 7), TrigPoly.mode((2,), 1, 6)]
+    for a, b in [(a, b) for a in zoo for b in zoo]:
+        ra, rb = a.max_abs_mode(), b.max_abs_mode()
+        p = mul_free(a, b)
+        assert p.coeffs.base is None
+        assert np.array_equal(
+            p.coeffs, _row_layout_product(1, ra, rb, a._support(), b._support()))
+
+
 def test_cached_radius_matches_the_coefficients():
     rng = np.random.default_rng(12)
     # the y-mode is the only one partial_y keeps; heat(100) flushes e^{3ix}
