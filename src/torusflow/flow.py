@@ -112,7 +112,9 @@ class ModeSpace:
 
     A vector is the C-order ravel of a ``TrigPoly`` coefficient array at
     this cap (``spectral.mode_grid`` lists the modes in that order), so
-    operators are built by index arithmetic as dense N x N arrays.
+    operators are built by index arithmetic as dense N x N arrays.  The
+    d x N mode grid is charged against the dense budget before it is
+    built.
 
     A space computes each noise pair's multipliers once, on first use,
     and keeps them, with the diagonal and spread read off them, as long
@@ -129,6 +131,7 @@ class ModeSpace:
             raise GeometryMismatch("mode space needs dim >= 1 and cap >= 0")
         self.dim = dim
         self.cap = cap
+        self.check_dense(dim * (2 * cap + 1) ** dim, "mode grid")
         self._k = mode_grid(dim, cap)
         self._cells: Dict[Tuple[OneForm, OneForm], _Cell] = {}
         self._held: Optional[Tuple[Tuple[OneForm, OneForm], np.ndarray]] = None
@@ -276,8 +279,12 @@ def _taylor_steps(norm1: float) -> Tuple[int, int]:
     with s = ceil(norm1 / theta_m); (0, 1) for a zero norm."""
     if norm1 == 0:
         return 0, 1
-    return min(((m, math.ceil(norm1 / theta)) for m, theta in _THETA.items()),
-               key=lambda ms: ms[0] * ms[1])
+    best, cost = None, math.inf
+    for m, theta in _THETA.items():
+        s = math.ceil(norm1 / theta)
+        if m * s < cost:  # strict, so the first minimum is kept
+            best, cost = (m, s), m * s
+    return best
 
 
 def _expm_action(apply: Callable[[np.ndarray], np.ndarray], norm1: float,

@@ -16,9 +16,9 @@ Every product (``mul_free``) is exact at the lifted cap ra + rb and keeps
 each mode no pair of nonzero coefficients reaches an exact zero.  A small
 product is a direct sum over the pairs (``_direct_product``), where such
 a mode sums exact zeros; a large one is one FFT pair on its two data
-boxes (``_fft_product``), and the modes it reaches are read off one
-bounded table keyed by the two support patterns (``_reach``), so the 0/1
-masks are transformed once per pattern pair.
+boxes (``_fft_product``), and its 0/1 masks go through a second pair,
+to find the unreached modes, only when some mode of the data's product
+lies at or below the FFT's round-off level, as every unreached mode does.
 Every sum is exact at the larger of its operands' caps; a smaller cap is
 applied by ``TrigPoly.with_cap``.
 One dense budget (``check_dense``) bounds the array entries a call may
@@ -457,43 +457,6 @@ def _direct_product(dim: int, ra: int, rb: int, box_a, box_b) -> np.ndarray:
     return np.convolve(*flat).reshape((w,) * dim).copy()
 
 
-def _pattern(box: np.ndarray) -> Optional[bytes]:
-    """The 0/1 pattern of a support box: None when every entry is nonzero."""
-    return None if np.count_nonzero(box) == box.size else (box != 0).tobytes()
-
-
-#: the reach table's bound: at most this many reaches, each of at most
-#: _DENSE_BUDGET / _REACH_ENTRIES entries
-_REACH_ENTRIES = 256
-
-
-@lru_cache(maxsize=_REACH_ENTRIES)
-def _reach(dim: int, ra: int, rb: int, pattern_a: Optional[bytes],
-           pattern_b: Optional[bytes]) -> Optional[np.ndarray]:
-    """The modes of the product box that some pair of nonzero
-    coefficients reaches, as a read-only bool array; None when both
-    support boxes are full (``_pattern``), so every mode is reached.
-
-    The product of the two 0/1 masks counts the pairs that reach each
-    mode, and a count below 0.5 is none.  The reach depends on the
-    patterns alone, and the suites draw few of them, so this one bounded
-    table answers almost every product.  ``mul_free`` stores only boxes
-    of at most _DENSE_BUDGET / _REACH_ENTRIES entries, so the stored bool
-    reaches and their pattern keys hold at most 3 _DENSE_BUDGET bytes
-    (48 MB).  Only products past the direct sums' crossover read it: at
-    the default config the suites at d <= 2 never do, and at d = 3 their
-    table holds 16 reaches, 57 KB over four seeds.
-    """
-    if pattern_a is None and pattern_b is None:
-        return None
-    masks = [True if p is None
-             else np.frombuffer(p, dtype=bool).reshape((2 * ri + 1,) * dim)
-             for ri, p in ((ra, pattern_a), (rb, pattern_b))]
-    reach = _fft_product(dim, ra, rb, *masks).real >= 0.5
-    reach.flags.writeable = False
-    return reach
-
-
 def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
     """Pointwise product at the lifted cap ra + rb (the cap never makes it
     raise CapExceeded; only the dense budget does, below); ``with_cap``
@@ -504,14 +467,19 @@ def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
     direct sums over the pairs (``_direct_product``): a mode no pair
     reaches sums exact zeros, and each mode's error is bounded term by
     term.  A larger one is one FFT pair on the two support boxes
-    (``_fft_product``), where a reached mode that cancels holds
-    round-off; its reach is read off the table (``_reach``), and a pair
-    of support patterns the table has not seen, or a box too large to
-    store, sends the 0/1 masks through a second FFT pair.  So four
-    (2r + 1)^d boxes are charged against the dense budget before
-    anything is allocated; the direct sums allocate about three.  A zero
-    factor reaches no mode: its product is the exact zero at cap r,
-    formed with no sum.
+    (``_fft_product``), where a mode no pair reaches holds round-off.  On
+    the n = (2r + 1)^d box that round-off is at most about
+    3 log2(n) 7u sqrt(n) ||a||_2 ||b||_2 (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., 2002, Thm 24.2), below
+    2^-44 sqrt(n) ||a||_2 ||b||_2 at every n <= 2^22 the dense budget
+    admits.  So a product whose every mode is above
+    tau = 2^-40 sqrt(n) ||a||_2 ||b||_2 has no unreached mode; any
+    other, NaN and inf included, sends the 0/1 masks through a second FFT
+    pair and zeroes the modes they count below 0.5.  A reached mode whose
+    pairs cancel keeps its round-off.  So four (2r + 1)^d boxes are
+    charged against the dense budget before anything is allocated; the
+    direct sums allocate about three.  A zero factor reaches no mode: its
+    product is the exact zero at cap r, formed with no sum.
     """
     if a.dim != b.dim:
         raise GeometryMismatch("operands live on tori of different dimension")
@@ -524,12 +492,9 @@ def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
     if (2 * ra + 1) * (2 * rb + 1) * (2 * r + 1) ** (2 * dim - 2) <= _DIRECT_MACS:
         return TrigPoly(dim, r, _direct_product(dim, ra, rb, sa, sb))
     out = _fft_product(dim, ra, rb, sa, sb)
-    # a larger box recomputes its reach, so the table's bytes stay bounded
-    small = out.size <= _DENSE_BUDGET // _REACH_ENTRIES
-    reach = (_reach if small else _reach.__wrapped__)(
-        dim, ra, rb, _pattern(sa), _pattern(sb))
-    if reach is not None:
-        out[~reach] = 0
+    tau = 2.0 ** -40 * math.sqrt(out.size) * np.linalg.norm(sa) * np.linalg.norm(sb)
+    if not (np.abs(out) > tau).all():
+        out[_fft_product(dim, ra, rb, sa != 0, sb != 0).real < 0.5] = 0
     return TrigPoly(dim, r, out)
 
 

@@ -167,7 +167,10 @@ def heat_trace_via_flow(t: float, z: float, dim: int) -> float:
     if z < 0:
         raise GeometryMismatch("cutoff must be nonnegative")
     m = math.floor(z)
-    space = ModeSpace(dim, m)
+    try:
+        space = ModeSpace(dim, m)
+    except CapExceeded as exc:
+        raise CapExceeded(f"flow trace at t={t:g}, z={z:g}, dim {dim}: {exc}") from None
     zero = OneForm.zero(dim, 0)
     diag, _ = space.diagonal(zero, zero)
     keep = -2 * diag.real <= z * z + 1e-12

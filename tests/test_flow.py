@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from torusflow import (BasisMismatch, CapExceeded, GeometryMismatch,
-                       NotPositive, flow)
+                       NotPositive, flow, spectral)
 from torusflow.flow import (FlowProblem, ModeSpace, _expm_action,
                             _taylor_steps, factorization_check, flow_inner,
                             picard_terms, positivity_probe,
@@ -140,6 +140,25 @@ def test_dense_budget_refuses_before_allocating():
     with pytest.raises(CapExceeded, match=r"cap 10, dim 2"):
         series.blocks
     assert time.perf_counter() - start < 1.0
+
+
+def test_mode_grid_is_charged_before_it_is_built(monkeypatch):
+    # at a 1024-entry budget the d N = 3362 grid entries of d=2, cap 20
+    # are refused before the grid exists, as is a problem's space at
+    # that cap when a route first reads it
+    monkeypatch.setattr(spectral, "_DENSE_BUDGET", 1 << 10)
+    built = []
+    monkeypatch.setattr(flow, "mode_grid",
+                        lambda dim, cap: built.append(cap) or mode_grid(dim, cap))
+    with pytest.raises(CapExceeded, match=r"mode grid needs 3362 dense "
+                                          r"entries at cap 20, dim 2"):
+        ModeSpace(2, 20)
+    x = TrigPoly.one(2, 20)
+    zero = SimpleNoisePath.zero(2, horizon=1.0)
+    with pytest.raises(CapExceeded, match=r"mode grid"):
+        picard_terms(FlowProblem(x, zero, zero, x, x, 1.0), 2)
+    assert ModeSpace(2, 7).size == 225  # 450 grid entries fit
+    assert built == [7]
 
 
 # ------------------------------------------------------------------- texp
@@ -594,6 +613,23 @@ def test_propagators_match_mpmath_on_the_kron_superoperator(cap, cells, horizon)
                                                   w.reshape(size, size)
                                                   @ space.to_vec(x2))
     assert abs(flow_inner(pa, pb) - want) <= 1e-13 * abs(want)
+
+
+def test_taylor_steps_keep_the_first_minimum():
+    def by_min(norm1):
+        if norm1 == 0:
+            return 0, 1
+        return min(((m, math.ceil(norm1 / theta))
+                    for m, theta in flow._THETA.items()),
+                   key=lambda ms: ms[0] * ms[1])
+
+    # ties sit where norm1 / theta_m is a whole number
+    points = [0.0]
+    for theta in flow._THETA.values():
+        for x in (theta, 7 * theta, 100 * theta):
+            points += [np.nextafter(x, 0), x, np.nextafter(x, np.inf)]
+    for x in map(float, points):
+        assert _taylor_steps(x) == by_min(x)
 
 
 def _expm_action_norm_every_term(apply, norm1, mu, b):

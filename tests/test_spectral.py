@@ -186,7 +186,7 @@ def test_products_own_their_coefficients():
 def _four_box_product(a, b):
     """The product with the support masks in the same FFT batch as the
     data, every product transforming four boxes: the reference that the
-    reach table must reproduce bit for bit."""
+    FFT products must reproduce bit for bit."""
     ra, rb = a.max_abs_mode(), b.max_abs_mode()
     r = ra + rb
     shape, axes = (2 * r + 1,) * a.dim, tuple(range(1, a.dim + 1))
@@ -216,8 +216,16 @@ def _support_zoo(rng, dim):
             TrigPoly.one(dim, 4)]
 
 
+def _sparse_poly(rng, dim, r, density):
+    """A radius r polynomial on a random mask of the given density."""
+    full = random_poly(rng, dim, r, r)
+    mask = rng.random(full.coeffs.shape) < density
+    mask[(2 * r,) + (r,) * (dim - 1)] = True  # keep radius r
+    return TrigPoly(dim, r, full.coeffs * mask)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_reach_table_products_match_four_box_products(monkeypatch, dim):
+def test_fft_products_match_four_box_products(monkeypatch, dim):
     monkeypatch.setattr(spectral, "_DIRECT_MACS", 0)  # every product by FFT
     rng = np.random.default_rng(70 + dim)
     zoo = _support_zoo(rng, dim)
@@ -228,59 +236,100 @@ def test_reach_table_products_match_four_box_products(monkeypatch, dim):
     # cancel, so it keeps its round-off
     one, e2 = TrigPoly.one(dim, 4), TrigPoly.mode((2,) + (0,) * (dim - 1), dim, 4)
     pairs.append((one + e2, one - e2))
+    if dim == 2:
+        # random sparse supports against a full box
+        full = random_poly(rng, 2, 4, 4)
+        pairs += [(_sparse_poly(rng, 2, 4, 0.5), full) for _ in range(40)]
     for a, b in pairs:
         want = _four_box_product(a, b)
-        spectral._reach.cache_clear()
-        first = mul_free(a, b)
-        misses = spectral._reach.cache_info().misses
-        second = mul_free(a, b)
-        info = spectral._reach.cache_info()
-        if not (a.is_zero() or b.is_zero()):
-            assert (misses, info.misses, info.hits) == (1, 1, 1)
-        for got in (first, second):
-            assert np.array_equal(got.coeffs, want.coeffs)
-            assert got.cap == want.cap
-            assert got.max_abs_mode() == want.max_abs_mode()
+        got = mul_free(a, b)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert got.cap == want.cap
+        assert got.max_abs_mode() == want.max_abs_mode()
 
 
-def test_reach_table_stays_within_its_bound(monkeypatch):
+def _count_mask_transforms(monkeypatch):
+    """Count the FFT pairs ``mul_free`` runs on 0/1 masks."""
+    calls = []
+    fft_product = spectral._fft_product
+
+    def counted(dim, ra, rb, box_a, box_b):
+        calls.append(box_a.dtype == bool)
+        return fft_product(dim, ra, rb, box_a, box_b)
+
+    monkeypatch.setattr(spectral, "_fft_product", counted)
+    return calls
+
+
+def test_fft_products_transform_masks_only_past_an_unreached_mode(monkeypatch):
     monkeypatch.setattr(spectral, "_DIRECT_MACS", 0)  # every product by FFT
-    # every draw is a new d=2 support pattern, so the table must evict
-    rng = np.random.default_rng(79)
-    bound = spectral._reach.cache_info().maxsize
-    spectral._reach.cache_clear()
-    full = random_poly(rng, 2, 4, 4)
-    for _ in range(bound + 40):
-        mask = rng.random((9, 9)) < 0.5
-        mask[0, 0] = True
-        sparse = TrigPoly(2, 4, full.coeffs * mask)
-        assert np.array_equal(mul_free(sparse, full).coeffs,
-                              _four_box_product(sparse, full).coeffs)
-        assert spectral._reach.cache_info().currsize <= bound
-    assert spectral._reach.cache_info().misses > bound
-    # a stored reach is shared, so it cannot be written
-    reach = spectral._reach(2, 4, 4, mask.tobytes(), None)
-    assert reach is spectral._reach(2, 4, 4, mask.tobytes(), None)
-    assert not reach.flags.writeable
+    rng = np.random.default_rng(81)
+    full, other = random_poly(rng, 3, 4, 4), random_poly(rng, 3, 4, 4)
+    sparse = _sparse_poly(rng, 3, 4, 0.02)
+    one, e2 = TrigPoly.one(3, 4), TrigPoly.mode((2, 0, 0), 3, 4)
+    # f d_2 f = d_2 (f^2) / 2 cancels at every mode with k_2 = 0, so the
+    # partial multiplies another full box
+    cases = [(full, full, 0), (full.partial(2), other, 0),
+             (sparse, sparse, 1), (one + e2, one - e2, 1)]
+    calls = _count_mask_transforms(monkeypatch)
+    for a, b, masks in cases:
+        want = _four_box_product(a, b)
+        calls.clear()
+        got = mul_free(a, b)
+        assert calls.count(True) == masks and calls.count(False) == 1
+        assert np.array_equal(got.coeffs, want.coeffs)
+        if masks:  # the masks were needed: some mode is unreached
+            assert np.count_nonzero(want.coeffs) < want.coeffs.size
+    # (1 + e^{2ix}) (1 - e^{2ix}) keeps the round-off of mode 2
+    assert mul_free(one + e2, one - e2).coeff((2, 0, 0)) == \
+        _four_box_product(one + e2, one - e2).coeff((2, 0, 0))
 
 
-def test_reach_table_leaves_large_boxes_out(monkeypatch):
-    # at an 8192-entry dense budget only boxes of at most 32 entries are
-    # stored: the 289-entry box of a radius 4 * 4 product at d=2 is not
-    monkeypatch.setattr(spectral, "_DENSE_BUDGET", 1 << 13)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_fft_products_zero_unreached_modes_past_nan_and_inf(monkeypatch, bad):
     monkeypatch.setattr(spectral, "_DIRECT_MACS", 0)  # every product by FFT
-    rng = np.random.default_rng(80)
+    rng = np.random.default_rng(82)
     full = random_poly(rng, 2, 4, 4)
-    spectral._reach.cache_clear()
-    for a, b in ((full.laplacian(), full), (full.partial(0), full.laplacian())):
-        for _ in range(2):
-            assert np.array_equal(mul_free(a, b).coeffs,
-                                  _four_box_product(a, b).coeffs)
-    assert spectral._reach.cache_info().currsize == 0
-    # a radius 1 * 1 product (25 entries) is stored
-    small = random_poly(rng, 2, 4, 1).laplacian()
-    mul_free(small, small)
-    assert spectral._reach.cache_info().currsize == 1
+    for sparse in (_sparse_poly(rng, 2, 4, 0.3), _sparse_poly(rng, 2, 4, 0.05)):
+        arr = sparse.coeffs.copy()
+        arr[tuple(np.argwhere(arr != 0)[0])] = bad
+        a = TrigPoly(2, 4, arr)
+        for x, y in ((a, full), (a, sparse), (a, a)):
+            # an inf turns some transformed entries into NaN
+            with np.errstate(invalid="ignore"):
+                want = _four_box_product(x, y).coeffs
+                got = mul_free(x, y).coeffs
+            assert np.array_equal(got, want, equal_nan=True)
+            unreached = want == 0
+            assert unreached.any() and not got[unreached].any()
+
+
+def test_fft_round_off_at_unreached_modes_is_far_below_the_level():
+    # sparse supports with coefficients over 16 orders of magnitude, on
+    # product boxes of lengths 9, 17 and 23 at d = 1, 2, 3 (the primes
+    # take pocketfft's generic passes) and 211 at d=1 (its Bluestein
+    # path); the worst seen is about 2^-14 of tau
+    rng = np.random.default_rng(83)
+    radii = {1: [(2, 2), (4, 4), (3, 5), (5, 6), (52, 53)],
+             2: [(2, 2), (4, 4), (3, 5), (5, 6)],
+             3: [(2, 2), (4, 4), (3, 5), (5, 6)]}
+    worst = 0.0
+    for dim, pairs in radii.items():
+        for ra, rb in pairs:
+            for _ in range(6):
+                factors = []
+                for ri in (ra, rb):
+                    p = _sparse_poly(rng, dim, ri, rng.uniform(0.05, 0.6))
+                    tails = 10.0 ** rng.uniform(-8, 8, p.coeffs.shape)
+                    factors.append(TrigPoly(dim, ri, p.coeffs * tails))
+                sa, sb = (f._support() for f in factors)
+                out = spectral._fft_product(dim, ra, rb, sa, sb)
+                reach = spectral._fft_product(dim, ra, rb, sa != 0, sb != 0).real >= 0.5
+                assert not reach.all()
+                tau = 2.0 ** -40 * math.sqrt(out.size) \
+                    * np.linalg.norm(sa) * np.linalg.norm(sb)
+                worst = max(worst, float(np.abs(out[~reach]).max()) / tau)
+    assert 0 < worst <= 2.0 ** -8
 
 
 def _long_double_product(a, b):

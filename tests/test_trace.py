@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torusflow import CapExceeded, GeometryMismatch, cli
+from torusflow import CapExceeded, GeometryMismatch, cli, spectral
 from torusflow.trace import (WeylFit, heat_trace_direct, heat_trace_via_flow,
                              shell_counts, spectral_action, spinor_rank,
                              theta_reference, weyl_fit, z_for_tail)
@@ -170,6 +170,22 @@ def test_direct_trace_refuses_a_lattice_past_its_budget(tmp_path, capsys):
     assert code == 2
     assert "suite action" in err and "entry additions, over the budget" in err
     assert time.monotonic() - started < 5.0
+
+
+def test_flow_trace_refuses_a_mode_grid_past_the_budget(monkeypatch, tmp_path,
+                                                       capsys):
+    # at a 1024-entry budget the d=2 grid at z = 20 (3362 entries) is
+    # refused before it is built, and the refusal names z
+    monkeypatch.setattr(spectral, "_DENSE_BUDGET", 1 << 10)
+    with pytest.raises(CapExceeded, match=r"flow trace at t=0.5, z=20, dim 2: "
+                                          r"mode grid needs 3362 dense entries"):
+        heat_trace_via_flow(0.5, 20.0, 2)
+    cfg = tmp_path / "z.cfg"
+    cfg.write_text("z = 20\n")
+    code = cli.main(["run", "--suite", "trace", "--dim", "2", "--cap", "20",
+                     "--config", str(cfg), "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert "flow trace at t=" in capsys.readouterr().err
 
 
 def test_z_for_tail_guards():
