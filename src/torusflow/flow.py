@@ -27,18 +27,16 @@ mat-vec, and every order's term is read off one functional, conj(v) u.
 The N x N order blocks and their operator norms are computed only when
 read (``PicardSeries.blocks``, ``block_norms``), by the same recursion
 started from the identity, and only then charged against the dense
-budget.  The recursion builds each cell's generator when its step runs
-and keeps none past it.
+budget.
 
 Every route reads a cell's data off the problem's mode space
-(``FlowProblem.space``), which lives as long as the problem.  Each noise
-pair's multipliers xi_i + conj eta_i are computed once, as coefficient
-arrays, and the diagonal, the spread and the generator are read off
-them (``ModeSpace._cell``).  The space also holds the last generator a
-pairing read, one N x N array that the routes charge against the dense
-budget, and a matrix element of the same problem takes it over instead
-of building it, so the pairing and the matrix element of one problem
-(``positivity_probe``) build its generator once.
+(``FlowProblem.space``), which lives as long as the problem and keeps
+one read-only memo entry per noise pair (``ModeSpace._cell``): the
+multipliers xi_i + conj eta_i as coefficient arrays, the diagonal and
+the spread read off them, and the generator from its first read on
+(``ModeSpace._generator``).  So every route run on one problem builds a
+pair's generator once, and each call charges the generators kept after
+it against the dense budget (``ModeSpace.check_kept``).
 
 Everything is Galerkin-compressed onto the modes |k|_inf <= cap; both
 sides of every cross-check share that compression.  On that mode space
@@ -72,8 +70,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -100,11 +98,12 @@ class _Cell(NamedTuple):
     """One noise pair's multipliers c_i = xi_i + conj eta_i as a
     (d,) + (2r + 1,)^d coefficient stack at the larger cap r of xi and
     eta, with the diagonal and spread that ``ModeSpace.diagonal`` reads
-    off them."""
+    off them, and the generator once it is read (``ModeSpace._generator``)."""
 
     mult: np.ndarray
     diag: np.ndarray
     spread: float
+    psi: Optional[np.ndarray] = None
 
 
 class ModeSpace:
@@ -119,12 +118,11 @@ class ModeSpace:
     A space computes each noise pair's multipliers once, on first use,
     and keeps them, with the diagonal and spread read off them, as long
     as it lives: a few N-vectors per pair, keyed by the pair's one-form
-    objects.  It also keeps the last generator a pairing read
-    (``_generator``), one N x N array, for a matrix element of the same
-    pair to take over.
+    objects.  The pair's generator joins them on its first read
+    (``_generator``), one N x N array; every kept array is read-only.
     """
 
-    __slots__ = ("dim", "cap", "_k", "_cells", "_held")
+    __slots__ = ("dim", "cap", "_k", "_cells")
 
     def __init__(self, dim: int, cap: int):
         if dim < 1 or cap < 0:
@@ -134,7 +132,6 @@ class ModeSpace:
         self.check_dense(dim * (2 * cap + 1) ** dim, "mode grid")
         self._k = mode_grid(dim, cap)
         self._cells: Dict[Tuple[OneForm, OneForm], _Cell] = {}
-        self._held: Optional[Tuple[Tuple[OneForm, OneForm], np.ndarray]] = None
 
     @property
     def size(self) -> int:
@@ -144,6 +141,13 @@ class ModeSpace:
         """Refuse an allocation of ``entries`` array entries past the
         dense budget (``spectral.check_dense``)."""
         check_dense(entries, what, self.cap, self.dim)
+
+    def check_kept(self, working: int, pairs: Iterable[Tuple[OneForm, OneForm]],
+                   what: str) -> None:
+        """Charge a call's ``working`` N x N arrays against the dense budget
+        with every generator kept after it: those kept and those of ``pairs``."""
+        kept = {key for key, cell in self._cells.items() if cell.psi is not None}
+        self.check_dense((working + len(kept.union(pairs))) * self.size ** 2, what)
 
     def to_vec(self, p: TrigPoly) -> np.ndarray:
         if p.dim != self.dim:
@@ -224,21 +228,16 @@ class ModeSpace:
         return self._assemble(np.concatenate([one, mult]), weights,
                               "mode-space generator")
 
-    def _generator(self, xi: OneForm, eta: OneForm, keep: bool) -> np.ndarray:
-        """``psi_matrix(xi, eta)``, built only when the space does not
-        hold it.  With ``keep`` the space holds it until the next read,
-        and the caller must not write it; without, the space lets it go
-        and the caller may overwrite it.  The space holds one generator
-        at a time, which the routes charge against the dense budget."""
-        # the old generator goes before a new one is built
-        held, self._held = self._held, None
-        if held is not None and held[0] == (xi, eta):
-            psi = held[1]
-        else:
+    def _generator(self, xi: OneForm, eta: OneForm) -> np.ndarray:
+        """``psi_matrix(xi, eta)``, built on the pair's first read and
+        kept, read-only, in its memo entry (``_cell``) as long as the
+        space lives; callers charge it with ``check_kept``."""
+        cell = self._cell(xi, eta)
+        if cell.psi is None:
             psi = self.psi_matrix(xi, eta)
-        if keep:
-            self._held = ((xi, eta), psi)
-        return psi
+            psi.flags.writeable = False
+            cell = self._cells[xi, eta] = cell._replace(psi=psi)
+        return cell.psi
 
     def diagonal(self, xi: OneForm, eta: OneForm) -> Tuple[np.ndarray, float]:
         """(diag, spread), read off the multipliers c_i of the pair
@@ -370,7 +369,7 @@ class FlowProblem:
     def space(self) -> ModeSpace:
         """x's mode space, made on first read and kept with the problem,
         so the routes run on one problem share what it keeps: each noise
-        pair's multipliers and the last generator a pairing read."""
+        pair's multipliers and, once read, its generator."""
         return ModeSpace(self.dim, self.cap)
 
     def mesh(self) -> TimeMesh:
@@ -387,10 +386,11 @@ class FlowProblem:
         return list(self._cells)
 
 
-def _propagate(a: np.ndarray, dt: float, y: np.ndarray) -> np.ndarray:
-    """exp(dt a) y for a dense generator ``a``, scaled and shifted by its
-    mean diagonal in place; the steps are chosen at its exact 1-norm."""
-    a *= dt
+def _propagate(psi: np.ndarray, dt: float, y: np.ndarray) -> np.ndarray:
+    """exp(dt psi) y for a dense generator ``psi``, left as it is: dt psi
+    is formed anew, shifted by its mean diagonal, and the steps are
+    chosen at its exact 1-norm."""
+    a = dt * psi
     mu = np.trace(a) / a.shape[0]
     a.flat[:: a.shape[0] + 1] -= mu
     return _expm_action(a.__matmul__, float(np.abs(a).sum(axis=0).max()), mu, y)
@@ -404,11 +404,10 @@ def texp_matrix_element(p: FlowProblem) -> complex:
     taken uncapped; only the evolution itself is compressed.  A cell
     with a diagonal generator propagates entrywise; every other cell's
     Taylor steps are charged against the work budget, at N^2 per
-    mat-vec, and its arrays against the dense budget, before any
-    generator is built.  The diagonals and generators come from the
-    problem's space (``FlowProblem.space``): a generator the space holds
-    from a pairing of this problem is taken over, not built again, and
-    none is left held.
+    mat-vec, and its arrays against the dense budget with every
+    generator kept after the call, before any generator is built.  The
+    diagonals and generators come from the problem's space
+    (``FlowProblem.space``), so no route of the problem builds one twice.
     """
     space = p.space
     size = space.size
@@ -416,13 +415,14 @@ def texp_matrix_element(p: FlowProblem) -> complex:
     # m s mat-vecs per noisy cell, at ||Psi - mu||_1 <= max |diag - mu| + spread
     steps = sum(math.prod(_taylor_steps(dt * (np.abs(d - d.mean()).max() + spread)))
                 for dt, _, _, d, spread in cells if spread)
-    if steps:  # a noisy cell's generator and its absolute values
-        space.check_dense(2 * size ** 2, "coherent propagation")
+    if steps:  # a noisy cell's scaled generator and its absolute values
+        space.check_kept(2, [(fc, gc) for _, fc, gc, _, spread in cells if spread],
+                         "coherent propagation")
     check_work(steps * size ** 2, "coherent propagation", p.cap, p.dim)
     y = space.to_vec(p.x)
     for dt, fc, gc, diag, spread in reversed(cells):
         if spread:
-            y = _propagate(space._generator(fc, gc, keep=False), dt, y)
+            y = _propagate(space._generator(fc, gc), dt, y)
         else:
             y = np.exp(dt * diag) * y
     y = space.from_vec(y)
@@ -430,23 +430,19 @@ def texp_matrix_element(p: FlowProblem) -> complex:
 
 
 def _graded(space: ModeSpace, cells: List[Tuple[float, OneForm, OneForm]],
-            start: np.ndarray, n_max: int,
-            norms: Optional[List[float]] = None) -> List[np.ndarray]:
+            start: np.ndarray, n_max: int) -> List[np.ndarray]:
     """Orders 0..n_max of E_1 ... E_m start, E_j = exp(dt_j Psi_j), by
     Taylor recursion, latest cell first so the earliest sits outermost.
 
     ``cells`` are (width, xi, eta) and ``start`` is a vector or a matrix
-    of columns.  Each cell's generator is built when its loop runs; given
-    a list ``norms``, its operator norm ||Psi_j||_2 is appended there, so
-    latest cell first.  The loop moves the orders present up one order
-    per step, adds the step into them in place and drops the orders past
-    n_max, which is what ends it.
+    of columns.  Each cell's generator is read off the space
+    (``ModeSpace._generator``).  The loop moves the orders present up
+    one order per step, adds the step into them in place and drops the
+    orders past n_max, which is what ends it.
     """
     graded = [start]
     for dt, xi, eta in reversed(cells):
-        psi = space.psi_matrix(xi, eta)
-        if norms is not None:
-            norms.append(float(np.linalg.norm(psi, 2)))
+        psi = space._generator(xi, eta)
         term = graded  # term[j] is of order j + k
         k = 0
         while term:
@@ -471,15 +467,16 @@ class PicardSeries:
 
     ``terms[n]`` is the order-n matrix element; |terms[n]| is bounded by
     prefactor * s_const**n / n!, and the tail past N by
-    prefactor * s_const**(N+1) * e**s_const / (N+1)!.
+    prefactor * s_const**(N+1) * e**s_const / (N+1)!, inf where that
+    overflows a float (``tail_bound``).
 
     ``blocks[n]`` is the order-n block before pairing, and
     ``block_norms[n]`` its operator norm; both are computed on first read,
     the blocks by the terms' Taylor recursion run from the identity on the
     kept ``cells`` (width, xi, eta), earliest first, on ``space``.  The
-    first read charges the blocks against the dense budget: the blocks,
-    one Taylor step's terms, the product being formed and a generator
-    the space holds (``ModeSpace._generator``).  Scalar terms
+    first read charges the blocks and one Taylor step's terms against
+    the dense budget, with every cell's generator, which the space keeps
+    (``ModeSpace.check_kept``).  Scalar terms
     can dip through zero by cancellation, so decay diagnostics should read
     the block norms instead.
     """
@@ -492,11 +489,11 @@ class PicardSeries:
 
     @cached_property
     def blocks(self) -> List[np.ndarray]:
-        size = self.space.size
-        self.space.check_dense((2 * len(self.terms) + 1) * size ** 2,
-                               "picard graded blocks")
-        return _graded(self.space, self.cells, np.eye(size, dtype=complex),
-                       len(self.terms) - 1)
+        self.space.check_kept(2 * len(self.terms),
+                              [(xi, eta) for _, xi, eta in self.cells],
+                              "picard graded blocks")
+        return _graded(self.space, self.cells,
+                       np.eye(self.space.size, dtype=complex), len(self.terms) - 1)
 
     @cached_property
     def block_norms(self) -> List[float]:
@@ -507,8 +504,11 @@ class PicardSeries:
         return sum(terms)
 
     def tail_bound(self, after: int) -> float:
-        return (self.prefactor * self.s_const ** (after + 1)
-                * math.exp(self.s_const) / math.factorial(after + 1))
+        try:
+            return (self.prefactor * self.s_const ** (after + 1)
+                    * math.exp(self.s_const) / math.factorial(after + 1))
+        except OverflowError:  # a bound that certifies nothing
+            return math.inf if self.prefactor else 0.0
 
 
 def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
@@ -522,24 +522,22 @@ def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:
     argument vector x, so order n is the N-vector y_n = block_n x and each
     step is a mat-vec; the N x N blocks are formed, and charged
     against the dense budget, only when read (``PicardSeries.blocks``).
-    The recursion also hands back each generator's operator norm, which
-    s_const sums in cell order, so each generator is built once.
+    s_const sums dt ||Psi||_2 in cell order off the generators the space
+    keeps (``ModeSpace._generator``), which the recursion then reads.
     Every term is read off one functional: <u, y v> = <conj(v) u, y>, so
     w = conj(v) u is formed once and terms[n] = exp(<g, f>) <w, y_n>.
     """
     if n_max < 0:
         raise GeometryMismatch("n_max must be nonnegative")
     space = p.space
-    # one cell's generator at a time, beside its SVD's copy and a
-    # generator the problem's space holds
-    space.check_dense(3 * space.size ** 2, "picard generator SVD")
     cells = p.cells()
-    xv = space.to_vec(p.x)
-    norms: List[float] = []
-    graded = _graded(space, cells, xv, n_max, norms)
+    # an SVD's copy of one generator, beside every cell's generator
+    space.check_kept(1, [(xi, eta) for _, xi, eta in cells], "picard generator SVD")
     s_const = 0.0
-    for (dt, _, _), norm in zip(cells, reversed(norms)):
-        s_const += dt * norm
+    for dt, xi, eta in cells:
+        s_const += dt * float(np.linalg.norm(space._generator(xi, eta), 2))
+    xv = space.to_vec(p.x)
+    graded = _graded(space, cells, xv, n_max)
     coh = np.exp(noise_inner(p.g, p.f))
     w = mul_free(p.v.conjugate(), p.u)
     terms = [coh * w.l2_inner(space.from_vec(y)) for y in graded]
@@ -582,10 +580,11 @@ def flow_inner(p1: FlowProblem, p2: FlowProblem) -> complex:
     Taylor steps against the work budget, before anything N x N is
     allocated: at 2 N^3 + N^2 multiply-adds per application and at the
     1-norm bound ||A^H||_1 + ||B||_inf + max |K - mu|, with ||A||_inf
-    read off the coefficients (``ModeSpace.diagonal``).  The diagonals
-    and generators come from p1's space (``FlowProblem.space``), so a
-    pair (f1, f2) is read once per cell when f1 is f2, and the space
-    keeps the last generator read for a matrix element of p1 to take.
+    read off the coefficients (``ModeSpace.diagonal``); the generators
+    the space keeps after the call are charged with the kernel.  The
+    diagonals and generators come from p1's space
+    (``FlowProblem.space``), so a pair (f1, f2) is read once per cell
+    when f1 is f2, and a matrix element of p1 builds none of them again.
     """
     if p1.dim != p2.dim or p1.cap != p2.cap:
         raise BasisMismatch("flow problems use different mode spaces")
@@ -593,9 +592,6 @@ def flow_inner(p1: FlowProblem, p2: FlowProblem) -> complex:
         raise BasisMismatch("flow problems use different time meshes")
     space = p1.space
     size = space.size
-    # the kernel, k.l, the generators and a Taylor step's terms, and the
-    # generator the space holds: at most 13 N x N arrays at once
-    space.check_dense(13 * size ** 2, "flow pairing kernel")
     reach = p1.dim * p1.cap ** 2  # k.l runs over [-reach, reach], both ends
     cells = []
     steps = 0
@@ -608,6 +604,10 @@ def flow_inner(p1: FlowProblem, p2: FlowProblem) -> complex:
                 dt * (np.abs(da).max() + sa + np.abs(db).max() + sb)
                 + max(abs(dt * reach - mu), abs(dt * reach + mu))))
         cells.append((dt, f1c, f2c, da, db, mu, sa + sb))
+    # the kernel, k.l, the scaled generators and a Taylor step's terms:
+    # at most 12 N x N arrays at once, beside the generators kept
+    space.check_kept(12, [pair for _, f1c, f2c, *_, spread in cells if spread
+                          for pair in ((f1c, f2c), (f2c, f1c))], "flow pairing kernel")
     check_work(steps * (2 * size ** 3 + size ** 2), "flow pairing propagation",
                p1.cap, p1.dim)
     k = space._k
@@ -617,8 +617,8 @@ def flow_inner(p1: FlowProblem, p2: FlowProblem) -> complex:
         if not spread:
             w = np.exp(dt * ((da.conj()[:, None] + db) + kl)) * w
             continue
-        a = dt * space._generator(f1c, f2c, keep=True)
-        b = a if f2c is f1c else dt * space._generator(f2c, f1c, keep=True)
+        a = dt * space._generator(f1c, f2c)
+        b = a if f2c is f1c else dt * space._generator(f2c, f1c)
         ah = a.conj().T
         shifted = dt * kl - mu
         # the shifted superoperator's exact 1-norm: its column (k, l) holds
@@ -698,9 +698,9 @@ def positivity_probe(x: TrigPoly, t: float, samples: int = 8,
     noise: the pairing is the coherent matrix element
     ``texp_matrix_element`` and the norm the kernel pairing ``flow_inner``,
     both of one problem (x, f, f, v, v, t), since the pairing ignores the
-    bra path: the pairing builds the sample's generator Psi(f, f), and
-    the matrix element takes it over from the problem's space, so it is
-    built once per sample and held by nothing after it.  x must be
+    bra path: the pairing builds the sample's generator Psi(f, f) and
+    the problem's space keeps it, so the matrix element reads it there
+    and it is built once per sample.  x must be
     pointwise nonnegative: certified on x's sup grid as grid minimum
     minus slack >= -1e-12 (``TrigPoly._sup_grid``; NotPositive otherwise,
     so an x touching 0 is refused).  The flow then keeps the pairings

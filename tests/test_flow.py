@@ -327,8 +327,8 @@ def test_picard_block_norms_track_factorial_envelope():
 
 def test_picard_terms_propagate_vectors_not_blocks():
     # d=2 cap 10, N = 441: the nine order blocks would take 9 N^2 complex
-    # entries; the terms propagate N-vectors, so the peak is set by one
-    # densified generator for s_const
+    # entries; the terms propagate N-vectors, so the peak is set by the
+    # generators the space keeps, one per cell
     rng = rng_for(7)
     f = noise_path(rng, 2, 10, 2, horizon=0.8, max_mode=1)
     g = noise_path(rng, 2, 10, 2, horizon=0.8, max_mode=1)
@@ -397,12 +397,118 @@ def test_routes_on_one_problem_build_each_generator_once(monkeypatch):
     flow_inner(p, p)
     assert built == [(fc, fc) for _, fc, _ in p.cells()]
     assert len(p.space._cells) == len(built) == 3
-    # the matrix element of the same problem takes over the generator
-    # the pairing read last, the latest cell's, and builds the others
+    # the matrix element of the same problem reads every generator the
+    # pairing kept and builds none
     built.clear()
     texp_matrix_element(p)
-    assert built == [(fc, fc) for _, fc, _ in p.cells()[:-1]][::-1]
-    assert p.space._held is None
+    assert built == []
+
+
+def _two_cell_problems(dim, cap, scale=0.35):
+    """p = (x, f, g, u, v) and q = (x, g, f, u, v) on two noisy cells."""
+    rng = rng_for(37)
+    t = 0.5
+    f = noise_path(rng, dim, cap, 2, horizon=t, max_mode=1, scale=scale)
+    g = noise_path(rng, dim, cap, 2, horizon=t, max_mode=1, scale=scale)
+    x, u, v = (poly(rng, dim, cap, 1) for _ in range(3))
+    return FlowProblem(x, f, g, u, v, t), FlowProblem(x, g, f, u, v, t)
+
+
+def test_series_matrix_element_and_blocks_build_each_generator_once(monkeypatch):
+    p, _ = _two_cell_problems(1, 3)
+    built = _count_builds(monkeypatch)
+    series = picard_terms(p, 6)
+    texp_matrix_element(p)
+    assert len(series.blocks) == 7
+    assert built == [(fc, gc) for _, fc, gc in p.cells()]
+
+
+def test_pairing_then_matrix_element_build_each_distinct_pair_once(monkeypatch):
+    p, q = _two_cell_problems(1, 3)
+    built = _count_builds(monkeypatch)
+    flow_inner(p, q)
+    texp_matrix_element(p)
+    pairs = [pair for _, fc, gc in p.cells() for pair in ((fc, gc), (gc, fc))]
+    assert len(set(pairs)) == len(pairs) == 4
+    assert built == pairs
+
+
+def test_kept_generators_are_read_only_and_unchanged():
+    # every generator the space keeps, checked after each route against
+    # its bits when first kept
+    p, q = _two_cell_problems(1, 3)
+    series = picard_terms(p, 6)
+    bits = {}
+    for run in (lambda: texp_matrix_element(p), lambda: flow_inner(p, q),
+                lambda: picard_terms(p, 6), lambda: series.blocks):
+        run()
+        for pair, cell in p.space._cells.items():
+            assert not cell.psi.flags.writeable
+            with pytest.raises(ValueError):
+                cell.psi[0, 0] = 0
+            want = bits.setdefault(pair, cell.psi.view(np.uint64).copy())
+            assert np.array_equal(cell.psi.view(np.uint64), want)
+    assert len(bits) == 4
+
+
+#: the N x N working arrays each route charges, beside the generators kept
+_WORKING = {"coherent propagation": 2, "picard generator SVD": 1,
+            "picard graded blocks": 10, "flow pairing kernel": 12}
+
+
+def _route(what, p, q):
+    """The call of the route that charges ``what``, on p's space; the
+    blocks are read off a series made here, before the call."""
+    if what == "picard graded blocks":
+        series = picard_terms(p, 4)
+        return lambda: series.blocks
+    return {"coherent propagation": lambda: texp_matrix_element(p),
+            "picard generator SVD": lambda: picard_terms(p, 4),
+            "flow pairing kernel": lambda: flow_inner(p, q)}[what]
+
+
+@pytest.mark.parametrize("what", sorted(_WORKING))
+@pytest.mark.parametrize("after_pairing", [False, True])
+def test_dense_charge_counts_every_kept_generator(monkeypatch, what, after_pairing):
+    # d=2 cap 2, N = 25: a call's working arrays plus every generator the
+    # space keeps after it, those a pairing kept first included
+    p, q = _two_cell_problems(2, 2, scale=0.1)
+    n2 = p.space.size ** 2
+    cells = {(fc, gc) for _, fc, gc in p.cells()}
+    both = cells | {(gc, fc) for fc, gc in cells}
+    if after_pairing:
+        flow_inner(p, q)
+    call = _route(what, p, q)
+    reads = both if what == "flow pairing kernel" else cells
+    kept = both if after_pairing else set()
+    need = (_WORKING[what] + len(kept | reads)) * n2
+    built = _count_builds(monkeypatch)
+    monkeypatch.setattr(spectral, "_DENSE_BUDGET", need - n2)
+    with pytest.raises(CapExceeded, match=rf"{what} needs {need} dense "
+                                          rf"entries at cap 2, dim 2"):
+        call()
+    assert built == []
+    monkeypatch.setattr(spectral, "_DENSE_BUDGET", need + n2)
+    call()
+
+
+@pytest.mark.parametrize("what", sorted(_WORKING))
+def test_route_peaks_stay_within_their_dense_charge(monkeypatch, what):
+    # d=2 cap 6, N = 169: the traced peak of each route against the
+    # largest dense charge it takes, at 16 bytes per complex entry
+    p, q = _two_cell_problems(2, 6, scale=0.1)
+    call = _route(what, p, q)
+    charged = []
+    check = flow.check_dense
+    monkeypatch.setattr(flow, "check_dense",
+                        lambda entries, *args: charged.append(entries) or check(entries, *args))
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * max(charged)
 
 
 def test_a_tiny_coupling_beside_a_unit_centre_is_noise(monkeypatch):
@@ -444,6 +550,22 @@ def test_picard_rejects_negative_order():
                     TrigPoly.one(1, 4), 1.0)
     with pytest.raises(GeometryMismatch):
         picard_terms(p, -1)
+
+
+def test_picard_tail_bound_past_float_range_certifies_nothing():
+    # s_const = 800: e^800 overflows a float, so the bound is inf; a
+    # zero prefactor still bounds the tail by 0
+    x = TrigPoly.one(1, 40)
+    z = SimpleNoisePath.zero(1, 1.0)
+    series = picard_terms(FlowProblem(x, z, z, x, x, 1.0), 8)
+    assert series.s_const == 800.0
+    assert series.tail_bound(8) == math.inf
+    assert series.tail_bound(200) == math.inf  # (N + 1)! past float range
+    series.prefactor = 0.0
+    assert series.tail_bound(8) == 0.0
+    # a finite bound keeps its value
+    series.s_const, series.prefactor = 2.0, 3.0
+    assert series.tail_bound(4) == 3.0 * 2.0 ** 5 * math.exp(2.0) / 120
 
 
 # ------------------------------------------------------------- pairings
