@@ -467,8 +467,8 @@ class PicardSeries:
 
     ``terms[n]`` is the order-n matrix element; |terms[n]| is bounded by
     prefactor * s_const**n / n!, and the tail past N by
-    prefactor * s_const**(N+1) * e**s_const / (N+1)!, inf where that
-    overflows a float (``tail_bound``).
+    prefactor * s_const**(N+1) * e**s_const / (N+1)!, inf only where that
+    bound overflows a float (``tail_bound``).
 
     ``blocks[n]`` is the order-n block before pairing, and
     ``block_norms[n]`` its operator norm; both are computed on first read,
@@ -504,11 +504,27 @@ class PicardSeries:
         return sum(terms)
 
     def tail_bound(self, after: int) -> float:
+        """prefactor * s^(N+1) * e^s / (N+1)! for N = ``after``.  Where a
+        factor or a partial product leaves the float range the bound is
+        summed in log space and rounded up: at least the smallest
+        subnormal, inf only where the bound itself overflows.  A positive
+        finite bound of the float formula is returned as it is."""
+        p, s = self.prefactor, self.s_const
         try:
-            return (self.prefactor * self.s_const ** (after + 1)
-                    * math.exp(self.s_const) / math.factorial(after + 1))
+            bound = p * s ** (after + 1) * math.exp(s) / math.factorial(after + 1)
+            if 0.0 < bound < math.inf or not (0.0 < p < math.inf and 0.0 < s < math.inf):
+                return bound
+        except OverflowError:
+            if not (p and s):
+                return 0.0
+        terms = (math.log(p), (after + 1) * math.log(s), s, -math.lgamma(after + 2))
+        # each term is within a few ulps of its size, and exp within one
+        # ulp of its result: 2^-40 of the sizes covers both, with room
+        log_bound = math.fsum(terms) + 2.0 ** -40 * sum(map(abs, terms))
+        try:
+            return math.nextafter(math.exp(log_bound), math.inf)
         except OverflowError:  # a bound that certifies nothing
-            return math.inf if self.prefactor else 0.0
+            return math.inf
 
 
 def picard_terms(p: FlowProblem, n_max: int) -> PicardSeries:

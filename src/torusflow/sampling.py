@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .fock import SimpleNoisePath, TimeMesh
-from .spectral import OneForm, TrigPoly, check_dense
+from .spectral import OneForm, TrigPoly, _box, check_dense
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -29,12 +29,15 @@ def poly(rng: np.random.Generator, dim: int, cap: int,
     m = cap if max_mode is None else min(max_mode, cap)
     # the draw fills the (2m+1)^d box, and the result the cap's box
     check_dense((2 * cap + 1) ** dim, "sampled polynomial", cap, dim)
-    # one draw per mode in C order, real part then imaginary part
-    draw = rng.standard_normal((2 * m + 1,) * dim + (2,))
-    coeffs = scale * (draw[..., 0] + 1j * draw[..., 1]) / 2.0
+    # one draw per mode in C order, real part then imaginary part: the
+    # pairs are the complex numbers of a complex view
+    draw = rng.standard_normal((2 * m + 1,) * dim + (2,)).view(complex)[..., 0]
+    coeffs = scale * draw / 2.0
     if self_adjoint:
         coeffs = coeffs + np.flip(coeffs).conj()
-    return TrigPoly(dim, m, coeffs).with_cap(cap)
+    out = np.zeros((2 * cap + 1,) * dim, dtype=complex)
+    out[_box(dim, cap, m)] = coeffs
+    return TrigPoly._of(dim, cap, out)
 
 
 def one_form(rng: np.random.Generator, dim: int, cap: int,

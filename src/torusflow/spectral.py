@@ -10,7 +10,10 @@ layout.  Every value carries a hard mode cap: an operation whose exact
 result needs a mode with |k|_inf above the cap raises CapExceeded rather
 than aliasing or projecting.  No value depends on the cap: pairings,
 norms, sup brackets and grids read the box of the mode radius
-(``TrigPoly._support``), which no cap moves.
+(``TrigPoly._support``), which no cap moves.  The radius and that box
+are found on first read and kept, and the exact operations that keep
+every nonzero entry nonzero (negation, conjugation, the Laplacian,
+``with_cap``) hand them on; every other operation finds them afresh.
 
 Every product (``mul_free``) is exact at the lifted cap ra + rb and keeps
 each mode no pair of nonzero coefficients reaches an exact zero.  A small
@@ -29,7 +32,9 @@ propagation.
 
 Integrals and identities are read off the coefficients (Parseval,
 ``TrigPoly.l2_inner``); a grid is read only for a supremum, as a bracket
-off one exact grid (``TrigPoly.sup_norm``).
+off one exact grid (``TrigPoly.sup_norm``).  Several polynomials are
+read off one inverse FFT of their stacked boxes (``grid_values``), as a
+tensor's components are (``lengths_on_grid``).
 Where the sup sits on the bound side, callers take the grid max
 (``structure.sobolev_w2inf_norm``, ``flow.positivity_probe``); where it
 is compared against a bound, the certified upper end
@@ -50,7 +55,8 @@ import math
 from functools import lru_cache, reduce
 from itertools import product as iter_product
 from operator import add
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -139,6 +145,13 @@ def flat_index(modes, cap: int) -> np.ndarray:
     return np.ravel_multi_index(tuple((modes + cap).T), shape)
 
 
+@lru_cache(maxsize=None)
+def _reverse(dim: int) -> Tuple[slice, ...]:
+    """The index that reverses every axis, k -> -k (``np.flip``'s view)."""
+    return (slice(None, None, -1),) * dim
+
+
+@lru_cache(maxsize=None)
 def _box(dim: int, cap: int, inner: int) -> Tuple[slice, ...]:
     """The modes |k|_inf <= inner inside a cap ``cap`` array."""
     return (slice(cap - inner, cap + inner + 1),) * dim
@@ -148,6 +161,15 @@ def _box(dim: int, cap: int, inner: int) -> Tuple[slice, ...]:
 def _ik(dim: int, cap: int, axis: int) -> np.ndarray:
     """i k_axis, the factor of d/dx_axis over the coefficient array."""
     out = 1j * _axis_modes(dim, cap)[axis]
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _mode_l1(dim: int, r: int) -> np.ndarray:
+    """|k|_1 over the box |k|_inf <= r: the weights of the slack of
+    ``TrigPoly.sup_norm``."""
+    out = sum(np.abs(k) for k in _axis_modes(dim, r))
     out.flags.writeable = False
     return out
 
@@ -174,13 +196,17 @@ class TrigPoly:
     ``TrigPoly(dim, cap, {mode: coeff})`` places the given coefficients;
     a dense complex array of shape (2 cap + 1,)^d is adopted as the
     coefficient array itself (and made read-only).  Instances are
-    immutable; all arithmetic returns new objects.  A sum is taken at
+    immutable; all arithmetic returns new objects.  The mode radius and
+    the view of its box are computed on first read and kept; an
+    operation that provably keeps the set of nonzero entries (negation,
+    ``conjugate``, ``laplacian``, ``with_cap``) hands its radius on, and
+    every other recomputes it.  A sum is taken at
     the larger of the two caps, the smaller operand zero-padded, as a
     product is taken at the lifted cap; ``*`` scales by a number only,
     and the product of two polynomials is ``mul_free``.
     """
 
-    __slots__ = ("dim", "cap", "_a", "_r")
+    __slots__ = ("dim", "cap", "_a", "_r", "_s")
 
     def __init__(self, dim: int, cap: int,
                  coeffs: Union[Mapping[ModeKey, complex], np.ndarray, None] = None):
@@ -210,6 +236,19 @@ class TrigPoly:
         arr.flags.writeable = False
         self._a = arr
         self._r: Optional[int] = None
+        self._s: Optional[np.ndarray] = None
+
+    @classmethod
+    def _of(cls, dim: int, cap: int, arr: np.ndarray,
+            r: Optional[int] = None) -> "TrigPoly":
+        """Adopt ``arr``, a complex array of the cap's shape that the
+        caller made and holds no other reference to, without the checks
+        of ``__init__``; ``r`` is its mode radius where the caller knows
+        it exactly."""
+        out = cls.__new__(cls)
+        arr.flags.writeable = False
+        out.dim, out.cap, out._a, out._r, out._s = dim, cap, arr, r, None
+        return out
 
     # ------------------------------------------------------------------
     # constructors
@@ -265,7 +304,9 @@ class TrigPoly:
         return int(np.count_nonzero(self._a))
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return not (self._a.any() if tol == 0 else (np.abs(self._a) > tol).any())
+        if tol == 0:  # a kept positive radius has a nonzero entry
+            return not (self._r or self._a.any())
+        return not (np.abs(self._a) > tol).any()
 
     def is_selfadjoint(self) -> bool:
         """f = f* as a function, i.e. coeff(-k) = conj(coeff(k)) to 1e-12."""
@@ -280,8 +321,13 @@ class TrigPoly:
 
     def _support(self, r: Optional[int] = None) -> np.ndarray:
         """A view of the coefficients on the box |k|_inf <= r <= cap, by
-        default the box of the mode radius, which no cap moves."""
-        return self._a[_box(self.dim, self.cap, self.max_abs_mode() if r is None else r)]
+        default the box of the mode radius, which no cap moves (that view
+        is kept)."""
+        if r is not None and r != self._r:
+            return self._a[_box(self.dim, self.cap, r)]
+        if self._s is None:
+            self._s = self._a[_box(self.dim, self.cap, self.max_abs_mode())]
+        return self._s
 
     def coeff_l1(self) -> float:
         return float(np.abs(self._support()).sum())
@@ -289,8 +335,8 @@ class TrigPoly:
     # ------------------------------------------------------------------
     # ring structure
 
-    def _new(self, arr: np.ndarray) -> "TrigPoly":
-        return TrigPoly(self.dim, self.cap, arr)
+    def _new(self, arr: np.ndarray, r: Optional[int] = None) -> "TrigPoly":
+        return TrigPoly._of(self.dim, self.cap, arr, r)
 
     def __add__(self, other):
         """The sum at the larger of the two caps."""
@@ -303,13 +349,18 @@ class TrigPoly:
                                    f"{self.dim} and {other.dim}")
         if self.cap == other.cap:
             return self._new(self._a + other._a)
-        cap = max(self.cap, other.cap)
-        return TrigPoly(self.dim, cap, self.with_cap(cap)._a + other.with_cap(cap)._a)
+        # the smaller operand is zero-padded: off its box each entry is
+        # the larger one's plus zero, inside it the two entries' sum
+        big, small = (self, other) if self.cap > other.cap else (other, self)
+        out = big._a + 0.0
+        inner = _box(self.dim, big.cap, small.cap)
+        out[inner] = self._a[inner] + other._a if big is self else self._a + other._a[inner]
+        return TrigPoly._of(self.dim, big.cap, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new(-self._a)
+        return self._new(-self._a, self._r)
 
     def __sub__(self, other):
         return self + (-other)
@@ -323,7 +374,7 @@ class TrigPoly:
 
     def conjugate(self) -> "TrigPoly":
         """Complex conjugate as a function: coeff(k) -> conj(coeff(-k))."""
-        return self._new(np.flip(self._a).conj())
+        return self._new(self._a[_reverse(self.dim)].conj(), self._r)
 
     def with_cap(self, cap: int) -> "TrigPoly":
         """Same polynomial under a different truncation budget: the one
@@ -336,10 +387,10 @@ class TrigPoly:
             if self.max_abs_mode() > cap:
                 raise CapExceeded(
                     f"mode radius {self.max_abs_mode()} exceeds cap {cap}")
-            return TrigPoly(self.dim, cap, self._support(cap).copy())
+            return TrigPoly._of(self.dim, cap, self._support(cap).copy(), self._r)
         out = np.zeros((2 * cap + 1,) * self.dim, dtype=complex)
         out[_box(self.dim, cap, self.cap)] = self._a
-        return TrigPoly(self.dim, cap, out)
+        return TrigPoly._of(self.dim, cap, out, self._r)
 
     # ------------------------------------------------------------------
     # analysis
@@ -351,8 +402,10 @@ class TrigPoly:
         return self._new(self._a * _ik(self.dim, self.cap, axis))
 
     def laplacian(self) -> "TrigPoly":
-        """Nonnegative Laplacian: coeff(k) -> |k|^2 coeff(k)."""
-        return self._new(self._a * _mode_sq(self.dim, self.cap))
+        """Nonnegative Laplacian: coeff(k) -> |k|^2 coeff(k).  Off the
+        centre |k|^2 >= 1, so a nonzero entry stays nonzero and the radius
+        is kept."""
+        return self._new(self._a * _mode_sq(self.dim, self.cap), self._r)
 
     def heat(self, t: float, halved: bool = False) -> "TrigPoly":
         """Heat semigroup e^{-t Delta} (or e^{-t Delta / 2} if halved).
@@ -383,20 +436,15 @@ class TrigPoly:
         Requires n > 2 * max_abs_mode so distinct modes land in distinct
         FFT bins; this makes the inverse FFT an exact evaluation.
         """
-        r = self.max_abs_mode()
-        if n <= 2 * r:
-            raise ValueError(f"grid size {n} too small for modes up to {r}")
-        arr = np.zeros((n,) * self.dim, dtype=complex)
-        arr[_grid_index(self.dim, r, n)] = self._support()
-        return np.fft.ifftn(arr) * (n ** self.dim)
+        return grid_values((self,), n)[0]
 
     def _sup_grid(self) -> Tuple[np.ndarray, float]:
         """Exact values on the ``sup_grid_size`` grid, and the slack
         (pi / n) sum_k |k|_1 |c_k| by which |f| can move off a node: each
         coordinate is within pi / n of one and |d_i f| <= sum |k_i c_k|."""
-        n = sup_grid_size(self.max_abs_mode())
-        k1 = sum(np.abs(k) for k in _axis_modes(self.dim, self.max_abs_mode()))
-        slack = math.pi / n * float(np.sum(k1 * np.abs(self._support())))
+        r = self.max_abs_mode()
+        n = sup_grid_size(r)
+        slack = math.pi / n * float(np.sum(_mode_l1(self.dim, r) * np.abs(self._support())))
         return self.values_on_grid(n), slack
 
     def sup_norm(self) -> Tuple[float, float]:
@@ -453,8 +501,17 @@ def _direct_product(dim: int, ra: int, rb: int, box_a, box_b) -> np.ndarray:
         n = 2 * ri + 1
         rows = np.zeros((n,) + (w,) * (dim - 1), dtype=complex)
         rows[(slice(None),) + (slice(n),) * (dim - 1)] = box
-        flat.append(rows.ravel()[:2 * ri * sum(w ** j for j in range(dim)) + 1])
-    return np.convolve(*flat).reshape((w,) * dim).copy()
+        flat.append(rows.ravel()[:_row_span(dim, ri, w)])
+    out = np.convolve(*flat)
+    out.shape = (w,) * dim  # in place: the result keeps owning its entries
+    return out
+
+
+@lru_cache(maxsize=None)
+def _row_span(dim: int, ri: int, w: int) -> int:
+    """The length of a radius ``ri`` box laid out in rows of width w and
+    cut after its last entry: 2 ri (1 + w + ... + w^(d-1)) + 1."""
+    return 2 * ri * sum(w ** j for j in range(dim)) + 1
 
 
 def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
@@ -487,21 +544,42 @@ def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
     r = ra + rb
     check_dense(4 * (2 * r + 1) ** dim, "product FFT stack", r, dim)
     sa, sb = a._support(), b._support()
-    if not (sa.any() and sb.any()):
-        return TrigPoly(dim, r)  # no pair reaches any mode
+    # a positive radius has a nonzero entry; at radius 0 the box is read
+    if not ((ra or sa.any()) and (rb or sb.any())):
+        # no pair reaches any mode
+        return TrigPoly._of(dim, r, np.zeros((2 * r + 1,) * dim, dtype=complex), 0)
     if (2 * ra + 1) * (2 * rb + 1) * (2 * r + 1) ** (2 * dim - 2) <= _DIRECT_MACS:
-        return TrigPoly(dim, r, _direct_product(dim, ra, rb, sa, sb))
+        return TrigPoly._of(dim, r, _direct_product(dim, ra, rb, sa, sb))
     out = _fft_product(dim, ra, rb, sa, sb)
     tau = 2.0 ** -40 * math.sqrt(out.size) * np.linalg.norm(sa) * np.linalg.norm(sb)
     if not (np.abs(out) > tau).all():
         out[_fft_product(dim, ra, rb, sa != 0, sb != 0).real < 0.5] = 0
-    return TrigPoly(dim, r, out)
+    return TrigPoly._of(dim, r, out)
 
 
 def sup_grid_size(radius: int) -> int:
     """The smallest power of two above 2 * radius: the grid on which the
     modes |k|_inf <= radius land in distinct FFT bins."""
     return 1 << (2 * radius).bit_length()
+
+
+def grid_values(polys: Sequence[TrigPoly], n: int) -> np.ndarray:
+    """Exact values of each of ``polys`` (one torus) on the uniform n^d
+    grid, stacked along a new first axis: each support box is scattered
+    into its bins and the stack takes one inverse FFT over the grid axes.
+    Slice j equals, bit for bit, the transform of polys[j] alone: the FFT
+    treats each slice as its own transform.  Requires n > 2 r for every
+    mode radius r, so distinct modes land in distinct bins."""
+    dim = polys[0].dim
+    shape = (n,) * dim
+    stack = np.zeros((len(polys),) + shape, dtype=complex)
+    for j, p in enumerate(polys):
+        r = p.max_abs_mode()
+        if n <= 2 * r:
+            raise ValueError(f"grid size {n} too small for modes up to {r}")
+        stack[(j,) + _grid_index(dim, r, n)] = p._support()
+    # ``s`` spares the FFT a shape lookup per call, as in ``_fft_product``
+    return np.fft.ifftn(stack, s=shape, axes=tuple(range(1, dim + 1))) * (n ** dim)
 
 
 # ----------------------------------------------------------------------
@@ -530,8 +608,28 @@ class CovariantTensor:
     def length_on_grid(self, n: int) -> np.ndarray:
         """ell(t) = sqrt(sum_I |t_I|^2) on the uniform n^d grid, from the
         components' exact grid values (n > 2 * their mode radius)."""
-        return np.sqrt(sum(np.abs(c.values_on_grid(n)) ** 2
-                           for c in self.comps.values()))
+        return lengths_on_grid((self,), n)[0]
+
+
+#: the most grid entries one ``lengths_on_grid`` stack holds (16 MB of
+#: complex values); past it the components go through several stacks,
+#: so a large grid costs no more memory than a few components' values
+_GRID_STACK = 1 << 20
+
+
+def lengths_on_grid(tensors: Sequence[CovariantTensor], n: int) -> List[np.ndarray]:
+    """``length_on_grid`` of each tensor, the components of all of them
+    read off ``grid_values`` stacks of at most _GRID_STACK entries (one
+    stack, where they fit); each tensor's |t_I|^2 are added in its
+    component order."""
+    comps = [(j, c) for j, t in enumerate(tensors) for c in t.comps.values()]
+    step = max(1, _GRID_STACK // n ** tensors[0].dim)
+    squares: List = [0] * len(tensors)
+    for lo in range(0, len(comps), step):
+        chunk = comps[lo:lo + step]
+        for (j, _), vals in zip(chunk, grid_values([c for _, c in chunk], n)):
+            squares[j] = squares[j] + np.abs(vals) ** 2
+    return [np.sqrt(s) for s in squares]
 
 
 def covariant_derivative(f: TrigPoly, order: int) -> CovariantTensor:

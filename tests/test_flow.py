@@ -568,6 +568,48 @@ def test_picard_tail_bound_past_float_range_certifies_nothing():
     assert series.tail_bound(4) == 3.0 * 2.0 ** 5 * math.exp(2.0) / 120
 
 
+def test_picard_tail_bound_past_170_terms_is_a_finite_upper_bound():
+    # (N + 1)! leaves the float range at N = 170, the bound does not
+    x = TrigPoly.one(1, 4)
+    z = SimpleNoisePath.zero(1, 1.0)
+    series = picard_terms(FlowProblem(x, z, z, x, x, 1.0), 2)
+    series.s_const, series.prefactor = 1.0, 1.0
+    # a bound the float formula reaches keeps its bits
+    assert series.tail_bound(169) == math.exp(1.0) / math.factorial(170)
+    # past it the bound is subnormal, then below the float range: it is
+    # rounded up, to the smallest subnormal at least
+    tiny = 5e-324
+    for after in (170, 172, 200, 1000):
+        with mpmath.workdps(50):
+            want = mpmath.e / mpmath.factorial(after + 1)
+        got = series.tail_bound(after)
+        assert want <= got <= max(want * (1 + 1e-8) + 2 * tiny, tiny)
+    assert series.tail_bound(170) < series.tail_bound(169)
+    assert series.tail_bound(1000) == tiny
+    # at N = 200 a bound in the normal range: 1e300 * 5^201 e^5 / 201!
+    series.s_const, series.prefactor = 5.0, 1e300
+    with mpmath.workdps(50):
+        want = mpmath.mpf(1e300) * 5 ** 201 * mpmath.exp(5) / mpmath.factorial(201)
+    # the log-space margin, 2^-40 of the terms' sizes (about 1900 here),
+    # costs about 2e-9 of the value
+    assert want <= series.tail_bound(200) <= want * (1 + 1e-8)
+    # a partial product overflows (1e300 * 10^21) or flushes to zero
+    # (0.001^151) while the bound does neither, or the bound lies below
+    # the float range: each goes through log space
+    for p, s, after in ((1e300, 10.0, 20), (1.0, 1e-3, 150), (1e-300, 1.0, 100)):
+        series.s_const, series.prefactor = s, p
+        with mpmath.workdps(50):
+            want = mpmath.mpf(p) * mpmath.mpf(s) ** (after + 1) * mpmath.exp(s) \
+                / mpmath.factorial(after + 1)
+        got = series.tail_bound(after)
+        assert 0 < got < math.inf
+        assert want <= got <= max(want * (1 + 1e-8), tiny)
+    series.s_const, series.prefactor = 5.0, 0.0
+    assert series.tail_bound(200) == 0.0
+    series.s_const, series.prefactor = 0.0, 1.0
+    assert series.tail_bound(8) == series.tail_bound(200) == 0.0
+
+
 # ------------------------------------------------------------- pairings
 
 def test_engine_unital_argument():

@@ -439,10 +439,96 @@ def test_cached_radius_matches_the_coefficients():
             f.conjugate(), f.partial(0), f.partial(1), f.heat(0.1),
             f.heat(100.0), f + g.with_cap(6), f + g, 2.0 * f,
             TrigPoly(2, 4, np.array(f.coeffs))]
+    # d_x (e^{2iy} + e^{ix}) = i e^{ix}, and 0.5 flushes a subnormal
+    h = TrigPoly.mode((0, 2), 2, 3) + TrigPoly.mode((1, 0), 2, 3)
+    s = TrigPoly(2, 3, {(0, 2): 5e-324, (1, 0): 1.0})
+    assert (h.max_abs_mode(), s.max_abs_mode()) == (2, 2)
+    made += [-f, f.laplacian(), f.with_cap(3).with_cap(5), h.partial(0), 0.5 * s]
     radii = [p.max_abs_mode() for p in made]
     assert radii == [_radius(p.coeffs, p.cap) for p in made]
     assert f.partial(1).max_abs_mode() == 2
     assert f.heat(100.0).max_abs_mode() == 2
+    assert h.partial(0).max_abs_mode() == 1 and (0.5 * s).max_abs_mode() == 1
+
+
+def _odd_polys(dim):
+    """The zero polynomial, constants, and radius-2 polynomials holding a
+    subnormal, an inf or a NaN, at the centre and off it."""
+    out = [TrigPoly.zero(dim, 3), TrigPoly.one(dim, 3), TrigPoly.constant(np.nan, dim, 3)]
+    k = (2,) + (0,) * (dim - 1)
+    for bad in (5e-324, -5e-324j, np.inf, complex(0, -np.inf), np.nan):
+        out.append(TrigPoly(dim, 3, {k: bad, (0,) * dim: 1.0}))
+        out.append(TrigPoly(dim, 3, {k: 1.0, (0,) * dim: bad}))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_carried_radii_match_a_fresh_scan(dim):
+    # negation, conjugate, laplacian and with_cap hand the radius on
+    rng = np.random.default_rng(140 + dim)
+    zoo = _odd_polys(dim) + [random_poly(rng, dim, 3, m) for m in (0, 1, 3)]
+    for p in zoo:
+        r = p.max_abs_mode()  # warm, so that it is carried
+        with np.errstate(invalid="ignore"):
+            made = [-p, p.conjugate(), p.laplacian(), p.with_cap(6),
+                    p.with_cap(r), p.with_cap(6).with_cap(3)]
+        for q in made:
+            assert q._r == r == _radius(q.coeffs, q.cap)
+            assert np.array_equal(q._support(), q.coeffs[_box(dim, q.cap, r)],
+                                  equal_nan=True)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_constant_products_lay_out_rows_of_width_one(dim):
+    # two nonzero constants: the product's rows are one entry wide
+    a, b = TrigPoly.constant(2.0, dim, 3), TrigPoly.constant(-1.5j, dim, 1)
+    p = mul_free(a, b)
+    assert p.cap == 0 and p.max_abs_mode() == 0 and p.coeffs.base is None
+    assert p.coeff((0,) * dim) == -3.0j
+
+
+def _own_grid(p, n):
+    """values_on_grid as one transform of its own support box."""
+    r = p.max_abs_mode()
+    arr = np.zeros((n,) * p.dim, dtype=complex)
+    arr[spectral._grid_index(p.dim, r, n)] = p._support()
+    return np.fft.ifftn(arr) * (n ** p.dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_values_slices_match_their_own_transforms(dim):
+    rng = np.random.default_rng(150 + dim)
+    polys = [random_poly(rng, dim, 4, m) for m in (3, 0, 1, 2)]
+    polys += [TrigPoly.zero(dim, 4), TrigPoly.constant(0.5, dim, 2),
+              polys[0].partial(dim - 1), TrigPoly.mode((0,) * (dim - 1) + (-3,), dim, 3)]
+    for n in (8, 9, 16):
+        stack = spectral.grid_values(polys, n)
+        assert stack.shape == (len(polys),) + (n,) * dim
+        for p, got in zip(polys, stack):
+            assert np.array_equal(got.view(np.uint64), _own_grid(p, n).view(np.uint64))
+            assert np.array_equal(got.view(np.uint64),
+                                  p.values_on_grid(n).view(np.uint64))
+    # radius 0 on a one-point grid
+    c = TrigPoly.constant(1.5 - 2j, dim, 2)
+    assert spectral.grid_values([c], 1).tolist() == [np.full((1,) * dim, 1.5 - 2j).tolist()]
+    with pytest.raises(ValueError):
+        spectral.grid_values([c, polys[0]], 6)  # radius 3 needs n > 6
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("per_stack", [None, 1, 2])
+def test_length_on_grid_matches_the_per_component_route(dim, per_stack, monkeypatch):
+    # one stack for every component, or stacks of one and two components
+    if per_stack is not None:
+        monkeypatch.setattr(spectral, "_GRID_STACK", per_stack * 16 ** dim)
+    rng = np.random.default_rng(160 + dim)
+    f = random_poly(rng, dim, 4, 3)
+    tensors = [covariant_derivative(f, order) for order in (0, 1, 2)]
+    lengths = spectral.lengths_on_grid(tensors, 16)
+    for t, got in zip(tensors, lengths):
+        want = np.sqrt(sum(np.abs(c.values_on_grid(16)) ** 2 for c in t.comps.values()))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(t.length_on_grid(16).view(np.uint64), want.view(np.uint64))
 
 
 def test_mode_space_vectors_round_trip():

@@ -7,8 +7,9 @@ import pytest
 
 from torusflow import GeometryMismatch
 from torusflow.sampling import one_form, poly, rng_for
-from torusflow.spectral import (OneForm, TrigPoly, exterior_derivative,
-                                form_inner, mul_free, sup_grid_size)
+from torusflow.spectral import (OneForm, TrigPoly, covariant_derivative,
+                                exterior_derivative, form_inner, mul_free,
+                                sup_grid_size)
 from torusflow.structure import (AugmentedVector, delta, delta_squared,
                                  generator_L, kernel_eval, nested_phi_growth,
                                  phi_map, psi_map, sobolev_w2inf_norm,
@@ -255,3 +256,93 @@ def test_nested_phi_growth_certified():
 def test_nested_phi_growth_dim_check():
     with pytest.raises(GeometryMismatch):
         nested_phi_growth(TrigPoly.one(1, 2), [OneForm.zero(2, 2)])
+
+
+# ------------------------------------------- bit-for-bit against the literal routes
+
+def _bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+def _literal_psi(x, xi, eta):
+    """psi as the pairings read: <delta(x*), xi> conjugates d_i(x*)."""
+    terms = [generator_L(x)]
+    if not xi.is_zero():
+        terms.append(form_inner(delta(x.conjugate()), xi))
+    if not eta.is_zero():
+        terms.append(form_inner(eta, delta(x)))
+    out = terms[0]
+    for t in terms[1:]:
+        out = out + t
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_psi_map_matches_the_literal_pairing_bit_for_bit(dim):
+    rng = np.random.default_rng(300 + dim)
+    zero = OneForm.zero(dim, 3)
+    for _ in range(20):
+        m = int(rng.integers(0, 4))
+        x = poly(rng, dim, 3, m, self_adjoint=bool(rng.integers(2)))
+        for xi in (one_form(rng, dim, 3, int(rng.integers(0, 3))),
+                   OneForm(tuple(poly(rng, dim, 3, 2, self_adjoint=True)
+                                 for _ in range(dim))),
+                   zero):
+            for eta in (zero, one_form(rng, dim, 3, 1)):
+                got = psi_map(x, xi, eta)
+                want = _literal_psi(x, xi, eta)
+                assert got.cap == want.cap
+                assert np.array_equal(_bits(got.coeffs), _bits(want.coeffs))
+            got = phi_map(x, xi)
+            assert np.array_equal(_bits(got.coeffs),
+                                  _bits(_literal_psi(x, xi, zero).coeffs))
+
+
+def _per_component_sobolev(a):
+    """sup ell(nabla^k a), k = 0, 1, 2, one grid transform per component."""
+    n = sup_grid_size(a.max_abs_mode())
+    total = 0
+    for order in range(3):
+        t = covariant_derivative(a, order)
+        ell = np.sqrt(sum(np.abs(c.values_on_grid(n)) ** 2 for c in t.comps.values()))
+        total += float(ell.max())
+    return total
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sobolev_norm_matches_the_per_component_route_bit_for_bit(dim):
+    rng = np.random.default_rng(310 + dim)
+    cases = [poly(rng, dim, 4, m) for m in (0, 1, 2, 3)]
+    cases += [TrigPoly.zero(dim, 4), TrigPoly.constant(2.5, dim, 4),
+              TrigPoly.mode((0,) * (dim - 1) + (3,), dim, 4)]
+    for a in cases:
+        assert _bits(sobolev_w2inf_norm(a)) == _bits(_per_component_sobolev(a))
+
+
+def _old_nested_phi(x, xi_seq):
+    """The sup and bound lists of nested_phi_growth, as its loop once
+    formed them: Phi through the literal pairing, one sup grid each."""
+    d = x.dim
+    xi_radius = max(max(c.max_abs_mode() for c in xi.comps) for xi in xi_seq)
+    xi_l1 = max(sum(c.coeff_l1() for c in xi.comps) for xi in xi_seq)
+    chain, kappa, running = x, x.max_abs_mode(), x.coeff_l1()
+    sups, bounds = [], []
+    for xi in xi_seq:
+        chain = _literal_psi(chain, xi, OneForm.zero(d, 0))
+        running *= d * kappa * kappa / 2.0 + kappa * xi_l1
+        kappa += xi_radius
+        sups.append(chain.sup_norm()[1])
+        bounds.append(running)
+    return sups, bounds
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_nested_phi_growth_matches_the_old_loop_bit_for_bit(dim):
+    rng = np.random.default_rng(320 + dim)
+    for _ in range(6):
+        x = poly(rng, dim, 6, 1)
+        xis = [one_form(rng, dim, 6, 1, scale=0.5) for _ in range(3)]
+        g = nested_phi_growth(x, xis)
+        sups, bounds = _old_nested_phi(x, xis)
+        assert _bits(g.sup_norms).tolist() == _bits(sups).tolist()
+        assert _bits(g.bounds).tolist() == _bits(bounds).tolist()
