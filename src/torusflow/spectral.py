@@ -11,9 +11,8 @@ result needs a mode with |k|_inf above the cap raises CapExceeded rather
 than aliasing or projecting.  No value depends on the cap: pairings,
 norms, sup brackets and grids read the box of the mode radius
 (``TrigPoly._support``), which no cap moves.  The radius and that box
-are found on first read and kept, and the exact operations that keep
-every nonzero entry nonzero (negation, conjugation, the Laplacian,
-``with_cap``) hand them on; every other operation finds them afresh.
+are derived state only: each polynomial finds them from its own array
+on first read and keeps them, and no operation hands them to another.
 
 Every product (``mul_free``) is exact at the lifted cap ra + rb and keeps
 each mode no pair of nonzero coefficients reaches an exact zero.  A small
@@ -146,12 +145,6 @@ def flat_index(modes, cap: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _reverse(dim: int) -> Tuple[slice, ...]:
-    """The index that reverses every axis, k -> -k (``np.flip``'s view)."""
-    return (slice(None, None, -1),) * dim
-
-
-@lru_cache(maxsize=None)
 def _box(dim: int, cap: int, inner: int) -> Tuple[slice, ...]:
     """The modes |k|_inf <= inner inside a cap ``cap`` array."""
     return (slice(cap - inner, cap + inner + 1),) * dim
@@ -161,15 +154,6 @@ def _box(dim: int, cap: int, inner: int) -> Tuple[slice, ...]:
 def _ik(dim: int, cap: int, axis: int) -> np.ndarray:
     """i k_axis, the factor of d/dx_axis over the coefficient array."""
     out = 1j * _axis_modes(dim, cap)[axis]
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def _mode_l1(dim: int, r: int) -> np.ndarray:
-    """|k|_1 over the box |k|_inf <= r: the weights of the slack of
-    ``TrigPoly.sup_norm``."""
-    out = sum(np.abs(k) for k in _axis_modes(dim, r))
     out.flags.writeable = False
     return out
 
@@ -197,13 +181,12 @@ class TrigPoly:
     a dense complex array of shape (2 cap + 1,)^d is adopted as the
     coefficient array itself (and made read-only).  Instances are
     immutable; all arithmetic returns new objects.  The mode radius and
-    the view of its box are computed on first read and kept; an
-    operation that provably keeps the set of nonzero entries (negation,
-    ``conjugate``, ``laplacian``, ``with_cap``) hands its radius on, and
-    every other recomputes it.  A sum is taken at
-    the larger of the two caps, the smaller operand zero-padded, as a
-    product is taken at the lifted cap; ``*`` scales by a number only,
-    and the product of two polynomials is ``mul_free``.
+    the view of its box are derived state only: each is found from the
+    object's own array on first read and kept, and no operation hands
+    either to its result.  A sum is taken at the larger of the two caps,
+    the smaller operand zero-padded, as a product is taken at the lifted
+    cap; ``*`` scales by a number only, and the product of two
+    polynomials is ``mul_free``.
     """
 
     __slots__ = ("dim", "cap", "_a", "_r", "_s")
@@ -239,15 +222,14 @@ class TrigPoly:
         self._s: Optional[np.ndarray] = None
 
     @classmethod
-    def _of(cls, dim: int, cap: int, arr: np.ndarray,
-            r: Optional[int] = None) -> "TrigPoly":
+    def _of(cls, dim: int, cap: int, arr: np.ndarray) -> "TrigPoly":
         """Adopt ``arr``, a complex array of the cap's shape that the
         caller made and holds no other reference to, without the checks
-        of ``__init__``; ``r`` is its mode radius where the caller knows
-        it exactly."""
+        of ``__init__``; its radius is found, as for any polynomial, on
+        first read."""
         out = cls.__new__(cls)
         arr.flags.writeable = False
-        out.dim, out.cap, out._a, out._r, out._s = dim, cap, arr, r, None
+        out.dim, out.cap, out._a, out._r, out._s = dim, cap, arr, None, None
         return out
 
     # ------------------------------------------------------------------
@@ -335,8 +317,8 @@ class TrigPoly:
     # ------------------------------------------------------------------
     # ring structure
 
-    def _new(self, arr: np.ndarray, r: Optional[int] = None) -> "TrigPoly":
-        return TrigPoly._of(self.dim, self.cap, arr, r)
+    def _new(self, arr: np.ndarray) -> "TrigPoly":
+        return TrigPoly._of(self.dim, self.cap, arr)
 
     def __add__(self, other):
         """The sum at the larger of the two caps."""
@@ -349,18 +331,13 @@ class TrigPoly:
                                    f"{self.dim} and {other.dim}")
         if self.cap == other.cap:
             return self._new(self._a + other._a)
-        # the smaller operand is zero-padded: off its box each entry is
-        # the larger one's plus zero, inside it the two entries' sum
-        big, small = (self, other) if self.cap > other.cap else (other, self)
-        out = big._a + 0.0
-        inner = _box(self.dim, big.cap, small.cap)
-        out[inner] = self._a[inner] + other._a if big is self else self._a + other._a[inner]
-        return TrigPoly._of(self.dim, big.cap, out)
+        cap = max(self.cap, other.cap)
+        return TrigPoly._of(self.dim, cap, self.with_cap(cap)._a + other.with_cap(cap)._a)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new(-self._a, self._r)
+        return self._new(-self._a)
 
     def __sub__(self, other):
         return self + (-other)
@@ -374,7 +351,7 @@ class TrigPoly:
 
     def conjugate(self) -> "TrigPoly":
         """Complex conjugate as a function: coeff(k) -> conj(coeff(-k))."""
-        return self._new(self._a[_reverse(self.dim)].conj(), self._r)
+        return self._new(self._a[(slice(None, None, -1),) * self.dim].conj())
 
     def with_cap(self, cap: int) -> "TrigPoly":
         """Same polynomial under a different truncation budget: the one
@@ -387,10 +364,10 @@ class TrigPoly:
             if self.max_abs_mode() > cap:
                 raise CapExceeded(
                     f"mode radius {self.max_abs_mode()} exceeds cap {cap}")
-            return TrigPoly._of(self.dim, cap, self._support(cap).copy(), self._r)
+            return TrigPoly._of(self.dim, cap, self._support(cap).copy())
         out = np.zeros((2 * cap + 1,) * self.dim, dtype=complex)
         out[_box(self.dim, cap, self.cap)] = self._a
-        return TrigPoly._of(self.dim, cap, out, self._r)
+        return TrigPoly._of(self.dim, cap, out)
 
     # ------------------------------------------------------------------
     # analysis
@@ -402,10 +379,8 @@ class TrigPoly:
         return self._new(self._a * _ik(self.dim, self.cap, axis))
 
     def laplacian(self) -> "TrigPoly":
-        """Nonnegative Laplacian: coeff(k) -> |k|^2 coeff(k).  Off the
-        centre |k|^2 >= 1, so a nonzero entry stays nonzero and the radius
-        is kept."""
-        return self._new(self._a * _mode_sq(self.dim, self.cap), self._r)
+        """Nonnegative Laplacian: coeff(k) -> |k|^2 coeff(k)."""
+        return self._new(self._a * _mode_sq(self.dim, self.cap))
 
     def heat(self, t: float, halved: bool = False) -> "TrigPoly":
         """Heat semigroup e^{-t Delta} (or e^{-t Delta / 2} if halved).
@@ -444,7 +419,8 @@ class TrigPoly:
         coordinate is within pi / n of one and |d_i f| <= sum |k_i c_k|."""
         r = self.max_abs_mode()
         n = sup_grid_size(r)
-        slack = math.pi / n * float(np.sum(_mode_l1(self.dim, r) * np.abs(self._support())))
+        k1 = sum(np.abs(k) for k in _axis_modes(self.dim, r))
+        slack = math.pi / n * float(np.sum(k1 * np.abs(self._support())))
         return self.values_on_grid(n), slack
 
     def sup_norm(self) -> Tuple[float, float]:
@@ -491,27 +467,17 @@ def _direct_product(dim: int, ra: int, rb: int, box_a, box_b) -> np.ndarray:
     and cut after its last entry, so the 1-D convolution of the two
     ravels is the d-D one, w^d entries long (a pair's indices add to at
     most w - 1 along each axis, so no sum spills into the next row).  At
-    d = 1 the boxes already are the ravels and are convolved as they
-    are.  The result owns its entries."""
-    if dim == 1:
-        return np.convolve(box_a, box_b)
+    d = 1 each row is a copy of its box.  The result owns its entries."""
     w = 2 * (ra + rb) + 1
     flat = []
     for ri, box in ((ra, box_a), (rb, box_b)):
         n = 2 * ri + 1
         rows = np.zeros((n,) + (w,) * (dim - 1), dtype=complex)
         rows[(slice(None),) + (slice(n),) * (dim - 1)] = box
-        flat.append(rows.ravel()[:_row_span(dim, ri, w)])
+        flat.append(rows.ravel()[:2 * ri * sum(w ** j for j in range(dim)) + 1])
     out = np.convolve(*flat)
     out.shape = (w,) * dim  # in place: the result keeps owning its entries
     return out
-
-
-@lru_cache(maxsize=None)
-def _row_span(dim: int, ri: int, w: int) -> int:
-    """The length of a radius ``ri`` box laid out in rows of width w and
-    cut after its last entry: 2 ri (1 + w + ... + w^(d-1)) + 1."""
-    return 2 * ri * sum(w ** j for j in range(dim)) + 1
 
 
 def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
@@ -547,7 +513,7 @@ def mul_free(a: TrigPoly, b: TrigPoly) -> TrigPoly:
     # a positive radius has a nonzero entry; at radius 0 the box is read
     if not ((ra or sa.any()) and (rb or sb.any())):
         # no pair reaches any mode
-        return TrigPoly._of(dim, r, np.zeros((2 * r + 1,) * dim, dtype=complex), 0)
+        return TrigPoly._of(dim, r, np.zeros((2 * r + 1,) * dim, dtype=complex))
     if (2 * ra + 1) * (2 * rb + 1) * (2 * r + 1) ** (2 * dim - 2) <= _DIRECT_MACS:
         return TrigPoly._of(dim, r, _direct_product(dim, ra, rb, sa, sb))
     out = _fft_product(dim, ra, rb, sa, sb)
@@ -594,21 +560,15 @@ class CovariantTensor:
     are stored densely over all d^k index tuples (d and k are tiny here).
     """
 
-    __slots__ = ("dim", "cap", "rank", "comps")
+    __slots__ = ("dim", "rank", "comps")
 
-    def __init__(self, dim: int, cap: int, rank: int, comps: Dict[Tuple[int, ...], TrigPoly]):
+    def __init__(self, dim: int, rank: int, comps: Dict[Tuple[int, ...], TrigPoly]):
         self.dim = dim
-        self.cap = cap
         self.rank = rank
         self.comps = comps
 
     def component(self, idx: Tuple[int, ...]) -> TrigPoly:
         return self.comps[tuple(idx)]
-
-    def length_on_grid(self, n: int) -> np.ndarray:
-        """ell(t) = sqrt(sum_I |t_I|^2) on the uniform n^d grid, from the
-        components' exact grid values (n > 2 * their mode radius)."""
-        return lengths_on_grid((self,), n)[0]
 
 
 #: the most grid entries one ``lengths_on_grid`` stack holds (16 MB of
@@ -618,10 +578,10 @@ _GRID_STACK = 1 << 20
 
 
 def lengths_on_grid(tensors: Sequence[CovariantTensor], n: int) -> List[np.ndarray]:
-    """``length_on_grid`` of each tensor, the components of all of them
-    read off ``grid_values`` stacks of at most _GRID_STACK entries (one
-    stack, where they fit); each tensor's |t_I|^2 are added in its
-    component order."""
+    """ell(t) = sqrt(sum_I |t_I|^2) of each tensor t on the n^d grid, the
+    components of all of them read off ``grid_values`` stacks of at most
+    _GRID_STACK entries (one stack, where they fit); each tensor's
+    |t_I|^2 are added in its component order."""
     comps = [(j, c) for j, t in enumerate(tensors) for c in t.comps.values()]
     step = max(1, _GRID_STACK // n ** tensors[0].dim)
     squares: List = [0] * len(tensors)
@@ -642,7 +602,7 @@ def covariant_derivative(f: TrigPoly, order: int) -> CovariantTensor:
         for ax in idx:
             poly = poly.partial(ax)
         comps[idx] = poly
-    return CovariantTensor(f.dim, f.cap, order, comps)
+    return CovariantTensor(f.dim, order, comps)
 
 
 def tensor_inner(s: CovariantTensor, t: CovariantTensor) -> TrigPoly:

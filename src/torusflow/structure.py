@@ -13,8 +13,10 @@ expression, the combined map psi used by the flow compression, and the
 Sobolev / nested-composition growth estimates.
 
 All pairings conjugate their first argument (see spectral.form_inner).
-The annihilation term of psi and Phi is formed as sum_i (d_i x) xi_i,
-since conj(d_i(x*)) = d_i x entry for entry; the Sobolev norm reads all
+Phi is L plus the annihilation term sum_i (d_i x) xi_i, since
+conj(d_i(x*)) = d_i x entry for entry, and psi is Phi plus the creation
+term; each map derives what it reads from its operands' own arrays and
+hands nothing on.  The Sobolev norm reads all
 its derivative components off one grid transform where they fit in one
 stack (``spectral.lengths_on_grid``).
 The augmented vector norm puts the diagonal module norm on the form leg:
@@ -26,7 +28,7 @@ The augmented vector norm puts the diagonal module norm on the form leg:
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import add
 from typing import List, Sequence, Tuple
 
@@ -87,7 +89,7 @@ def delta_squared(x: TrigPoly) -> CovariantTensor:
     for i in range(x.dim):
         for j in range(x.dim):
             comps[(i, j)] = mul_free(dleg.comps[i], dx.comps[j]).with_cap(x.cap)
-    return CovariantTensor(x.dim, x.cap, 2, comps)
+    return CovariantTensor(x.dim, 2, comps)
 
 
 # ----------------------------------------------------------------------
@@ -132,13 +134,8 @@ def kernel_eval(a1: TrigPoly, a2: TrigPoly, b1: TrigPoly, b2: TrigPoly,
 # the combined flow map psi and its projections
 
 
-def psi_map(x: TrigPoly, xi: OneForm, eta: OneForm) -> TrigPoly:
-    """psi(x, xi, eta) = L(x) + <delta(x*), xi> + <eta, delta(x)>.
-
-    xi plays the annihilation coupling, eta the creation coupling; both
-    pairings are pointwise.  With xi = eta = 0 this is L.  The result is
-    returned at the smallest lifted cap covering all three terms; strict
-    truncation is the caller's business.
+def phi_map(x: TrigPoly, xi: OneForm) -> TrigPoly:
+    """Phi_xi(x) = L(x) + <delta(x*), xi>, the annihilation-side map.
 
     The annihilation term is formed as sum_i (d_i x) xi_i, in axis order:
     <delta(x*), xi> conjugates the first leg, and conj(d_i(x*)) = d_i x
@@ -148,26 +145,27 @@ def psi_map(x: TrigPoly, xi: OneForm, eta: OneForm) -> TrigPoly:
     keeps the pairing's bits (tests compare the two routes on uint64
     views at d = 1, 2, 3).
     """
+    if x.dim != xi.dim:
+        raise GeometryMismatch("phi_map operands live on different tori")
+    out = generator_L(x)
+    if xi.is_zero():
+        return out
+    return out + reduce(add, (mul_free(x.partial(i), w) for i, w in enumerate(xi.comps)))
+
+
+def psi_map(x: TrigPoly, xi: OneForm, eta: OneForm) -> TrigPoly:
+    """psi(x, xi, eta) = L(x) + <delta(x*), xi> + <eta, delta(x)>.
+
+    xi plays the annihilation coupling (``phi_map``), eta the creation
+    coupling; both pairings are pointwise, and each term reads only the
+    operands' own arrays.  With xi = eta = 0 this is L.  The result is
+    returned at the smallest lifted cap covering all three terms; strict
+    truncation is the caller's business.
+    """
     if x.dim != xi.dim or x.dim != eta.dim:
         raise GeometryMismatch("psi_map operands live on different tori")
-    terms = [generator_L(x)]
-    if not xi.is_zero():
-        terms.append(reduce(add, (mul_free(x.partial(i), w)
-                                  for i, w in enumerate(xi.comps))))
-    if not eta.is_zero():
-        terms.append(form_inner(eta, delta(x)))
-    return reduce(add, terms)
-
-
-@lru_cache(maxsize=None)
-def _no_form(dim: int) -> OneForm:
-    """The zero one-form on T^dim, at cap 0."""
-    return OneForm.zero(dim, 0)
-
-
-def phi_map(x: TrigPoly, xi: OneForm) -> TrigPoly:
-    """Phi_xi(x) = L(x) + <delta(x*), xi>, the annihilation-side map."""
-    return psi_map(x, xi, _no_form(x.dim))
+    out = phi_map(x, xi)
+    return out if eta.is_zero() else out + form_inner(eta, delta(x))
 
 
 # ----------------------------------------------------------------------

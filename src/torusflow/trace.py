@@ -112,9 +112,18 @@ def theta_reference(t: float, dim: int) -> float:
     This is an identity, not an asymptotic: it equals the direct sum for
     every t, with the series converging fast for small t where the
     direct sum is expensive.  The terms past |k| = m are below e^{-80}.
+    A t whose (pi/t)^(d/2) or pi^2/t overflows a float is refused.
     """
     if not 0 < t < math.inf:
         raise GeometryMismatch("theta reference needs a finite t > 0")
+    rate = math.pi ** 2 / t
+    try:
+        scale = (math.pi / t) ** (dim / 2.0)
+    except OverflowError:
+        scale = math.inf
+    if max(scale, rate) == math.inf:
+        raise GeometryMismatch(f"theta reference at t={t:g}, dim {dim}: "
+                               f"(pi/t)^(d/2) or pi^2/t overflows a float")
     # start just below the root of pi^2 m^2 / t = 80, so the loop takes a
     # few steps at any t instead of one step per integer; past 2^52 a unit
     # step no longer moves the float predicate, and the table budget
@@ -123,7 +132,7 @@ def theta_reference(t: float, dim: int) -> float:
     while m < 2 ** 52 and math.pi ** 2 * m * m / t < 80.0:
         m += 1
     counts = _table(dim, m * m, f"theta reference at t={t:g}, dim {dim}")
-    return (math.pi / t) ** (dim / 2.0) * _shell_sum(counts, m * m, math.pi ** 2 / t)
+    return scale * _shell_sum(counts, m * m, rate)
 
 
 def z_for_tail(t: float, dim: int, tol: float = 1e-12) -> int:
@@ -131,6 +140,8 @@ def z_for_tail(t: float, dim: int, tol: float = 1e-12) -> int:
 
     Modes with |k| in (n-1, n] number at most (2n+1)^d - (2n-1)^d, so
     the tail past z is bounded by sum_{n>z} 2d(2n+1)^{d-1} e^{-t(n-1)^2}.
+    The search stops, refused, at a too small z whose successor's table
+    r_d(0..(z + 1)^2) has more entries than ``_LATTICE_BUDGET`` allows.
     """
     if t <= 0 or tol <= 0:
         raise GeometryMismatch("z_for_tail needs t > 0 and tol > 0")
@@ -147,6 +158,9 @@ def z_for_tail(t: float, dim: int, tol: float = 1e-12) -> int:
     # the tail only shrinks as z grows: double past the answer, then bisect
     hi = 1
     while tail(hi) >= tol:
+        if (hi + 1) ** 2 >= _LATTICE_BUDGET:
+            raise CapExceeded(f"tail cutoff at t={t:g}, dim {dim}: past z={hi}, over the"
+                              f" budget of {_LATTICE_BUDGET} table entry additions")
         hi *= 2
     return bisect_left(range(hi), True, hi // 2 + 1, key=lambda z: tail(z) < tol)
 

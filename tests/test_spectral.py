@@ -414,9 +414,9 @@ def _row_layout_product(dim, ra, rb, box_a, box_b):
 
 
 def test_d1_products_convolve_the_boxes_themselves():
-    # at d=1 the rows are the boxes, so the products skip the buffers
-    # and keep every bit; the factors sit at caps above their radii, so
-    # the boxes are views into larger arrays
+    # d=1 takes the row path too: each row is a copy of its box, so the
+    # products equal the row layout bit for bit; the factors sit at caps
+    # above their radii, so the boxes are views into larger arrays
     rng = np.random.default_rng(77)
     zoo = _support_zoo(rng, 1) + [random_poly(rng, 1, 9, 7), TrigPoly.mode((2,), 1, 6)]
     for a, b in [(a, b) for a in zoo for b in zoo]:
@@ -449,6 +449,22 @@ def test_cached_radius_matches_the_coefficients():
     assert f.partial(1).max_abs_mode() == 2
     assert f.heat(100.0).max_abs_mode() == 2
     assert h.partial(0).max_abs_mode() == 1 and (0.5 * s).max_abs_mode() == 1
+    # negation, conjugate, laplacian and with_cap up, down and at the
+    # radius, on the zero polynomial, constants, and subnormal, inf and
+    # NaN coefficients: each result's radius and kept view come from its
+    # own array, even where the input's radius was read first
+    for dim in (1, 2, 3):
+        zoo = _odd_polys(dim) + [random_poly(rng, dim, 3, m) for m in (0, 1, 3)]
+        for p in zoo:
+            r = p.max_abs_mode()
+            with np.errstate(invalid="ignore"):
+                made = [-p, p.conjugate(), p.laplacian(), p.with_cap(6),
+                        p.with_cap(r), p.with_cap(6).with_cap(3)]
+            for q in made:
+                assert q.max_abs_mode() == _radius(q.coeffs, q.cap)
+                assert np.array_equal(q._support(),
+                                      q.coeffs[_box(dim, q.cap, q.max_abs_mode())],
+                                      equal_nan=True)
 
 
 def _odd_polys(dim):
@@ -460,22 +476,6 @@ def _odd_polys(dim):
         out.append(TrigPoly(dim, 3, {k: bad, (0,) * dim: 1.0}))
         out.append(TrigPoly(dim, 3, {k: 1.0, (0,) * dim: bad}))
     return out
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_carried_radii_match_a_fresh_scan(dim):
-    # negation, conjugate, laplacian and with_cap hand the radius on
-    rng = np.random.default_rng(140 + dim)
-    zoo = _odd_polys(dim) + [random_poly(rng, dim, 3, m) for m in (0, 1, 3)]
-    for p in zoo:
-        r = p.max_abs_mode()  # warm, so that it is carried
-        with np.errstate(invalid="ignore"):
-            made = [-p, p.conjugate(), p.laplacian(), p.with_cap(6),
-                    p.with_cap(r), p.with_cap(6).with_cap(3)]
-        for q in made:
-            assert q._r == r == _radius(q.coeffs, q.cap)
-            assert np.array_equal(q._support(), q.coeffs[_box(dim, q.cap, r)],
-                                  equal_nan=True)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -528,7 +528,8 @@ def test_length_on_grid_matches_the_per_component_route(dim, per_stack, monkeypa
     for t, got in zip(tensors, lengths):
         want = np.sqrt(sum(np.abs(c.values_on_grid(16)) ** 2 for c in t.comps.values()))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert np.array_equal(t.length_on_grid(16).view(np.uint64), want.view(np.uint64))
+        one = spectral.lengths_on_grid((t,), 16)[0]
+        assert np.array_equal(one.view(np.uint64), want.view(np.uint64))
 
 
 def test_mode_space_vectors_round_trip():
@@ -748,7 +749,7 @@ def test_length_on_grid_matches_coefficient_length(dim, rank):
     t = covariant_derivative(f, rank)
     n = 4 * 2 + 3
     want = np.sqrt(pointwise_length_sq(t).values_on_grid(n).real)
-    got = t.length_on_grid(n)
+    got = spectral.lengths_on_grid((t,), n)[0]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
 
 

@@ -188,6 +188,38 @@ def test_flow_trace_refuses_a_mode_grid_past_the_budget(monkeypatch, tmp_path,
     assert "flow trace at t=" in capsys.readouterr().err
 
 
+def test_tiny_times_are_refused_before_any_overflow():
+    # a cutoff past 32768 has a table of over 2^30 entries: the search
+    # stops there instead of doubling past the index range
+    started = time.monotonic()
+    for t in (1e-300, 1e-36, 1e-30):
+        with pytest.raises(CapExceeded, match=rf"t={t:g}, dim 1: .*budget"):
+            z_for_tail(t, 1)
+    assert time.monotonic() - started < 5.0
+    # the prefactor (pi/t)^(3/2) overflows at t = 1e-300, the rate
+    # pi^2/t at a subnormal t; neither returns inf or NaN
+    for t, dim in ((1e-300, 3), (5e-324, 1), (1e-310, 3)):
+        with pytest.raises(GeometryMismatch, match=rf"theta reference at t={t:g}, dim {dim}"):
+            theta_reference(t, dim)
+    assert theta_reference(1e-200, 3) > 0  # the prefactor still fits
+
+
+@pytest.mark.parametrize("line, suite, dim, t", [
+    ("theta_times = 1e-300", "trace", 1, "1e-300"),
+    ("lambdas = 5, 1e20", "action", 1, "1e-40"),
+    ("flow_times = 1e-300", "trace", 3, "1e-300"),
+])
+def test_tiny_times_exit_2_naming_the_suite(tmp_path, capsys, line, suite, dim, t):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(line + "\n")
+    code = cli.main(["run", "--suite", suite, "--dim", str(dim), "--config", str(cfg),
+                     "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"suite {suite}" in err and f"t={t}, dim {dim}" in err
+    assert "Traceback" not in err
+
+
 def test_z_for_tail_guards():
     with pytest.raises(GeometryMismatch):
         z_for_tail(0.0, 1)
